@@ -76,7 +76,7 @@ from .tableau import (
     projector_oracle,
     simulate_plan,
 )
-from .sampling import SigmaSampler, sample_sigma
+from .sampling import SigmaSampler
 from .bench import BenchRun, bench_cost, bench_overlap
 
 __version__ = "0.1.0"

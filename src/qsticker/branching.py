@@ -24,7 +24,6 @@ from .gf2 import Gf2Matrix, solve_left
 from .glue import (
     GlueError,
     finely_devised_glue,
-    glue_codewords_for,
     naked_glue,
     split_logicals,
 )
@@ -90,8 +89,11 @@ def plan_branching(c: SubsystemCode, sigma: OperatorSet,
         frontier = new_frontier
     tree = BranchTree(q=q, levels=level, nodes=tuple(nodes),
                       measure_d_r=measure_d_r)
-    assert tree.levels == math.ceil(math.log2(q))
-    assert len(tree.leaf_nodes()) == q
+    if tree.levels != math.ceil(math.log2(q)):
+        raise GlueError(f"branch tree has {tree.levels} levels for q={q} (bug)")
+    if len(tree.leaf_nodes()) != q:
+        raise GlueError(f"branch tree has {len(tree.leaf_nodes())} leaves "
+                        f"for q={q} (bug)")
     return tree
 
 
@@ -99,7 +101,6 @@ def plan_branching(c: SubsystemCode, sigma: OperatorSet,
 class AssembledPlan:
     final: DeformedCode
     pastes: list[DeformedCode]
-    rep_history: dict[int, list[Gf2Matrix]]
     incidence: dict[int, int]  # level -> max stickers touching one qubit
     leaf_level: int
 
@@ -121,7 +122,6 @@ def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
     current = c
     reps: dict[int, int] = {i: sigma.vectors.bits[i] for i in range(sigma.size)}
     pastes: list[DeformedCode] = []
-    rep_history: dict[int, list[Gf2Matrix]] = {i: [] for i in reps}
     incidence_sets: dict[int, list[tuple[int, ...]]] = {}
 
     for node in tree.nodes:
@@ -141,7 +141,6 @@ def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
         lo, _ = dc.ob_range
         for pos, i in enumerate(node.ops):
             reps[i] = transferred.bits[pos] << lo
-            rep_history[i].append(Gf2Matrix([reps[i]], dc.n))
         current = dc.code
         # representatives of other operators keep their (padded) indices
     leaf_level = tree.levels + 1
@@ -163,8 +162,7 @@ def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
                 counts[qubit] = counts.get(qubit, 0) + 1
         incidence[level] = max(counts.values(), default=0)
     return AssembledPlan(final=pastes[-1], pastes=pastes,
-                         rep_history=rep_history, incidence=incidence,
-                         leaf_level=leaf_level)
+                         incidence=incidence, leaf_level=leaf_level)
 
 
 # -- qubit-cost accounting ---------------------------------------------

@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 
 from .gf2 import (
     Gf2Matrix,
-    in_row_space,
+    complete_basis,
     inverse,
     kernel_basis,
     rank,
     rref,
-    solve_left,
+    solve_left,  # unused here; perfbench's tracer test patches this binding
 )
 
 
@@ -112,53 +112,32 @@ def standard_logicals(hx: Gf2Matrix, hz_like: Gf2Matrix) -> tuple[Gf2Matrix, Gf2
     px_set = set(px)
     # Pivot H_Z on the non-H_X-pivot columns first; full rank there is
     # guaranteed because a combination vanishing off the H_X pivots is zero.
+    # Row i of the permuted RREF is then the unique row-space vector with
+    # a lone 1 at column col_order[pz_local[i]] among the H_Z pivots.
     other = [c for c in range(n) if c not in px_set]
     col_order = other + sorted(px_set)
-    rz_perm, pz_local = rref(hz_like.permute_cols(col_order))
-    pz = sorted(col_order[c] for c in pz_local)
-    if len(pz) != rank(hz_like):
+    rz, pz_local = rref(hz_like.permute_cols(col_order))
+    if pz_local and pz_local[-1] >= len(other):
         raise ValueError("hz reduction lost rank; hx and hz are incompatible")
+    pz = [col_order[c] for c in pz_local]
     pz_set = set(pz)
+    position = {c: i for i, c in enumerate(col_order)}
     rest = [c for c in range(n) if c not in px_set and c not in pz_set]
-    k = len(rest)
-    # Re-reduce hz_like in natural column order but with pivots pinned to pz.
-    rz = _rref_with_pivots(hz_like, pz)
-    rx_rows = rref(hx)[0].bits[: len(px)]
-    px_sorted = sorted(px)
     jz_rows = []
     jx_rows = []
-    for j, c in enumerate(rest):
+    for c in rest:
         vz = 1 << c
-        for i, p in enumerate(px_sorted):
-            if rx_rows[i] & (1 << c):
+        for i, p in enumerate(px):
+            if rx.bits[i] & (1 << c):
                 vz |= 1 << p
         jz_rows.append(vz)
         vx = 1 << c
+        pc = 1 << position[c]
         for i, p in enumerate(pz):
-            if rz[i] & (1 << c):
+            if rz.bits[i] & pc:
                 vx |= 1 << p
         jx_rows.append(vx)
-    jz = Gf2Matrix(jz_rows, n)
-    jx = Gf2Matrix(jx_rows, n)
-    return jx, jz
-
-
-def _rref_with_pivots(m: Gf2Matrix, pivots: list[int]) -> list[int]:
-    """Rows of m reduced so that row i has a lone 1 at column pivots[i]."""
-    work = list(m.bits)
-    out = []
-    for c in pivots:
-        mask = 1 << c
-        p = next(i for i, w in enumerate(work) if w & mask)
-        wr = work.pop(p)
-        out.append(wr)
-        work = [w ^ wr if w & mask else w for w in work]
-    # eliminate pivot columns across the selected rows
-    for i in range(len(out)):
-        for jj in range(len(out)):
-            if jj != i and out[jj] & (1 << pivots[i]):
-                out[jj] ^= out[i]
-    return out
+    return Gf2Matrix(jx_rows, n), Gf2Matrix(jz_rows, n)
 
 
 def derive_css_logicals(hx: Gf2Matrix, hz: Gf2Matrix) -> tuple[Gf2Matrix, Gf2Matrix]:
@@ -190,8 +169,8 @@ def complete_gauge(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix,
     n = hx.cols
     kz = kernel_basis(hx)
     kx = kernel_basis(hz)
-    fz0 = _quotient_completion(kz, hz.vstack(jz))
-    fx0 = _quotient_completion(kx, hx.vstack(jx))
+    fz0 = complete_basis(hz.vstack(jz), kz)
+    fx0 = complete_basis(hx.vstack(jx), kx)
     if fz0.rows != fx0.rows:
         raise ValueError("gauge spaces have mismatched dimensions")
     if fz0.rows == 0:
@@ -202,17 +181,6 @@ def complete_gauge(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix,
     m = fx1.mul_transpose(fz1)
     fx = inverse(m).mul(fx1)
     return fx, fz1
-
-
-def _quotient_completion(space: Gf2Matrix, modulo: Gf2Matrix) -> Gf2Matrix:
-    """Rows of `space` completing rs(modulo) to rs(space), in row order."""
-    from .gf2 import RowReducer
-
-    reducer = RowReducer()
-    for row in modulo.bits:
-        reducer.add(row)
-    picked = [row for row in space.bits if reducer.add(row)]
-    return Gf2Matrix(picked, space.cols)
 
 
 def subsystem_code(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix, jz: Gf2Matrix,

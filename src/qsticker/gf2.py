@@ -2,8 +2,10 @@
 
 Matrices are stored row-major with each row bit-packed into a Python
 integer (bit j = column j), so row operations are word-parallel XORs.
-Zero-row and zero-column matrices are representable.  All elimination
-routines pivot on the leftmost column and the lowest row index, and all
+Zero-row and zero-column matrices are representable.  Every elimination
+(rref, rank, bases, solve_left, subspace_intersect, standard_form) goes
+through the one Gauss–Jordan routine `_eliminate`, so every wrapper
+shares its tie-breaking: leftmost pivot column, lowest row index.  All
 basis outputs are in reduced row-echelon form, so identical inputs give
 bit-identical outputs.
 """
@@ -275,34 +277,44 @@ class Canvas:
 # -- elimination -----------------------------------------------------
 
 
-def rref(m: Gf2Matrix) -> tuple[Gf2Matrix, list[int]]:
-    """Reduced row echelon form and its pivot columns.
+def _eliminate(rows: list[int], ncols: int) -> list[int]:
+    """Gauss–Jordan in place on the columns < ncols; returns the pivots.
 
-    Leftmost-pivot, lowest-row-index tie-breaking; zero rows sink to
-    the bottom and are kept (the shape is preserved).
+    Leftmost-pivot, lowest-row-index tie-breaking; reduced rows come
+    first in pivot order and rows that vanish on the columns < ncols
+    sink to the bottom.  Bits at or above ncols ride along, so a caller
+    that appends an identity there reads off each row's combination of
+    the input rows.
     """
-    work = list(m.bits)
-    nrows = len(work)
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
+    for c in range(ncols):
         if r >= nrows:
             break
         mask = 1 << c
-        p = -1
-        for i in range(r, nrows):
-            if work[i] & mask:
-                p = i
+        for p in range(r, nrows):
+            if rows[p] & mask:
                 break
-        if p < 0:
+        else:
             continue
-        work[r], work[p] = work[p], work[r]
-        wr = work[r]
+        rows[r], rows[p] = rows[p], rows[r]
+        wr = rows[r]
         for i in range(nrows):
-            if i != r and work[i] & mask:
-                work[i] ^= wr
+            if i != r and rows[i] & mask:
+                rows[i] ^= wr
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def rref(m: Gf2Matrix) -> tuple[Gf2Matrix, list[int]]:
+    """Reduced row echelon form and its pivot columns.
+
+    Zero rows sink to the bottom and are kept (the shape is preserved).
+    """
+    work = list(m.bits)
+    pivots = _eliminate(work, m.cols)
     return Gf2Matrix(work, m.cols), pivots
 
 
@@ -346,41 +358,20 @@ def solve_left(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix | None:
     """
     if a.cols != b.cols:
         raise ValueError("solve_left: column mismatch")
+    n = a.cols
     # Reduce (a | E) so each reduced row records its combination of a-rows.
-    aug = a.hstack(Gf2Matrix.identity(a.rows)) if a.rows else Gf2Matrix.zeros(0, a.cols)
-    work = list(aug.bits)
-    pivots: list[int] = []
-    r = 0
-    for c in range(a.cols):
-        if r >= len(work):
-            break
-        mask = 1 << c
-        p = -1
-        for i in range(r, len(work)):
-            if work[i] & mask:
-                p = i
-                break
-        if p < 0:
-            continue
-        work[r], work[p] = work[p], work[r]
-        wr = work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & mask:
-                work[i] ^= wr
-        pivots.append(c)
-        r += 1
-    colmask = (1 << a.cols) - 1
+    work = [row | (1 << (n + i)) for i, row in enumerate(a.bits)]
+    pivots = _eliminate(work, n)
+    colmask = (1 << n) - 1
     xrows = []
     for brow in b.bits:
-        residual = brow
-        combo = 0
+        acc = brow
         for i, c in enumerate(pivots):
-            if residual & (1 << c):
-                residual ^= work[i] & colmask
-                combo ^= work[i] >> a.cols
-        if residual:
+            if acc & (1 << c):
+                acc ^= work[i]
+        if acc & colmask:
             return None
-        xrows.append(combo)
+        xrows.append(acc >> n)
     return Gf2Matrix(xrows, a.rows)
 
 
@@ -411,24 +402,12 @@ def subspace_intersect(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     """RREF basis of rs(a) ∩ rs(b)."""
     if a.cols != b.cols:
         raise ValueError("subspace_intersect: column mismatch")
-    ra = row_basis(a)
-    rb = row_basis(b)
-    if ra.rows == 0 or rb.rows == 0:
-        return Gf2Matrix.zeros(0, a.cols)
-    stacked = ra.vstack(rb)
-    # (u|v) with u@ra + v@rb = 0  =>  u@ra lies in both row spaces.
-    left_null = kernel_basis(stacked.transpose())
-    rows = []
-    for lr in left_null.bits:
-        u = lr & ((1 << ra.rows) - 1)
-        acc = 0
-        while u:
-            low = u & -u
-            acc ^= ra.bits[low.bit_length() - 1]
-            u ^= low
-        rows.append(acc)
-    red, piv = rref(Gf2Matrix(rows, a.cols))
-    return Gf2Matrix(red.bits[: len(piv)], a.cols)
+    n = a.cols
+    # Zassenhaus: rows of (a | a ; b | 0) vanishing on the left half
+    # after elimination carry a basis of the intersection on the right.
+    work = [row | (row << n) for row in a.bits] + list(b.bits)
+    rk = len(_eliminate(work, n))
+    return row_basis(Gf2Matrix([row >> n for row in work[rk:]], n))
 
 
 def standard_form(j: Gf2Matrix) -> tuple[Gf2Matrix, tuple[int, ...], Gf2Matrix]:
@@ -438,18 +417,17 @@ def standard_form(j: Gf2Matrix) -> tuple[Gf2Matrix, tuple[int, ...], Gf2Matrix]:
     first, then the rest in ascending order).  r is invertible.
     Raises on row-rank-deficient input.
     """
-    aug = j.hstack(Gf2Matrix.identity(j.rows)) if j.rows else Gf2Matrix.zeros(0, 0)
-    red, pivots = rref(Gf2Matrix(aug.bits, j.cols + j.rows))
-    real_pivots = [c for c in pivots if c < j.cols]
-    if len(real_pivots) != j.rows:
+    n = j.cols
+    work = [row | (1 << (n + i)) for i, row in enumerate(j.bits)]
+    pivots = _eliminate(work, n)
+    if len(pivots) != j.rows:
         raise ValueError("standard_form: matrix is row-rank-deficient")
-    colmask = (1 << j.cols) - 1
-    r = Gf2Matrix([row >> j.cols for row in red.bits], j.rows)
-    reduced = Gf2Matrix([row & colmask for row in red.bits], j.cols)
-    pivot_set = set(real_pivots)
-    pi = tuple(real_pivots + [c for c in range(j.cols) if c not in pivot_set])
-    js = reduced.permute_cols(pi)
-    return r, pi, js
+    colmask = (1 << n) - 1
+    r = Gf2Matrix([row >> n for row in work], j.rows)
+    reduced = Gf2Matrix([row & colmask for row in work], n)
+    pivot_set = set(pivots)
+    pi = tuple(pivots + [c for c in range(n) if c not in pivot_set])
+    return r, pi, reduced.permute_cols(pi)
 
 
 class RowReducer:

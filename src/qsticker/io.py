@@ -11,7 +11,8 @@ Supported formats:
 Quantum codes load from a JSON manifest naming the H_X and H_Z files
 (or carrying the rows inline), or from builtin specs: "desk[:seed]"
 (hypergraph product of a seeded (3,4)-regular classical code) and
-"hgp:m,n" (repetition-code product, the [[m*n + (m-1)(n-1), 1]] family).
+"hgp:m,n" (repetition-code product, the [[m*n + (m-1)(n-1), 1, min(m,n)]]
+family).
 """
 
 from __future__ import annotations
@@ -193,9 +194,7 @@ def load_code(spec: str, fmt: str = "alist") -> SubsystemCode:
 
         code = hgp(repetition_check(m), repetition_check(n),
                    name=f"hgp({m},{n})")
-        if m == n:
-            code = replace(code, distance=m)
-        return code
+        return replace(code, distance=min(m, n))
     if not os.path.exists(spec):
         raise ValueError(f"code spec {spec!r} is neither builtin nor a file")
     with open(spec, "r", encoding="utf-8") as fh:

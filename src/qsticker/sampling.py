@@ -114,10 +114,6 @@ class SigmaSampler:
         }
 
 
-def sample_sigma(sampler: SigmaSampler, q: int, trial: int = 0) -> OperatorSet:
-    return sampler.sample(q, trial)
-
-
 def check_sample_invariants(sampler: SigmaSampler, q: int, trial: int = 0) -> None:
     """Raise unless the L and thickness invariants hold for a sample."""
     picks = sampler.logical_supports(q, trial)

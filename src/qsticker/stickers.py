@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from .codes import (
     DistanceResult,
-    OperatorSet,
     SubsystemCode,
     exact_distance,
     repetition_check,
@@ -93,16 +92,6 @@ class DeformedCode:
     def k(self) -> int:
         return self.code.k
 
-    def p_mem(self) -> Gf2Matrix:
-        """Row selector for the memory block: P with P^T P the projection."""
-        return Gf2Matrix([1 << j for j in range(self.mem_qubits)], self.n)
-
-    def p_ob(self) -> Gf2Matrix:
-        if self.ob_range is None:
-            raise ValueError("open boundary only exists for branch stickers")
-        lo, hi = self.ob_range
-        return Gf2Matrix([1 << j for j in range(lo, hi)], self.n)
-
     def pad_memory_rows(self, m: Gf2Matrix) -> Gf2Matrix:
         """Memory-space rows embedded into the deformed qubit space."""
         return m.hstack(Gf2Matrix.zeros(m.rows, self.n - self.mem_qubits))
@@ -110,43 +99,23 @@ class DeformedCode:
 
 def _assemble_deformed(c: SubsystemCode, glue: GlueSpec, d_r: int,
                        kind: str) -> tuple[Gf2Matrix, Gf2Matrix]:
-    n, n_g, r_g = c.n, glue.n_g, glue.r_g
-    v_blocks = d_r if kind == "measurement" else d_r - 1
-    total = n + (d_r - 1) * n_g + v_blocks * r_g
+    """Deformed (H_X, H_Z): the memory and its sticker side by side.
 
-    def u_off(j):  # u_j, 1-based
-        return n + (j - 1) * n_g
-
-    def v_off(i):  # v_i, 1-based
-        return n + (d_r - 1) * n_g + (i - 1) * r_g
-
-    e_rg = Gf2Matrix.identity(r_g)
-    e_ng = Gf2Matrix.identity(n_g)
-    hgt = glue.hg.transpose()
-
-    hx_canvas = Canvas(c.hx.rows + (d_r - 1) * r_g, total)
-    hx_canvas.put(0, 0, c.hx)
-    hx_canvas.put(0, v_off(1), glue.t)
-    for j in range(1, d_r):
-        r0 = c.hx.rows + (j - 1) * r_g
-        hx_canvas.put(r0, u_off(j), glue.hg)
-        hx_canvas.put(r0, v_off(j), e_rg)
-        if j + 1 <= v_blocks:
-            hx_canvas.put(r0, v_off(j + 1), e_rg)
-
-    z_blocks = d_r if kind == "measurement" else d_r - 1
-    hz_canvas = Canvas(c.hz.rows + z_blocks * n_g, total)
-    hz_canvas.put(0, 0, c.hz)
-    for i in range(1, z_blocks + 1):
-        r0 = c.hz.rows + (i - 1) * n_g
-        if i == 1:
-            hz_canvas.put(r0, 0, glue.s)
-        else:
-            hz_canvas.put(r0, u_off(i - 1), e_ng)
-        if i <= d_r - 1:
-            hz_canvas.put(r0, u_off(i), e_ng)
-        hz_canvas.put(r0, v_off(i), hgt)
-    return hx_canvas.to_matrix(), hz_canvas.to_matrix()
+    Only T (memory X-checks to the v_1 block) and S (memory qubits into
+    the first sticker Z-check block) couple the two.
+    """
+    sticker = build_sticker(glue, d_r, kind)
+    n = c.n
+    total = n + sticker.qubits
+    hx = Canvas(c.hx.rows + sticker.hx_s.rows, total)
+    hx.put(0, 0, c.hx)
+    hx.put(0, n + (d_r - 1) * glue.n_g, glue.t)
+    hx.put(c.hx.rows, n, sticker.hx_s)
+    hz = Canvas(c.hz.rows + sticker.hz_s.rows, total)
+    hz.put(0, 0, c.hz)
+    hz.put(c.hz.rows, 0, glue.s)
+    hz.put(c.hz.rows, n, sticker.hz_s)
+    return hx.to_matrix(), hz.to_matrix()
 
 
 def paste_measurement(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,

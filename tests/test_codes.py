@@ -20,6 +20,7 @@ from qsticker.codes import (
     hgp,
     redundancy_number,
     repetition_check,
+    standard_logicals,
     support_union,
     validate_code,
 )
@@ -163,6 +164,13 @@ def test_derive_css_logicals_pairing_random():
         c = random_css(rng, 10, 3, 3)
         assert validate_code(c).ok
         assert c.jx.mul_transpose(c.jz) == Gf2Matrix.identity(c.k)
+
+
+def test_standard_logicals_rejects_noncommuting_checks():
+    # an H_Z row supported only on H_X pivots cannot commute with H_X
+    m = Gf2Matrix([0b01], 2)
+    with pytest.raises(ValueError, match="incompatible"):
+        standard_logicals(m, m)
 
 
 def test_standard_form_logicals_have_unit_weight_on_z_supports():

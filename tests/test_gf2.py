@@ -3,6 +3,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from qsticker.gf2 import (
     Canvas,
@@ -242,3 +245,100 @@ def test_determinism_bit_identical():
     assert m1 == m2
     assert rref(m1) == rref(m2)
     assert kernel_basis(m1).bits == kernel_basis(m2).bits
+
+
+# -- property tests against oracles that share no code with gf2 ----------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+def enumerated_span(bits):
+    """Every XOR of a subset of `bits`, by plain enumeration."""
+    out = {0}
+    for b in bits:
+        out |= {v ^ b for v in out}
+    return out
+
+
+@st.composite
+def matrices(draw, cols=None, max_rows=8, max_cols=10):
+    if cols is None:
+        cols = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=max_rows))
+    return Gf2Matrix(rows, cols)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) of equal width; b mixes random rows with vectors of rs(a)."""
+    a = draw(matrices())
+    inside = sorted(enumerated_span(a.bits))
+    b_rows = draw(st.lists(
+        st.one_of(st.integers(0, (1 << a.cols) - 1), st.sampled_from(inside)),
+        max_size=8))
+    return a, Gf2Matrix(b_rows, a.cols)
+
+
+def sympy_rref(m):
+    k = GF(2)
+    dm = DomainMatrix([[k(v) for v in row] for row in m.to_lists()],
+                      m.shape, k)
+    red, pivots = dm.rref()
+    return [[int(v) for v in row] for row in red.to_list()], list(pivots)
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_and_rref_match_sympy(m):
+    want_rows, want_pivots = sympy_rref(m)
+    red, pivots = rref(m)
+    assert red.to_lists() == want_rows
+    assert pivots == want_pivots
+    assert rank(m) == len(want_pivots)
+
+
+@PROPERTY
+@given(matrix_pairs())
+@example((Gf2Matrix.zeros(0, 5), Gf2Matrix([0b10110, 0b00011], 5)))
+@example((Gf2Matrix([0b101, 0b011], 3), Gf2Matrix.zeros(0, 3)))
+@example((Gf2Matrix([0b0110, 0b0110, 0], 4), Gf2Matrix([0b0110, 0b1001], 4)))
+@example((Gf2Matrix.zeros(2, 0), Gf2Matrix.zeros(1, 0)))
+def test_subspace_intersect_matches_enumeration(pair):
+    a, b = pair
+    got = subspace_intersect(a, b)
+    assert got.cols == a.cols
+    assert enumerated_span(got.bits) == (enumerated_span(a.bits)
+                                         & enumerated_span(b.bits))
+    assert len(enumerated_span(got.bits)) == 1 << got.rows  # a basis
+    assert got.to_lists() == sympy_rref(got)[0]  # in RREF
+
+
+@PROPERTY
+@given(matrix_pairs())
+def test_solve_left_round_trip_and_unsolvable_exactly_outside_span(pair):
+    a, b = pair
+    x = solve_left(a, b)
+    inside = enumerated_span(a.bits)
+    if all(row in inside for row in b.bits):
+        assert x is not None
+        assert x.shape == (b.rows, a.rows)
+        assert x.mul(a) == b
+    else:
+        assert x is None
+
+
+@PROPERTY
+@given(matrices())
+@example(Gf2Matrix.zeros(0, 4))
+def test_standard_form_reconstructs_or_rejects(m):
+    if len(enumerated_span(m.bits)) != 1 << m.rows:
+        with pytest.raises(ValueError):
+            standard_form(m)
+        return
+    r, pi, js = standard_form(m)
+    assert sorted(pi) == list(range(m.cols))
+    assert list(pi[m.rows:]) == sorted(pi[m.rows:])
+    assert js.take_cols(range(m.rows)) == Gf2Matrix.identity(m.rows)
+    assert r.mul(m).permute_cols(pi) == js
+    assert rank(r) == m.rows

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qsticker.codes import hgp, repetition_check
+from qsticker.codes import exact_distance, hgp, repetition_check
 from qsticker.gf2 import Gf2Matrix
 from qsticker.io import (
     ParseError,
@@ -80,6 +80,15 @@ def test_load_code_builtins():
     assert (c.n, c.k, c.distance) == (13, 1, 3)
     d = load_code("desk:3")
     assert d.n == 400
+
+
+@pytest.mark.parametrize("spec", ["hgp:2,3", "hgp:3,2", "hgp:3,4",
+                                  "hgp:4,3", "hgp:3,3"])
+def test_load_code_hgp_distance_matches_exact_search(spec):
+    c = load_code(spec)
+    res = exact_distance(c)
+    assert res.exact
+    assert c.distance == res.value
 
 
 def test_load_code_manifest(tmp_path):
