@@ -1,6 +1,7 @@
 """Construction and verification toolkit for simultaneous logical Pauli
 measurements on quantum LDPC codes via glue codes and stickers."""
 
+from .errors import InternalError
 from .gf2 import (
     Gf2Matrix,
     kernel_basis,
@@ -25,14 +26,7 @@ from .codes import (
     support_union,
     validate_code,
 )
-from .tanner import (
-    TannerGraph,
-    bit_duplication,
-    check_duplication,
-    graph_from_matrix,
-    matrix_from_graph,
-    max_degree,
-)
+from .tanner import bit_duplication, check_duplication
 from .glue import (
     GlueError,
     GlueSpec,

@@ -20,10 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 from .codes import OperatorSet, SubsystemCode, support_union
+from .errors import InternalError
 from .gf2 import Gf2Matrix, solve_left
 from .glue import (
     GlueError,
     finely_devised_glue,
+    induced_subgraph,
     naked_glue,
     split_logicals,
 )
@@ -90,10 +92,10 @@ def plan_branching(c: SubsystemCode, sigma: OperatorSet,
     tree = BranchTree(q=q, levels=level, nodes=tuple(nodes),
                       measure_d_r=measure_d_r)
     if tree.levels != math.ceil(math.log2(q)):
-        raise GlueError(f"branch tree has {tree.levels} levels for q={q} (bug)")
+        raise InternalError(f"branch tree has {tree.levels} levels for q={q} (bug)")
     if len(tree.leaf_nodes()) != q:
-        raise GlueError(f"branch tree has {len(tree.leaf_nodes())} leaves "
-                        f"for q={q} (bug)")
+        raise InternalError(f"branch tree has {len(tree.leaf_nodes())} leaves "
+                            f"for q={q} (bug)")
     return tree
 
 
@@ -136,7 +138,7 @@ def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
         # representative is the matching combination of glue codewords
         coeff = solve_left(split.jza, rows)
         if coeff is None:
-            raise GlueError("representative lost jza span (bug)")
+            raise InternalError("representative lost jza span (bug)")
         transferred = coeff.mul(dc.j_g)
         lo, _ = dc.ob_range
         for pos, i in enumerate(node.ops):
@@ -191,36 +193,19 @@ class CostReport:
         }
 
 
-def _induced_glue_sizes(h: Gf2Matrix, support_mask: int) -> tuple[Gf2Matrix, list[int], int]:
-    """Induced subgraph of a check matrix on a bit support.
-
-    Returns (induced matrix, bit columns, check count).
-    """
-    cols = []
-    m = support_mask
-    while m:
-        low = m & -m
-        cols.append(low.bit_length() - 1)
-        m ^= low
-    rows = [i for i in range(h.rows) if h.bits[i] & support_mask]
-    induced = h.take_rows(rows).take_cols(cols)
-    return induced, cols, len(rows)
-
-
-def _bfb_sizes(h: Gf2Matrix, reps: list[int], level: int, d_meas: int,
+def _bfb_sizes(h: Gf2Matrix, reps: tuple[int, ...], level: int, d_meas: int,
                per_level: dict[int, int]) -> int:
     """Recursive brute-force-branching cost on induced glue graphs."""
     support = 0
     for r in reps:
         support |= r
-    induced, cols, r_g = _induced_glue_sizes(h, support)
-    n_g = len(cols)
+    induced, cols, rows = induced_subgraph(h, support)
+    n_g, r_g = len(cols), len(rows)
     branch_qubits = n_g + r_g  # d_R = 2: (d_R-1)(n_G + r_G)
     per_level[level] = per_level.get(level, 0) + branch_qubits
     total = branch_qubits
     if len(reps) >= 2:
-        restricted = [sum(((r >> c) & 1) << j for j, c in enumerate(cols))
-                      for r in reps]
+        restricted = Gf2Matrix(reps, h.cols).take_cols(cols).bits
         half = (len(reps) + 1) // 2
         for part in (restricted[:half], restricted[half:]):
             total += _bfb_sizes(induced, part, level + 1, d_meas, per_level)
@@ -280,7 +265,7 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
     if q < 2:
         raise GlueError("bfb cost needs q >= 2")
     per_level: dict[int, int] = {}
-    reps = list(sigma.vectors.bits)
+    reps = sigma.vectors.bits
     half = (q + 1) // 2
     total = 0
     for part in (reps[:half], reps[half:]):

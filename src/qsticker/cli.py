@@ -2,7 +2,8 @@
 
 Subcommands: validate, glue, deform, verify, plan, bench-overlap,
 bench-cost, simulate.  Exit codes: 0 success, 1 verification failure,
-2 input error.  All outputs are deterministic for a fixed seed.
+2 input error, 3 internal error (a broken invariant: a bug).  All
+outputs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from .bench import bench_cost, bench_overlap
 from .branching import assemble_plan, estimate_qubit_cost, plan_branching
 from .codes import OperatorSet, validate_code
+from .errors import InternalError
 from .gf2 import Gf2Matrix
 from .glue import finely_devised_glue, naked_glue, split_logicals
 from .io import load_code, load_sigma, save_check_matrix
@@ -346,6 +348,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ Three constructions are provided:
 * finely devised LDPC glue — bit/check duplications flatten the
   dressing rows until every vertex degree is at most
   max{w_max(H_X) + 1, 3}, preserving the projected codeword space.
+  The duplications act on the stacked check matrix (H_N; D) and append
+  each new bit as its last column and each new check as its last row.
 
 All choices (pivoting, basis completion, duplication order) are
 deterministic, so reruns are bit-identical.
@@ -27,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .codes import OperatorSet, SubsystemCode, support_union
+from .codes import OperatorSet, SubsystemCode
+from .errors import InternalError
 from .gf2 import (
-    Canvas,
     Gf2Matrix,
     complete_basis,
     kernel_basis,
@@ -38,11 +40,11 @@ from .gf2 import (
     standard_form,
     subspace_intersect,
 )
-from .tanner import TannerGraph, bit_duplication, check_duplication, matrix_from_graph
+from .tanner import bit_duplication, check_duplication
 
 
 class GlueError(ValueError):
-    """Violated precondition or internal inconsistency in glue synthesis."""
+    """Violated precondition in glue synthesis (broken invariants raise InternalError)."""
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,24 @@ def check_compatibility(c: SubsystemCode, g: GlueSpec) -> bool:
     return c.hx.mul_transpose(g.s) == g.t.mul(g.hg)
 
 
+def induced_subgraph(h: Gf2Matrix, support: int
+                     ) -> tuple[Gf2Matrix, tuple[int, ...], tuple[int, ...]]:
+    """Induced subgraph of a check matrix on a bit-packed bit support.
+
+    Returns (induced matrix, bit columns, check rows): the columns are
+    the support bits in ascending order, the rows every check touching
+    them.
+    """
+    cols = []
+    m = support
+    while m:
+        low = m & -m
+        cols.append(low.bit_length() - 1)
+        m ^= low
+    rows = tuple(i for i, r in enumerate(h.bits) if r & support)
+    return h.take_rows(rows).take_cols(cols), tuple(cols), rows
+
+
 def naked_glue(c: SubsystemCode, sigma: OperatorSet) -> GlueSpec:
     """Induced-subgraph glue code on B_N = Q(Σ) (always coarsely devised).
 
@@ -179,21 +199,20 @@ def naked_glue(c: SubsystemCode, sigma: OperatorSet) -> GlueSpec:
     """
     if sigma.size == 0:
         raise GlueError("naked_glue needs a nonempty operator set")
-    b_n = support_union(sigma)
-    mask = 0
-    for j in b_n:
-        mask |= 1 << j
-    c_n = tuple(i for i in range(c.hx.rows) if c.hx.bits[i] & mask)
-    hn = c.hx.take_rows(c_n).take_cols(b_n)
+    support = 0
+    for r in sigma.vectors.bits:
+        support |= r
+    hn, b_n, c_n = induced_subgraph(c.hx, support)
     s = Gf2Matrix([1 << j for j in b_n], c.n)
-    t_canvas = Canvas(c.hx.rows, len(c_n))
-    for j, row in enumerate(c_n):
-        t_canvas.put(row, j, Gf2Matrix.identity(1))
-    spec = GlueSpec(hg=hn, s=s, t=t_canvas.to_matrix(), devisedness="coarse",
-                    b_n=b_n, c_n=c_n, meta={"kind": "naked", "n_n": len(b_n)})
+    t_rows = [0] * c.hx.rows
+    for j, i in enumerate(c_n):
+        t_rows[i] = 1 << j
+    spec = GlueSpec(hg=hn, s=s, t=Gf2Matrix(t_rows, len(c_n)),
+                    devisedness="coarse", b_n=b_n, c_n=c_n,
+                    meta={"kind": "naked", "n_n": len(b_n)})
     devis = classify_devisedness(spec, c, sigma)
     if devis == "none":
-        raise GlueError("naked glue failed to be coarsely devised (bug)")
+        raise InternalError("naked glue failed to be coarsely devised (bug)")
     return replace(spec, devisedness=devis)
 
 
@@ -220,13 +239,13 @@ def dressing_matrix(c: SubsystemCode, split: LogicalSplit,
     full = split.jza.vstack(split.jzc).vstack(stab)
     coeff = solve_left(full, w0.mul(s_n))
     if coeff is None:
-        raise GlueError("basis completion left ker H_X (impossible)")
+        raise InternalError("basis completion left ker H_X (impossible)")
     alpha = coeff.take_cols(range(q))
     w = w0.add(alpha.mul(g1))
     rest = split.jzc.vstack(stab)
     coeff2 = solve_left(rest, w.mul(s_n))
     if coeff2 is None:
-        raise GlueError("projected completion violates the w_j constraint (impossible)")
+        raise InternalError("projected completion violates the w_j constraint (impossible)")
     u_mat = coeff2.take_cols(range(split.jzc.rows))
     try:
         r3, pi3, _ = standard_form(u_mat)
@@ -236,9 +255,9 @@ def dressing_matrix(c: SubsystemCode, split: LogicalSplit,
     jxc_restricted = split.jxc.mul(s_n.transpose())
     d = jxc_restricted.take_rows(pi3[: g2.rows])
     if not d.mul_transpose(g0).is_zero() or not d.mul_transpose(g1).is_zero():
-        raise GlueError("dressing products D G0^T / D G1^T are nonzero (bug)")
+        raise InternalError("dressing products D G0^T / D G1^T are nonzero (bug)")
     if d.mul_transpose(g2) != Gf2Matrix.identity(d.rows):
-        raise GlueError("dressing product D G2^T != E (bug)")
+        raise InternalError("dressing product D G2^T != E (bug)")
     return d
 
 
@@ -273,51 +292,33 @@ def finely_devised_glue(c: SubsystemCode, sigma: OperatorSet,
         spec = GlueSpec(hg=naked.hg, s=naked.s, t=naked.t, devisedness="fine",
                         b_n=naked.b_n, c_n=naked.c_n, meta=meta)
         if classify_devisedness(spec, c, sigma) != "fine":
-            raise GlueError("rn=0 naked glue not fine (bug)")
+            raise InternalError("rn=0 naked glue not fine (bug)")
         return spec
 
     n_n, r_n = naked.n_g, naked.r_g
-    edges = set()
-    for i in range(r_n):
-        row = naked.hg.bits[i]
-        while row:
-            low = row & -row
-            edges.add((low.bit_length() - 1, i))
-            row ^= low
-    for i in range(rn):
-        row = d.bits[i]
-        while row:
-            low = row & -row
-            edges.add((low.bit_length() - 1, r_n + i))
-            row ^= low
-    graph = TannerGraph(tuple(range(n_n)), tuple(range(r_n + rn)), frozenset(edges))
-    naked_neighbors = {u: set(a for (b, a) in edges if b == u and a < r_n)
-                       for u in range(n_n)}
+    hg = naked.hg.vstack(d)
     # bit pass: each original bit keeps at most one non-naked neighbour
     for u in range(n_n):
         while True:
-            extra = sorted(a for a in graph.bit_neighbors(u)
-                           if a not in naked_neighbors[u])
+            extra = [a for a in range(r_n, hg.rows) if hg.bits[a] >> u & 1]
             if len(extra) <= 1:
                 break
-            graph = bit_duplication(graph, u, extra[:2])
+            hg = bit_duplication(hg, u, extra[:2])
     # check pass: flatten every dressing check to a single neighbour
     for a in range(r_n, r_n + rn):
-        while True:
-            nbrs = sorted(graph.check_neighbors(a))
-            if len(nbrs) <= 1:
-                break
-            graph = check_duplication(graph, a, nbrs[:2])
-    hg = matrix_from_graph(graph)
-    added_bits = hg.cols - n_n
-    s = naked.s.vstack(Gf2Matrix.zeros(added_bits, c.n))
-    t_canvas = Canvas(c.hx.rows, hg.rows)
-    for j, row in enumerate(naked.c_n):
-        t_canvas.put(row, j, Gf2Matrix.identity(1))
-    spec = GlueSpec(hg=hg, s=s, t=t_canvas.to_matrix(), devisedness="fine",
+        row = hg.bits[a]
+        while row & (row - 1):  # split off its two lowest bits
+            low = row & -row
+            second = (row ^ low) & -(row ^ low)
+            hg = check_duplication(hg, a, (low.bit_length() - 1,
+                                           second.bit_length() - 1))
+            row = hg.bits[a]
+    s = naked.s.vstack(Gf2Matrix.zeros(hg.cols - n_n, c.n))
+    t = naked.t.hstack(Gf2Matrix.zeros(c.hx.rows, hg.rows - r_n))
+    spec = GlueSpec(hg=hg, s=s, t=t, devisedness="fine",
                     b_n=naked.b_n, c_n=naked.c_n, meta=meta)
     if classify_devisedness(spec, c, sigma) != "fine":
-        raise GlueError("LDPC glue classification is not fine (bug)")
+        raise InternalError("LDPC glue classification is not fine (bug)")
     return spec
 
 

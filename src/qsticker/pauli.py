@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .errors import InternalError
+
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _STR_PHASE = {"": 0, "+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 
@@ -313,7 +315,7 @@ def build_measurement_plan(theta: list[PauliOp]) -> MeasurementPlan:
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 if not group[i].commutes_with(group[j]):
-                    raise ValueError("plan operators do not commute (bug)")
+                    raise InternalError("plan operators do not commute (bug)")
     return MeasurementPlan(
         memory_qubits=n, operators=tuple(theta), eta=eta, ancilla=ancilla,
         blocks=blocks, omega_x=tuple(omega_x), omega_z=tuple(omega_z),

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InternalError
 from .gf2 import Gf2Matrix, solve_left
 from .pauli import MeasurementPlan, PauliOp
 
@@ -148,7 +149,7 @@ class StabilizerState:
         target = Gf2Matrix([op.x | (op.z << self.n)], 2 * self.n)
         combo = solve_left(Gf2Matrix(rows, 2 * self.n), target)
         if combo is None:
-            raise AssertionError("determined operator outside the group (bug)")
+            raise InternalError("determined operator outside the group (bug)")
         prod = PauliOp.identity(self.n)
         sel = combo.bits[0]
         while sel:
@@ -157,7 +158,7 @@ class StabilizerState:
             sel ^= low
         diff = (op.phase - prod.phase) % 4
         if diff not in (0, 2):
-            raise AssertionError("phase mismatch by ±i (bug)")
+            raise InternalError("phase mismatch by ±i (bug)")
         outcome = 1 if diff == 0 else -1
         if forced is not None and forced != outcome:
             raise ValueError("forced outcome contradicts a determined measurement")
@@ -214,7 +215,7 @@ def dense_from_state(state: StabilizerState) -> np.ndarray:
                 break
         if ok:
             return vec
-    raise AssertionError("no basis vector survives the projectors (bug)")
+    raise InternalError("no basis vector survives the projectors (bug)")
 
 
 def dense_stabilized_by(vec: np.ndarray, op: PauliOp) -> bool:
@@ -255,7 +256,7 @@ def projector_oracle(ops: list[PauliOp], initial: StabilizerState) -> list[Oracl
     walk(start, (), 0)
     total = sum(b.probability for b in branches)
     if total != 1.0:
-        raise AssertionError(f"branch probabilities sum to {total}, not 1")
+        raise InternalError(f"branch probabilities sum to {total}, not 1")
     return branches
 
 

@@ -1,133 +1,48 @@
-"""Bipartite Tanner graphs and the two degree-reducing duplications.
+"""The two degree-reducing duplications, acting on a check matrix.
 
-Bit duplication splits a bit vertex: a fresh bit u' and a fresh
-weight-2 check {u, u'} are added, and a chosen subset of u's checks is
-rewired to u'.  Check duplication is the mirror operation.  Codeword
-spaces before and after are in bijection: the new bit's value is forced
-(v(u') = v(u) for a bit duplication, v(u') = sum over the rewired bits
-for a check duplication).
-
-Vertices carry integer ids; duplications mint fresh monotonically
-increasing ids and record (operation, parent) origin tags so that long
-duplication cascades stay auditable.  Graphs are immutable values.
+Rows of the check matrix are checks and columns are bits.  Bit
+duplication splits bit u: a new bit u' and a new weight-2 check
+{u, u'} are added, and a chosen subset of u's checks is rewired to u'.
+Check duplication is the mirror operation: a new bit u' and a new check
+{u'} ∪ B are added, and the bits B are rewired from check a to the new
+check, which u' joins as well.  Either way the new bit is appended as
+the last column and the new check as the last row, so earlier indices
+never move.  Codeword spaces before and after are in bijection: the new
+bit's value is forced (v(u') = v(u) for a bit duplication, v(u') = sum
+over the rewired bits for a check duplication).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 
 from .gf2 import Gf2Matrix
 
 
-@dataclass(frozen=True)
-class TannerGraph:
-    bits: tuple[int, ...]
-    checks: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]  # (bit, check) pairs
-    origins: tuple[tuple[int, str, int], ...] = field(default_factory=tuple)
-    # origin entries: (new vertex id, "bit_dup"/"check_dup" + role, parent id)
-
-    def __post_init__(self):
-        bset, cset = set(self.bits), set(self.checks)
-        for (u, a) in self.edges:
-            if u not in bset or a not in cset:
-                raise ValueError(f"edge ({u},{a}) references a missing vertex")
-
-    def bit_neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(sorted(a for (b, a) in self.edges if b == u))
-
-    def check_neighbors(self, a: int) -> tuple[int, ...]:
-        return tuple(sorted(b for (b, c) in self.edges if c == a))
-
-    def degree(self, vertex: int, kind: str) -> int:
-        if kind == "bit":
-            return sum(1 for (b, _) in self.edges if b == vertex)
-        return sum(1 for (_, c) in self.edges if c == vertex)
-
-    def fresh_bit(self) -> int:
-        return max(self.bits, default=-1) + 1
-
-    def fresh_check(self) -> int:
-        return max(self.checks, default=-1) + 1
-
-
-def graph_from_matrix(m: Gf2Matrix) -> TannerGraph:
-    """Tanner graph of a check matrix: bits 0..n-1, checks 0..r-1."""
-    edges = set()
-    for i, row in enumerate(m.bits):
-        r = row
-        while r:
-            low = r & -r
-            edges.add((low.bit_length() - 1, i))
-            r ^= low
-    return TannerGraph(tuple(range(m.cols)), tuple(range(m.rows)), frozenset(edges))
-
-
-def matrix_from_graph(g: TannerGraph) -> Gf2Matrix:
-    """Check matrix with rows in check order and columns in bit order."""
-    bit_pos = {u: j for j, u in enumerate(g.bits)}
-    check_pos = {a: i for i, a in enumerate(g.checks)}
-    rows = [0] * len(g.checks)
-    for (u, a) in g.edges:
-        rows[check_pos[a]] |= 1 << bit_pos[u]
-    return Gf2Matrix(rows, len(g.bits))
-
-
-def max_degree(g: TannerGraph) -> int:
-    """w_max: the maximum vertex degree over bits and checks."""
-    bd: dict[int, int] = {}
-    cd: dict[int, int] = {}
-    for (u, a) in g.edges:
-        bd[u] = bd.get(u, 0) + 1
-        cd[a] = cd.get(a, 0) + 1
-    return max([*bd.values(), *cd.values()], default=0)
-
-
-def bit_duplication(g: TannerGraph, u: int, cu: tuple[int, ...] | frozenset[int]) -> TannerGraph:
+def bit_duplication(h: Gf2Matrix, u: int, cu: Iterable[int]) -> Gf2Matrix:
     """Duplicate bit u, rewiring the checks in cu to the new bit."""
-    if u not in g.bits:
+    if not 0 <= u < h.cols:
         raise ValueError(f"bit {u} is not in the graph")
-    cu = tuple(sorted(set(cu)))
-    adj = set(g.bit_neighbors(u))
-    for a in cu:
-        if a not in adj:
+    rows = list(h.bits)
+    pair = (1 << u) | (1 << h.cols)
+    for a in set(cu):
+        if not (0 <= a < h.rows and rows[a] >> u & 1):
             raise ValueError(f"check {a} is not adjacent to bit {u}")
-    u_new = g.fresh_bit()
-    a_new = g.fresh_check()
-    edges = set(g.edges)
-    edges.add((u, a_new))
-    edges.add((u_new, a_new))
-    for a in cu:
-        edges.remove((u, a))
-        edges.add((u_new, a))
-    return TannerGraph(
-        g.bits + (u_new,),
-        g.checks + (a_new,),
-        frozenset(edges),
-        g.origins + ((u_new, "bit_dup:bit", u), (a_new, "bit_dup:check", u)),
-    )
+        rows[a] ^= pair
+    rows.append(pair)
+    return Gf2Matrix(rows, h.cols + 1)
 
 
-def check_duplication(g: TannerGraph, a: int, ba: tuple[int, ...] | frozenset[int]) -> TannerGraph:
+def check_duplication(h: Gf2Matrix, a: int, ba: Iterable[int]) -> Gf2Matrix:
     """Duplicate check a, rewiring the bits in ba to the new check."""
-    if a not in g.checks:
+    if not 0 <= a < h.rows:
         raise ValueError(f"check {a} is not in the graph")
-    ba = tuple(sorted(set(ba)))
-    adj = set(g.check_neighbors(a))
-    for u in ba:
-        if u not in adj:
+    moved = 1 << h.cols
+    for u in set(ba):
+        if not (0 <= u < h.cols and h.bits[a] >> u & 1):
             raise ValueError(f"bit {u} is not adjacent to check {a}")
-    u_new = g.fresh_bit()
-    a_new = g.fresh_check()
-    edges = set(g.edges)
-    edges.add((u_new, a))
-    edges.add((u_new, a_new))
-    for u in ba:
-        edges.remove((u, a))
-        edges.add((u, a_new))
-    return TannerGraph(
-        g.bits + (u_new,),
-        g.checks + (a_new,),
-        frozenset(edges),
-        g.origins + ((u_new, "check_dup:bit", a), (a_new, "check_dup:check", a)),
-    )
+        moved |= 1 << u
+    rows = list(h.bits)
+    rows[a] ^= moved
+    rows.append(moved)
+    return Gf2Matrix(rows, h.cols + 1)

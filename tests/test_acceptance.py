@@ -41,12 +41,7 @@ from qsticker.tableau import (
     plan_measurement_sequence,
     projector_oracle,
 )
-from qsticker.tanner import (
-    TannerGraph,
-    bit_duplication,
-    check_duplication,
-    matrix_from_graph,
-)
+from qsticker.tanner import bit_duplication, check_duplication
 
 
 def sigma_from_indices(code, *index_sets):
@@ -232,24 +227,22 @@ def _codewords(m):
     return out
 
 
-def _check_duplication_bijection(g, g2, kind, payload):
-    old_words = _codewords(matrix_from_graph(g))
-    new_words = _codewords(matrix_from_graph(g2))
+def _check_duplication_bijection(h, h2, kind, payload):
+    old_words = _codewords(h)
+    new_words = _codewords(h2)
     if len(old_words) != len(new_words):
         return False
-    nbits_old = len(g.bits)
-    pos = {u: j for j, u in enumerate(g2.bits)}
-    new_bit = g2.bits[-1]
+    new_bit = h2.cols - 1
     for w in new_words:
-        if w & ((1 << nbits_old) - 1) not in old_words:
+        if w & ((1 << h.cols) - 1) not in old_words:
             return False
-        got = (w >> pos[new_bit]) & 1
+        got = (w >> new_bit) & 1
         if kind == "bit":
-            want = (w >> pos[payload]) & 1
+            want = (w >> payload) & 1
         else:
             want = 0
             for u in payload:
-                want ^= (w >> pos[u]) & 1
+                want ^= (w >> u) & 1
         if got != want:
             return False
     return True
@@ -267,15 +260,19 @@ def test_criterion_5_duplication_bijection():
                  if rng.random() < 0.4}
         if not edges:
             continue
-        g = TannerGraph(tuple(range(nbits)), tuple(range(nchecks)),
-                        frozenset(edges))
+        rows = [0] * nchecks
+        for (b, c) in edges:
+            rows[c] |= 1 << b
+        h = Gf2Matrix(rows, nbits)
         u = rng.choice(sorted({b for (b, _) in edges}))
-        cu = tuple(a for a in g.bit_neighbors(u) if rng.random() < 0.5)
-        if not _check_duplication_bijection(g, bit_duplication(g, u, cu), "bit", u):
+        cu = tuple(a for a in range(nchecks)
+                   if (u, a) in edges and rng.random() < 0.5)
+        if not _check_duplication_bijection(h, bit_duplication(h, u, cu), "bit", u):
             bad += 1
         a = rng.choice(sorted({c for (_, c) in edges}))
-        ba = tuple(b for b in g.check_neighbors(a) if rng.random() < 0.5)
-        if not _check_duplication_bijection(g, check_duplication(g, a, ba),
+        ba = tuple(b for b in range(nbits)
+                   if (b, a) in edges and rng.random() < 0.5)
+        if not _check_duplication_bijection(h, check_duplication(h, a, ba),
                                             "check", ba):
             bad += 1
         graphs += 1

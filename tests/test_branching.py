@@ -160,3 +160,25 @@ def test_cost_requires_distance_or_dr():
         estimate_qubit_cost(c, s, "ds")
     rep = estimate_qubit_cost(c, s, "ds", d_r=3)
     assert rep.d_r == 3
+
+
+def test_cost_bfb_first_level_is_naked_glue_of_each_half():
+    # the module docstring's claim: a level-1 branch sticker at d_R = 2
+    # costs n_G + r_G of the naked glue on its half of Σ
+    from qsticker.glue import naked_glue
+    from qsticker.io import desk_code
+    from qsticker.sampling import SigmaSampler
+
+    code = desk_code(7)
+    sampler = SigmaSampler(code=code, l_max=5, thickness=8, max_q=8, seed=13)
+    for trial in range(2):
+        for q in (2, 3, 5, 8):
+            sigma = sampler.sample(q, trial)
+            rows = sigma.vectors.bits
+            half = (q + 1) // 2
+            want = 0
+            for part in (rows[:half], rows[half:]):
+                glue = naked_glue(code, OperatorSet("Z", Gf2Matrix(part, code.n)))
+                want += glue.n_g + glue.r_g
+            rep = estimate_qubit_cost(code, sigma, "bfb", d_r=6)
+            assert rep.per_level[0] == want

@@ -106,3 +106,14 @@ def test_sigma_file_input(tmp_path):
     rc = run_cli(["glue", "--code", "hgp:3,3", "--sigma", str(sigma_path),
                   "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a classifier that loses coarseness trips naked_glue's invariant
+    from qsticker import glue
+
+    monkeypatch.setattr(glue, "classify_devisedness", lambda *args: "none")
+    rc = run_cli(["glue", "--code", "hgp:3,3", "--logicals", "0",
+                  "--out", str(tmp_path)])
+    assert rc == 3
+    assert "internal error:" in capsys.readouterr().err

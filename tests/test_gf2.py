@@ -342,3 +342,17 @@ def test_standard_form_reconstructs_or_rejects(m):
     assert js.take_cols(range(m.rows)) == Gf2Matrix.identity(m.rows)
     assert r.mul(m).permute_cols(pi) == js
     assert rank(r) == m.rows
+
+
+@PROPERTY
+@given(matrices())
+@example(Gf2Matrix.zeros(0, 4))
+@example(Gf2Matrix.zeros(3, 0))
+def test_kernel_basis_rank_nullity(m):
+    assert kernel_basis(m).rows + rank(m) == m.cols
+
+
+@PROPERTY
+@given(matrices())
+def test_kernel_basis_orthogonal_to_rows(m):
+    assert m.mul_transpose(kernel_basis(m)).is_zero()

@@ -313,3 +313,29 @@ def test_glue_codewords_transfer_sigma():
     assert jg.mul(nk.s) == split.jza
     for row in jg.bits:
         assert nk.hg.mul_vec(row) == 0
+
+
+# -- pinned outputs -----------------------------------------------------
+
+
+def test_fine_glue_golden_digest_on_desk_code():
+    """SHA-256 of (H_G, S, T, meta) over 24 seeded Σ on the desk code.
+
+    The value was recorded from the frozenset-edge duplication code that
+    the check-matrix duplications replaced; every glue bit must stay put.
+    """
+    import hashlib
+
+    from qsticker.io import desk_code
+    from qsticker.sampling import SigmaSampler
+
+    code = desk_code(7)
+    sampler = SigmaSampler(code=code, l_max=5, thickness=8, max_q=8, seed=3)
+    digest = hashlib.sha256()
+    for trial in range(3):
+        for q in range(1, 9):
+            g = finely_devised_glue(code, sampler.sample(q, trial))
+            digest.update(repr((g.hg.bits, g.s.bits, g.t.bits,
+                                sorted(g.meta.items()))).encode())
+    assert digest.hexdigest() == (
+        "fa6bcd2f1a3b55c8e2b50c6928f3858cd1047ae40c69678c9a241029867064b3")

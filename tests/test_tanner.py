@@ -1,4 +1,4 @@
-"""Tanner-graph surgery checks, including the codeword bijection of duplications."""
+"""Duplication checks on the check matrix, including the codeword bijection."""
 
 import random
 
@@ -6,14 +6,7 @@ import pytest
 
 from qsticker.codes import hgp, repetition_check
 from qsticker.gf2 import Gf2Matrix, kernel_basis
-from qsticker.tanner import (
-    TannerGraph,
-    bit_duplication,
-    check_duplication,
-    graph_from_matrix,
-    matrix_from_graph,
-    max_degree,
-)
+from qsticker.tanner import bit_duplication, check_duplication
 
 
 def codeword_set(m):
@@ -24,91 +17,108 @@ def codeword_set(m):
     return out
 
 
+def bit_neighbors(h, u):
+    return tuple(a for a in range(h.rows) if h.bits[a] >> u & 1)
+
+
+def check_neighbors(h, a):
+    return tuple(u for u in range(h.cols) if h.bits[a] >> u & 1)
+
+
 def random_graph(rng, nbits, nchecks, density=0.5):
-    edges = set()
+    """Check matrix of a random Tanner graph (edges drawn bit-major)."""
+    rows = [0] * nchecks
     for u in range(nbits):
         for a in range(nchecks):
             if rng.random() < density:
-                edges.add((u, a))
-    return TannerGraph(tuple(range(nbits)), tuple(range(nchecks)), frozenset(edges))
+                rows[a] |= 1 << u
+    return Gf2Matrix(rows, nbits)
 
 
-def test_round_trip_matrix_graph():
-    m = repetition_check(5)
-    g = graph_from_matrix(m)
-    assert matrix_from_graph(g) == m
+def test_duplication_appends_new_bit_and_check_last():
+    h = repetition_check(5)  # check i is {i, i+1}
+    g = bit_duplication(h, 2, (2,))
+    assert g.shape == (h.rows + 1, h.cols + 1)
+    # the old block loses exactly (check 2, bit 2)
+    assert g.take_rows(range(4)).take_cols(range(5)) == h.add(
+        Gf2Matrix([0, 0, 1 << 2, 0], 5))
+    assert bit_neighbors(g, 5) == (2, 4)  # rewired check + the new check
+    assert check_neighbors(g, 4) == (2, 5)  # the new check is {u, u'}
+
+    g = check_duplication(h, 1, (2,))
+    assert g.shape == (h.rows + 1, h.cols + 1)
+    # the old block loses exactly (check 1, bit 2)
+    assert g.take_rows(range(4)).take_cols(range(5)) == h.add(
+        Gf2Matrix([0, 1 << 2, 0, 0], 5))
+    assert bit_neighbors(g, 5) == (1, 4)  # the old check + the new check
+    assert check_neighbors(g, 4) == (2, 5)  # the rewired bit + the new bit
 
 
 def test_bit_duplication_basic_rewiring():
     # bit 0 with checks {0,1}; rewire {1} to the copy
-    g = TannerGraph((0,), (0, 1), frozenset({(0, 0), (0, 1)}))
-    g2 = bit_duplication(g, 0, (1,))
-    assert g2.bit_neighbors(0) == (0, 2)  # keeps check 0, gains the new check
-    assert g2.bit_neighbors(1) == (1, 2)  # copy holds check 1 and the new check
-    assert g2.check_neighbors(2) == (0, 1)
-    assert any(tag == "bit_dup:bit" for (_, tag, _) in g2.origins)
+    h = Gf2Matrix([1, 1], 1)
+    g2 = bit_duplication(h, 0, (1,))
+    assert bit_neighbors(g2, 0) == (0, 2)  # keeps check 0, gains the new check
+    assert bit_neighbors(g2, 1) == (1, 2)  # copy holds check 1 and the new check
+    assert check_neighbors(g2, 2) == (0, 1)
 
 
 def test_bit_duplication_empty_subset():
-    g = graph_from_matrix(repetition_check(3))
-    g2 = bit_duplication(g, 1, ())
-    old = codeword_set(matrix_from_graph(g))
-    new = codeword_set(matrix_from_graph(g2))
+    h = repetition_check(3)
+    g2 = bit_duplication(h, 1, ())
+    old = codeword_set(h)
+    new = codeword_set(g2)
     assert len(old) == len(new)
 
 
 def test_bit_duplication_rejects_nonadjacent_check():
-    g = graph_from_matrix(repetition_check(3))
+    h = repetition_check(3)
     with pytest.raises(ValueError):
-        bit_duplication(g, 0, (1,))  # check 1 touches bits 1,2 only
+        bit_duplication(h, 0, (1,))  # check 1 touches bits 1,2 only
 
 
 def test_check_duplication_splits_weight():
     m = Gf2Matrix([0b1111], 4)
-    g = graph_from_matrix(m)
-    g2 = check_duplication(g, 0, (2, 3))
-    assert g2.degree(0, "check") == 3  # bits 0,1 + the new bit
-    assert g2.degree(1, "check") == 3  # bits 2,3 + the new bit
-    assert g2.bit_neighbors(4) == (0, 1)
+    g2 = check_duplication(m, 0, (2, 3))
+    assert g2.row_weight(0) == 3  # bits 0,1 + the new bit
+    assert g2.row_weight(1) == 3  # bits 2,3 + the new bit
+    assert bit_neighbors(g2, 4) == (0, 1)
 
 
 def test_check_duplication_rejects_nonadjacent_bit():
-    g = graph_from_matrix(repetition_check(3))
+    h = repetition_check(3)
     with pytest.raises(ValueError):
-        check_duplication(g, 0, (2,))
+        check_duplication(h, 0, (2,))
 
 
 def test_max_degree_examples():
-    assert max_degree(graph_from_matrix(repetition_check(5))) == 2
-    assert max_degree(graph_from_matrix(Gf2Matrix.identity(3))) == 1
+    assert repetition_check(5).wmax() == 2
+    assert Gf2Matrix.identity(3).wmax() == 1
     hx = hgp(repetition_check(3), repetition_check(3)).hx
-    assert max_degree(graph_from_matrix(hx)) == 4
+    assert hx.wmax() == 4
 
 
-def extension_matches_bijection(g, g2, kind, payload):
+def extension_matches_bijection(h, h2, kind, payload):
     """Exhaustively verify the codeword bijection of a single duplication."""
-    m_old = matrix_from_graph(g)
-    m_new = matrix_from_graph(g2)
-    old_words = codeword_set(m_old)
-    new_words = codeword_set(m_new)
+    old_words = codeword_set(h)
+    new_words = codeword_set(h2)
     if len(old_words) != len(new_words):
         return False
-    nbits_old = len(g.bits)
-    pos = {u: j for j, u in enumerate(g2.bits)}
+    new_bit = h2.cols - 1
     for w in new_words:
-        restriction = w & ((1 << nbits_old) - 1)
+        restriction = w & ((1 << h.cols) - 1)
         if restriction not in old_words:
             return False
-        vu_new = (w >> pos[g2.bits[-1]]) & 1
+        vu_new = (w >> new_bit) & 1
         if kind == "bit":
             u = payload
-            if vu_new != ((w >> pos[u]) & 1):
+            if vu_new != ((w >> u) & 1):
                 return False
         else:
             ba = payload
             expected = 0
             for u in ba:
-                expected ^= (w >> pos[u]) & 1
+                expected ^= (w >> u) & 1
             if vu_new != expected:
                 return False
     return True
@@ -119,40 +129,40 @@ def test_duplication_codeword_bijection_seeded():
     for trial in range(30):
         nbits = rng.randrange(3, 9)
         nchecks = rng.randrange(1, 5)
-        g = random_graph(rng, nbits, nchecks)
-        bits_with_edges = sorted({u for (u, _) in g.edges})
+        h = random_graph(rng, nbits, nchecks)
+        bits_with_edges = [u for u in range(h.cols) if h.col_weight(u)]
         if not bits_with_edges:
             continue
         u = rng.choice(bits_with_edges)
-        cu = tuple(a for a in g.bit_neighbors(u) if rng.random() < 0.5)
-        g2 = bit_duplication(g, u, cu)
-        assert extension_matches_bijection(g, g2, "bit", u)
+        cu = tuple(a for a in bit_neighbors(h, u) if rng.random() < 0.5)
+        g2 = bit_duplication(h, u, cu)
+        assert extension_matches_bijection(h, g2, "bit", u)
 
-        checks_with_edges = sorted({a for (_, a) in g.edges})
+        checks_with_edges = [a for a in range(h.rows) if h.bits[a]]
         a = rng.choice(checks_with_edges)
-        ba = tuple(b for b in g.check_neighbors(a) if rng.random() < 0.5)
-        g3 = check_duplication(g, a, ba)
-        assert extension_matches_bijection(g, g3, "check", ba)
+        ba = tuple(b for b in check_neighbors(h, a) if rng.random() < 0.5)
+        g3 = check_duplication(h, a, ba)
+        assert extension_matches_bijection(h, g3, "check", ba)
 
 
 def test_kernel_dimension_invariant_under_duplication():
-    g = graph_from_matrix(repetition_check(5))
-    dim0 = kernel_basis(matrix_from_graph(g)).rows
-    g2 = bit_duplication(g, 2, (g.bit_neighbors(2)[0],))
-    assert kernel_basis(matrix_from_graph(g2)).rows == dim0
+    h = repetition_check(5)
+    dim0 = kernel_basis(h).rows
+    g2 = bit_duplication(h, 2, (bit_neighbors(h, 2)[0],))
+    assert kernel_basis(g2).rows == dim0
 
 
 def test_degrees_never_increase_for_targets():
     rng = random.Random(4)
     for _ in range(10):
-        g = random_graph(rng, 6, 4)
-        bits_with_edges = sorted({u for (u, _) in g.edges})
+        h = random_graph(rng, 6, 4)
+        bits_with_edges = [u for u in range(h.cols) if h.col_weight(u)]
         if not bits_with_edges:
             continue
         u = rng.choice(bits_with_edges)
-        nb = g.bit_neighbors(u)
+        nb = bit_neighbors(h, u)
         cu = nb[: max(1, len(nb) // 2)]
-        g2 = bit_duplication(g, u, cu)
-        assert g2.degree(u, "bit") <= g.degree(u, "bit") + 1 - len(cu) + 0
+        g2 = bit_duplication(h, u, cu)
+        assert g2.col_weight(u) <= h.col_weight(u) + 1 - len(cu) + 0
         # the target's degree after: kept checks + the fresh pairing check
-        assert g2.degree(u, "bit") == g.degree(u, "bit") - len(cu) + 1
+        assert g2.col_weight(u) == h.col_weight(u) - len(cu) + 1
