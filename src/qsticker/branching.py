@@ -246,8 +246,6 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
     q = sigma.size
     t = thickness if thickness is not None else q
     n_n = len(support_union(sigma))
-    l_sizes = _logical_support_sizes(c, sigma)
-    l_max = max(l_sizes, default=0)
     if scheme == "ds":
         fine = finely_devised_glue(c, sigma)
         measured = (d_r - 1) * fine.n_g + d_r * fine.r_g
@@ -264,6 +262,7 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
                           bounds=bounds)
     if q < 2:
         raise GlueError("bfb cost needs q >= 2")
+    l_max = max(_logical_support_sizes(c, sigma), default=0)
     per_level: dict[int, int] = {}
     reps = sigma.vectors.bits
     half = (q + 1) // 2

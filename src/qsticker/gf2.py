@@ -65,14 +65,6 @@ class Gf2Matrix:
             raise ValueError("cannot infer cols from an empty iterable; pass cols=")
         return Gf2Matrix(packed, width)
 
-    @staticmethod
-    def from_dense(array) -> "Gf2Matrix":
-        """Build from a 2-D numpy array or nested sequence of 0/1 ints."""
-        rows = [list(map(int, r)) for r in array]
-        if not rows:
-            raise ValueError("cannot infer cols from an empty array; use zeros()")
-        return Gf2Matrix.from_rows(rows)
-
     # -- accessors ----------------------------------------------------
 
     def __getitem__(self, key) -> int:
@@ -149,9 +141,6 @@ class Gf2Matrix:
     def wmax(self) -> int:
         """Maximum nonzero count over all rows and columns."""
         return max(self.max_row_weight(), self.max_col_weight())
-
-    def total_weight(self) -> int:
-        return sum(r.bit_count() for r in self.bits)
 
     # -- algebra ------------------------------------------------------
 

@@ -197,6 +197,15 @@ def naked_glue(c: SubsystemCode, sigma: OperatorSet) -> GlueSpec:
     adjacent to them, S embeds the glue bits at their memory positions
     and T selects the adjacent checks.
     """
+    spec = _induced_glue(c, sigma)
+    devis = classify_devisedness(spec, c, sigma)
+    if devis == "none":
+        raise InternalError("naked glue failed to be coarsely devised (bug)")
+    return replace(spec, devisedness=devis)
+
+
+def _induced_glue(c: SubsystemCode, sigma: OperatorSet) -> GlueSpec:
+    """The naked glue matrices, labelled coarse but not classified."""
     if sigma.size == 0:
         raise GlueError("naked_glue needs a nonempty operator set")
     support = 0
@@ -207,13 +216,9 @@ def naked_glue(c: SubsystemCode, sigma: OperatorSet) -> GlueSpec:
     t_rows = [0] * c.hx.rows
     for j, i in enumerate(c_n):
         t_rows[i] = 1 << j
-    spec = GlueSpec(hg=hn, s=s, t=Gf2Matrix(t_rows, len(c_n)),
+    return GlueSpec(hg=hn, s=s, t=Gf2Matrix(t_rows, len(c_n)),
                     devisedness="coarse", b_n=b_n, c_n=c_n,
                     meta={"kind": "naked", "n_n": len(b_n)})
-    devis = classify_devisedness(spec, c, sigma)
-    if devis == "none":
-        raise InternalError("naked glue failed to be coarsely devised (bug)")
-    return replace(spec, devisedness=devis)
 
 
 def dressing_matrix(c: SubsystemCode, split: LogicalSplit,
@@ -242,11 +247,8 @@ def dressing_matrix(c: SubsystemCode, split: LogicalSplit,
         raise InternalError("basis completion left ker H_X (impossible)")
     alpha = coeff.take_cols(range(q))
     w = w0.add(alpha.mul(g1))
-    rest = split.jzc.vstack(stab)
-    coeff2 = solve_left(rest, w.mul(s_n))
-    if coeff2 is None:
-        raise InternalError("projected completion violates the w_j constraint (impossible)")
-    u_mat = coeff2.take_cols(range(split.jzc.rows))
+    # w S = w0 S + α J_{Z,A} as supp J_{Z,A} ⊆ B_N, so U is coeff's J_{Z,C} block
+    u_mat = coeff.take_cols(range(q, q + split.jzc.rows))
     try:
         r3, pi3, _ = standard_form(u_mat)
     except ValueError as exc:
@@ -271,10 +273,15 @@ def finely_devised_glue(c: SubsystemCode, sigma: OperatorSet,
     neighbour; new vertices have degree 2 or 3.  The projected codeword
     space (ker H_G)S is unchanged, so fineness is preserved, and
     w_max(H_G) <= max{w_max(H_X)+1, 3}.
+
+    Only the final glue is classified.  Its first r_N rows are H_N padded
+    with zeros and S, T pad S_N, T_N with zeros, so it is compatible
+    exactly when the naked glue is, and (ker H_G)S ⊆ (ker H_N)S: a fine
+    H_G certifies the naked glue as compatible and coarsely devised too.
     """
     if split is None:
         split = split_logicals(c, sigma)
-    naked = naked_glue(c, sigma)
+    naked = _induced_glue(c, sigma)
     d = dressing_matrix(c, split, naked)
     rn = d.rows
     q = split.q
@@ -288,13 +295,6 @@ def finely_devised_glue(c: SubsystemCode, sigma: OperatorSet,
         "bound_r_g": c.hx.wmax() * naked.n_g + 2 * rn * (q + 1),
         "bound_wmax_hg": max(c.hx.wmax() + 1, 3),
     }
-    if rn == 0:
-        spec = GlueSpec(hg=naked.hg, s=naked.s, t=naked.t, devisedness="fine",
-                        b_n=naked.b_n, c_n=naked.c_n, meta=meta)
-        if classify_devisedness(spec, c, sigma) != "fine":
-            raise InternalError("rn=0 naked glue not fine (bug)")
-        return spec
-
     n_n, r_n = naked.n_g, naked.r_g
     hg = naked.hg.vstack(d)
     # bit pass: each original bit keeps at most one non-naked neighbour

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .codes import OperatorSet, SubsystemCode
+from .errors import InternalError
 from .gf2 import Gf2Matrix, rank
 
 
@@ -81,7 +82,7 @@ class SigmaSampler:
                     picks.append(idxs)
                     break
             else:
-                raise RuntimeError("failed to draw an independent operator")
+                raise InternalError("failed to draw an independent operator")
         return picks
 
     def sample(self, q: int, trial: int = 0) -> OperatorSet:
@@ -119,9 +120,9 @@ def check_sample_invariants(sampler: SigmaSampler, q: int, trial: int = 0) -> No
     picks = sampler.logical_supports(q, trial)
     for idxs in picks:
         if not 1 <= len(idxs) <= sampler.l_max:
-            raise AssertionError("operator acts on an out-of-range logical count")
+            raise InternalError("operator acts on an out-of-range logical count")
     t = sampler.thickness
     for i, a in enumerate(picks):
         for j, b in enumerate(picks):
             if i // t != j // t and set(a) & set(b):
-                raise AssertionError("logical overlap across thickness cells")
+                raise InternalError("logical overlap across thickness cells")

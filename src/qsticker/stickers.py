@@ -134,7 +134,8 @@ def paste_measurement(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
     total = hx.cols
     gamma = solve_left(glue.hg, split.jxc.mul(glue.s.transpose()))
     if gamma is None:
-        raise GlueError("gamma unsolvable: glue code is not fine (classifier bug)")
+        raise GlueError("glue is labelled fine but gamma has no solution: "
+                        "J_{X,C} S^T is not in the row space of H_G")
     k_new = split.jxc.rows
     jx_canvas = Canvas(k_new, total)
     jx_canvas.put(0, 0, split.jxc)

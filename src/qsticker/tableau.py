@@ -164,14 +164,6 @@ class StabilizerState:
             raise ValueError("forced outcome contradicts a determined measurement")
         return outcome, False
 
-    def stabilizer_group(self) -> set[tuple[int, int, int]]:
-        """All 2^n group elements as (phase, x, z) keys (tests only)."""
-        out = {PauliOp.identity(self.n).key()}
-        elems = [PauliOp.identity(self.n)]
-        for g in self.gens:
-            elems = elems + [e.mul(g) for e in elems]
-        return {e.key() for e in elems}
-
 
 # -- dense-vector machinery ---------------------------------------------
 

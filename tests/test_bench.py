@@ -5,6 +5,7 @@ import pytest
 from qsticker.bench import bench_cost, bench_overlap
 from qsticker.io import desk_code
 from qsticker.codes import crowd_numbers
+from qsticker.errors import InternalError
 from qsticker.sampling import SigmaSampler, check_sample_invariants
 
 
@@ -36,6 +37,14 @@ def test_sampler_invariants_hold_per_sample(desk):
         check_sample_invariants(s, q)
         sigma = s.sample(q)
         assert sigma.size == q
+
+
+def test_sample_invariant_violation_is_internal_error(desk, monkeypatch):
+    s = SigmaSampler(code=desk, l_max=1, thickness=2, max_q=2, seed=4)
+    monkeypatch.setattr(SigmaSampler, "logical_supports",
+                        lambda self, q, trial=0: [(0, 1), (2,)])
+    with pytest.raises(InternalError, match="out-of-range logical count"):
+        check_sample_invariants(s, 2)
 
 
 def test_sampler_rejects_unhostable_requests(desk):

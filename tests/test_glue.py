@@ -339,3 +339,79 @@ def test_fine_glue_golden_digest_on_desk_code():
                                 sorted(g.meta.items()))).encode())
     assert digest.hexdigest() == (
         "fa6bcd2f1a3b55c8e2b50c6928f3858cd1047ae40c69678c9a241029867064b3")
+
+
+def _glue_pipeline_cases():
+    """Seeded Σ on desk_code(3) and on the k = 1 codes hgp:5,5 and hgp:4,6.
+
+    The hgp operators are the stored logical dressed by random Z
+    stabilisers, so every one of them has rn = 0.
+    """
+    from qsticker.io import desk_code, load_code
+    from qsticker.sampling import SigmaSampler
+
+    desk = desk_code(3)
+    sampler = SigmaSampler(code=desk, l_max=4, thickness=3, max_q=6, seed=11)
+    for trial in range(2):
+        for q in range(1, 7):
+            yield desk, sampler.sample(q, trial)
+    for spec in ("hgp:5,5", "hgp:4,6"):
+        code = load_code(spec)
+        rng = random.Random(spec)
+        for _ in range(4):
+            row = code.jz.bits[0]
+            for stab in code.z_stabilizer_span().bits:
+                if rng.random() < 0.3:
+                    row ^= stab
+            yield code, OperatorSet("Z", Gf2Matrix([row], code.n))
+
+
+def test_glue_pipeline_golden_digest():
+    """SHA-256 of the naked class, D, (H_G, S, T) and meta of each case.
+
+    Recorded before the fine path stopped classifying the naked glue and
+    before the dressing matrix dropped its second solve.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    rn_zero = 0
+    for code, sigma in _glue_pipeline_cases():
+        split = split_logicals(code, sigma)
+        naked = naked_glue(code, sigma)
+        d = dressing_matrix(code, split, naked)
+        g = finely_devised_glue(code, sigma, split=split)
+        rn_zero += d.rows == 0
+        digest.update(repr((naked.devisedness, d.bits, d.cols, g.hg.bits,
+                            g.hg.cols, g.s.bits, g.t.bits, g.devisedness,
+                            sorted(g.meta.items()))).encode())
+    assert rn_zero >= 8
+    assert digest.hexdigest() == (
+        "da2b4887567dc4713140c423cb8bc011a24050911c58d7cdada62f72602363b7")
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_fine_glue_classifies_once_and_dressing_solves_once(monkeypatch):
+    from qsticker import glue
+
+    c = two_blocks()
+    s = sigma_from_indices(c, (0, 1))
+    split = split_logicals(c, s)
+    naked = naked_glue(c, s)
+    solves = _counting(monkeypatch, glue, "solve_left")
+    assert dressing_matrix(c, split, naked).rows == 1
+    assert len(solves) == 1
+    classifications = _counting(monkeypatch, glue, "classify_devisedness")
+    assert finely_devised_glue(c, s, split=split).devisedness == "fine"
+    assert len(classifications) == 1

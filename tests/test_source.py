@@ -15,3 +15,28 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements vanish under python -O: " + ", ".join(found)
+
+
+# perfbench/tests asserts that its tracer patches this module binding
+UNUSED_IMPORT_ALLOWED = {("codes.py", "solve_left")}
+
+
+def test_no_unused_imports_in_package():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+                   if name not in used and (path.name, name) not in UNUSED_IMPORT_ALLOWED]
+    assert not unused, "imported names never used: " + ", ".join(unused)

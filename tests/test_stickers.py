@@ -114,6 +114,15 @@ def test_paste_measurement_requires_fine():
         paste_measurement(c, split, nk, 2)
 
 
+def test_paste_measurement_rejects_coarse_glue_labelled_fine():
+    c = two_blocks()
+    s = sigma_from_indices(c, (0, 1))
+    split = split_logicals(c, s)
+    mislabelled = replace(naked_glue(c, s), devisedness="fine")
+    with pytest.raises(GlueError, match="labelled fine but gamma has no solution"):
+        paste_measurement(c, split, mislabelled, 2)
+
+
 def test_paste_measurement_k2_q1():
     c = two_blocks()
     s = sigma_from_indices(c, (0, 1))
