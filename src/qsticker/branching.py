@@ -220,11 +220,9 @@ def _bfb_sizes(h: Gf2Matrix, reps: tuple[int, ...], level: int, d_meas: int,
 
 def _logical_support_sizes(c: SubsystemCode, sigma: OperatorSet) -> list[int]:
     """Per-operator count of logical qubits acted on (for the L constant)."""
-    coeff = solve_left(c.jz.vstack(c.z_stabilizer_span()), sigma.vectors)
-    if coeff is None:
+    if not c.hx.mul_transpose(sigma.vectors).is_zero():
         raise GlueError("sigma rows are not logical representatives")
-    kmask = (1 << c.k) - 1
-    return [(coeff.bits[i] & kmask).bit_count() for i in range(sigma.size)]
+    return [r.bit_count() for r in sigma.vectors.mul_transpose(c.jx).bits]
 
 
 def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,

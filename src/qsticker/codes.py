@@ -6,6 +6,7 @@ and gauge generator matrices over GF(2), satisfying
     ker H_X = rs H_Z ⊕ rs J_Z ⊕ rs F_Z,
     ker H_Z = rs H_X ⊕ rs J_X ⊕ rs F_X,
     J_X J_Z^T = E_k,   F_X F_Z^T = E_{k_g},
+    J_X F_Z^T = 0,     F_X J_Z^T = 0,
     k_g = n − rank H_X − rank H_Z − k.
 
 The distance is d = min{d(H_X,J_X), d(H_Z,J_Z)} with d(H,J) the minimum
@@ -51,6 +52,11 @@ def repetition_check(n: int, truncated: bool = False) -> Gf2Matrix:
 
 @dataclass(frozen=True)
 class SubsystemCode:
+    """The six generator matrices.  Logicals must be bare, J_X F_Z^T = 0
+    and F_X J_Z^T = 0, so v J_X^T is the logical class of v ∈ ker H_X;
+    `css_code`, `subsystem_code` and `direct_sum` guarantee it and
+    `validate_code` checks it."""
+
     hx: Gf2Matrix
     hz: Gf2Matrix
     jx: Gf2Matrix
@@ -79,9 +85,6 @@ class SubsystemCode:
     def z_stabilizer_span(self) -> Gf2Matrix:
         """Stacked (H_Z; F_Z): the Z operators acting trivially on logicals."""
         return self.hz.vstack(self.fz)
-
-    def x_stabilizer_span(self) -> Gf2Matrix:
-        return self.hx.vstack(self.fx)
 
 
 @dataclass(frozen=True)
@@ -256,12 +259,14 @@ def validate_code(c: SubsystemCode) -> ValidationReport:
     def add(name, passed, witness=""):
         rep.checks.append(AxiomCheck(name, passed, witness))
 
-    prod = c.hx.mul_transpose(c.hz)
-    wit = ""
-    if not prod.is_zero():
-        i = next(i for i, r in enumerate(prod.bits) if r)
-        wit = f"hx row {i} anticommutes with hz row {prod.bits[i].bit_length() - 1}"
-    add("hx @ hz^T = 0", prod.is_zero(), wit)
+    def product_vanishes(name, a, b, witness):
+        prod = a.mul_transpose(b)
+        bad = next((i for i, r in enumerate(prod.bits) if r), None)
+        add(name, bad is None, "" if bad is None
+            else witness.format(bad, prod.bits[bad].bit_length() - 1))
+
+    product_vanishes("hx @ hz^T = 0", c.hx, c.hz,
+                     "hx row {} anticommutes with hz row {}")
 
     add("k_g accounting", c.k_gauge == c.n - rank(c.hx) - rank(c.hz) - c.k,
         f"k_g={c.k_gauge}, n-rank(hx)-rank(hz)-k="
@@ -294,6 +299,8 @@ def validate_code(c: SubsystemCode) -> ValidationReport:
     pf = c.fx.mul_transpose(c.fz)
     add("fx @ fz^T = E_kg", pf == Gf2Matrix.identity(c.k_gauge),
         "" if pf == Gf2Matrix.identity(c.k_gauge) else "gauge pairing broken")
+    product_vanishes("jx @ fz^T = 0", c.jx, c.fz, "jx row {} pairs with fz row {}")
+    product_vanishes("fx @ jz^T = 0", c.fx, c.jz, "fx row {} pairs with jz row {}")
     return rep
 
 
@@ -429,24 +436,14 @@ def contained_logical_count(c: SubsystemCode, support: tuple[int, ...],
                             species: str = "Z") -> int:
     """k_N: independent logicals with a representative inside `support`.
 
-    A logical τ is in the support iff some stabiliser+gauge dressing
-    moves its representative inside; equivalently the restriction of
-    τ's vector to the complement columns lies in the restricted
-    stabiliser+gauge row space.  Solved by column restriction.
+    Cleaning-lemma view (Bravyi & Terhal 2009): k_N = rank(K J[:, A]^T)
+    with K the kernel of the checks restricted to the support A, using
+    (H_X, J_X) for Z species and (H_Z, J_Z) for X species.
     """
-    support_set = set(support)
-    comp = [j for j in range(c.n) if j not in support_set]
-    j = c.jz if species == "Z" else c.jx
-    stab = c.z_stabilizer_span() if species == "Z" else c.x_stabilizer_span()
-    if not comp:
-        return j.rows
-    jr = j.take_cols(comp)
-    sr = stab.take_cols(comp)
-    stacked = jr.vstack(sr)
-    # x passes iff exists y with x@jr = y@sr, i.e. (x|y) in the left kernel
-    left_null = kernel_basis(stacked.transpose())
-    xpart = left_null.take_cols(range(j.rows)) if j.rows else Gf2Matrix.zeros(0, 0)
-    return rank(xpart) if j.rows else 0
+    h, j = (c.hx, c.jx) if species == "Z" else (c.hz, c.jz)
+    mask = sum(1 << u for u in set(support))
+    local = h.take_rows([i for i, r in enumerate(h.bits) if r & mask]).take_cols(support)
+    return rank(kernel_basis(local).mul_transpose(j.take_cols(support)))
 
 
 def redundancy_number(c: SubsystemCode, sigma: OperatorSet) -> int:
@@ -456,7 +453,6 @@ def redundancy_number(c: SubsystemCode, sigma: OperatorSet) -> int:
     for i in range(sigma.vectors.rows):
         if c.hx.mul_vec(sigma.vectors.bits[i]) != 0:
             raise ValueError(f"sigma row {i} is not in ker hx")
-    stab = c.z_stabilizer_span()
-    q = rank(sigma.vectors.vstack(stab)) - rank(stab)
+    q = rank(sigma.vectors.mul_transpose(c.jx))
     k_n = contained_logical_count(c, support_union(sigma))
     return k_n - q

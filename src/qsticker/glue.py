@@ -21,6 +21,9 @@ Three constructions are provided:
   The duplications act on the stacked check matrix (H_N; D) and append
   each new bit as its last column and each new check as its last row.
 
+The logical class of a Z operator v ∈ ker H_X is read off its J_X
+signature v J_X^T, never by eliminating the stack (J_Z; H_Z; F_Z).
+
 All choices (pivoting, basis completion, duplication order) are
 deterministic, so reruns are bit-identical.
 """
@@ -36,9 +39,9 @@ from .gf2 import (
     complete_basis,
     kernel_basis,
     rank,
+    row_basis,
     solve_left,
     standard_form,
-    subspace_intersect,
 )
 from .tanner import bit_duplication, check_duplication
 
@@ -75,7 +78,8 @@ def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
     Σ rows may be any logical representatives (stabiliser/gauge
     dressing allowed); their J_Z coefficients must be independent.  The
     returned jza rows are row combinations of the given Σ rows, so
-    their supports stay inside Q(Σ).
+    their supports stay inside Q(Σ).  The code's logicals must be bare
+    (J_X F_Z^T = 0): then the J_Z coefficients are Σ J_X^T.
     """
     if sigma.species != "Z":
         raise GlueError("split_logicals expects Z-species operators")
@@ -83,11 +87,9 @@ def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
     k = c.k
     if q == 0 or q > k:
         raise GlueError(f"need 1 <= q <= k, got q={q}, k={k}")
-    stab = c.z_stabilizer_span()
-    coeff = solve_left(c.jz.vstack(stab), sigma.vectors)
-    if coeff is None:
+    if not c.hx.mul_transpose(sigma.vectors).is_zero():
         raise GlueError("sigma rows are not Z logical representatives")
-    x = coeff.take_cols(range(k))
+    x = sigma.vectors.mul_transpose(c.jx)
     if rank(x) < q:
         raise GlueError("sigma rows are dependent modulo stabiliser+gauge")
     r, pi2, xs = standard_form(x)
@@ -97,14 +99,7 @@ def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
     jbar = Gf2Matrix(jbar_rows, k)
     jzc = c.jz.take_rows(pi2[q:])
     jxa = c.jx.take_rows(pi2[:q])
-    jxc_rows = []
-    for i in range(k - q):
-        acc = c.jx.bits[pi2[q + i]]
-        for t in range(q):
-            if p_block[t, i]:
-                acc ^= c.jx.bits[pi2[t]]
-        jxc_rows.append(acc)
-    jxc = Gf2Matrix(jxc_rows, c.n)
+    jxc = c.jx.take_rows(pi2[q:]).add(p_block.transpose().mul(jxa))
     split = LogicalSplit(jza, jzc, jxa, jxc, jbar, pi2, p_block)
     _check_split(split, k)
     return split
@@ -232,23 +227,18 @@ def dressing_matrix(c: SubsystemCode, split: LogicalSplit,
     """
     hn, s_n = naked.hg, naked.s
     ker_hn = kernel_basis(hn)
-    ker_s = ker_hn.mul(s_n)
-    stab = c.z_stabilizer_span()
-    u_basis = subspace_intersect(ker_s, stab)
+    ker_s = ker_hn.mul(s_n)  # ⊆ ker H_X by compatibility
+    # the stabiliser+gauge part of rs ker_s: zero J_X signature
+    sig = ker_s.mul_transpose(c.jx)
+    u_basis = row_basis(kernel_basis(sig.transpose()).mul(ker_s))
     g0 = u_basis.mul(s_n.transpose())
     g1 = split.jza.mul(s_n.transpose())
     w0 = complete_basis(g0.vstack(g1), ker_hn)
-    if w0.rows == 0:
-        return Gf2Matrix.zeros(0, naked.n_g)
-    q = split.q
-    full = split.jza.vstack(split.jzc).vstack(stab)
-    coeff = solve_left(full, w0.mul(s_n))
-    if coeff is None:
-        raise InternalError("basis completion left ker H_X (impossible)")
-    alpha = coeff.take_cols(range(q))
+    w0_s = w0.mul(s_n)
+    alpha = w0_s.mul_transpose(split.jxa)  # J_{Z,A} coefficients of w0 S
     w = w0.add(alpha.mul(g1))
-    # w S = w0 S + α J_{Z,A} as supp J_{Z,A} ⊆ B_N, so U is coeff's J_{Z,C} block
-    u_mat = coeff.take_cols(range(q, q + split.jzc.rows))
+    # w S = w0 S + α J_{Z,A} as supp J_{Z,A} ⊆ B_N: U is w0 S's J_{Z,C} block
+    u_mat = w0_s.mul_transpose(split.jxc)
     try:
         r3, pi3, _ = standard_form(u_mat)
     except ValueError as exc:
@@ -327,15 +317,15 @@ def classify_devisedness(g: GlueSpec, c: SubsystemCode,
     """Classification by exact linear algebra.
 
     coarse: span(Σ) ⊆ (ker H_G)S.  fine: additionally every projected
-    glue codeword decomposes over span(Σ) ⊕ (rs H_Z ⊕ rs F_Z).
+    glue codeword decomposes over span(Σ) ⊕ (rs H_Z ⊕ rs F_Z), tested on
+    J_X signatures as both lie in ker H_X (compatibility, coarseness).
     """
     if not check_compatibility(c, g):
         raise GlueError("glue code is not compatible with the memory")
     ks = kernel_basis(g.hg).mul(g.s)
     if solve_left(ks, sigma.vectors) is None:
         return "none"
-    stab = c.z_stabilizer_span()
-    if solve_left(sigma.vectors.vstack(stab), ks) is None:
+    if solve_left(sigma.vectors.mul_transpose(c.jx), ks.mul_transpose(c.jx)) is None:
         return "coarse"
     return "fine"
 

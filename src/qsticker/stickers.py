@@ -27,7 +27,7 @@ from .codes import (
     repetition_check,
     subsystem_code,
 )
-from .gf2 import Canvas, Gf2Matrix, solve_left
+from .gf2 import Canvas, Gf2Matrix, rank, solve_left
 from .glue import GlueError, GlueSpec, LogicalSplit, glue_codewords_for
 
 
@@ -132,14 +132,14 @@ def paste_measurement(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
     hx, hz = _assemble_deformed(c, glue, d_r, "measurement")
     n, n_g, r_g = c.n, glue.n_g, glue.r_g
     total = hx.cols
-    gamma = solve_left(glue.hg, split.jxc.mul(glue.s.transpose()))
+    jxc_s = split.jxc.mul(glue.s.transpose())
+    gamma = solve_left(glue.hg, jxc_s)
     if gamma is None:
         raise GlueError("glue is labelled fine but gamma has no solution: "
                         "J_{X,C} S^T is not in the row space of H_G")
     k_new = split.jxc.rows
     jx_canvas = Canvas(k_new, total)
     jx_canvas.put(0, 0, split.jxc)
-    jxc_s = split.jxc.mul(glue.s.transpose())
     for j in range(1, d_r):
         jx_canvas.put(0, n + (j - 1) * n_g, jxc_s)
     jx_canvas.put(0, n + (d_r - 1) * n_g + (d_r - 1) * r_g, gamma)
@@ -258,6 +258,18 @@ def _spaces_equal(a: Gf2Matrix, b: Gf2Matrix) -> tuple[bool, str]:
     return False, (w2 and "lhs: " + w2) or ("rhs: " + w1)
 
 
+def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix) -> tuple[bool, str]:
+    """rows modulo rs H_Z ⊕ rs F_Z have an invertible J_Z coefficient block."""
+    span = code.jz.vstack(code.z_stabilizer_span())
+    coeff = solve_left(span, rows)
+    if coeff is None:
+        return _rows_in_span(span, rows)
+    r = rank(coeff.take_cols(range(code.k)))
+    if rows.rows == code.k == r:
+        return True, ""
+    return False, f"J_Z coefficients have rank {r} for {rows.rows} rows, k={code.k}"
+
+
 def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36,
                    distance_weight_cap: int = 5) -> GlsReport:
     """Check the lattice-surgery theorem statement by statement.
@@ -311,7 +323,7 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36,
         rep.statements.append(StatementResult(
             "iii': all X logicals persist on the memory",
             "pass" if ok else "fail", wit))
-        ok, wit = _spaces_equal(dc.pad_memory_rows(c.jz), code.jz)
+        ok, wit = _same_logical_classes(code, dc.pad_memory_rows(c.jz))
         rep.statements.append(StatementResult(
             "iv': all Z logicals are preserved",
             "pass" if ok else "fail", wit))

@@ -182,3 +182,29 @@ def test_cost_bfb_first_level_is_naked_glue_of_each_half():
                 want += glue.n_g + glue.r_g
             rep = estimate_qubit_cost(code, sigma, "bfb", d_r=6)
             assert rep.per_level[0] == want
+
+
+def test_cost_pair_solves_at_most_twice(monkeypatch):
+    # logical classes are J_X signatures: only the fine glue's two
+    # classification solves remain in a ds + bfb cost pair
+    import sys
+
+    from qsticker import gf2
+    from qsticker.io import desk_code
+    from qsticker.sampling import SigmaSampler
+
+    real = gf2.solve_left
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qsticker" and vars(mod).get("solve_left") is real:
+            monkeypatch.setattr(mod, "solve_left", counting)
+    code = desk_code(3)
+    sigma = SigmaSampler(code=code, l_max=5, thickness=4, max_q=4, seed=1).sample(4)
+    estimate_qubit_cost(code, sigma, "ds", d_r=6)
+    estimate_qubit_cost(code, sigma, "bfb", d_r=6)
+    assert 0 < len(calls) <= 2

@@ -21,6 +21,7 @@ from qsticker.codes import (
     redundancy_number,
     repetition_check,
     standard_logicals,
+    subsystem_code,
     support_union,
     validate_code,
 )
@@ -208,6 +209,25 @@ def test_validate_flags_noncommuting_checks():
     rep = validate_code(code)
     assert not rep.ok
     assert any("hx @ hz^T" in f.name and f.witness for f in rep.failures())
+
+
+def test_validate_flags_logicals_that_are_not_bare():
+    from dataclasses import replace
+
+    c1 = hgp(repetition_check(2), repetition_check(2))
+    c = direct_sum(c1, c1)
+    sub = subsystem_code(c.hx, c.hz, c.jx.take_rows([0]), c.jz.take_rows([0]))
+    assert sub.k == 1 and sub.k_gauge == 1 and validate_code(sub).ok
+    # a logical part on a gauge row breaks only the bare-logical axiom:
+    # spans and both pairings are unchanged
+    for bad, name, witness in (
+        (replace(sub, fz=sub.fz.add(sub.jz)), "jx @ fz^T = 0",
+         "jx row 0 pairs with fz row 0"),
+        (replace(sub, fx=sub.fx.add(sub.jx)), "fx @ jz^T = 0",
+         "fx row 0 pairs with jz row 0"),
+    ):
+        failures = validate_code(bad).failures()
+        assert [(f.name, f.witness) for f in failures] == [(name, witness)]
 
 
 def test_k0_distance_unknown_by_convention():

@@ -305,3 +305,43 @@ def test_seeded_gls_suite():
         assert verify_surgery(dcm).ok
         cases += 1
     assert cases >= 8
+
+
+def test_branch_preserves_logicals_of_stabiliser_dressed_sigma():
+    from qsticker.io import desk_code
+    from qsticker.sampling import SigmaSampler
+
+    c = desk_code(7)
+    sampler = SigmaSampler(c, l_max=3, thickness=3, max_q=3, seed=5)
+    rng = random.Random(2024)
+    hz = c.hz.bits
+    for trial in range(6):
+        # each operator times two memory Z checks: the same logical class
+        rows = [r ^ hz[rng.randrange(len(hz))] ^ hz[rng.randrange(len(hz))]
+                for r in sampler.sample(3, trial).vectors.bits]
+        s = OperatorSet("Z", Gf2Matrix(rows, c.n))
+        split = split_logicals(c, s)
+        dc = paste_branch(c, split, naked_glue(c, s), 2)
+        rep = verify_surgery(dc)
+        assert rep.ok, [(st.name, st.detail) for st in rep.statements if not st.passed]
+        # a deformed J_Z with one row replaced by another loses a class
+        jz = list(dc.code.jz.bits)
+        jz[0] = jz[1]
+        bad = replace(dc, code=replace(dc.code, jz=Gf2Matrix(jz, dc.n)))
+        iv = next(st for st in verify_surgery(bad).statements
+                  if st.name.startswith("iv'"))
+        assert iv.status == "fail" and iv.detail
+
+
+def test_branch_statement_iv_prime_fails_when_logicals_are_measured():
+    c = two_blocks()
+    s = sigma_from_indices(c, (0,))
+    split = split_logicals(c, s)
+    dcb = paste_branch(c, split, naked_glue(c, s), 2)
+    dcm = paste_measurement(c, split, finely_devised_glue(c, s, split=split), 2)
+    # the measurement-deformed code keeps every memory Z logical in ker H_X
+    # but turns Σ into a stabiliser: k - q classes are left
+    bad = replace(dcb, code=dcm.code)
+    iv = next(st for st in verify_surgery(bad).statements
+              if st.name.startswith("iv'"))
+    assert iv.status == "fail" and "rank 1 for 2 rows" in iv.detail
