@@ -7,7 +7,9 @@ Zero-row and zero-column matrices are representable.  Every elimination
 through the one Gauss–Jordan routine `_eliminate`, so every wrapper
 shares its tie-breaking: leftmost pivot column, lowest row index.  All
 basis outputs are in reduced row-echelon form, so identical inputs give
-bit-identical outputs.
+bit-identical outputs.  Span membership goes through `RowReducer`, which
+factors the span once and reduces each candidate row; `solve_left` is
+for callers that read the coefficients.
 """
 
 from __future__ import annotations
@@ -364,11 +366,6 @@ def solve_left(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix | None:
     return Gf2Matrix(xrows, a.rows)
 
 
-def in_row_space(a: Gf2Matrix, v: int) -> bool:
-    """Membership of the bit-packed vector v in rs(a)."""
-    return solve_left(a, Gf2Matrix([v], a.cols)) is not None
-
-
 def right_inverse(u: Gf2Matrix) -> Gf2Matrix:
     """Some R with u @ R = E; raises if u is not row full rank."""
     x = solve_left(u.transpose(), Gf2Matrix.identity(u.rows))
@@ -420,10 +417,16 @@ def standard_form(j: Gf2Matrix) -> tuple[Gf2Matrix, tuple[int, ...], Gf2Matrix]:
 
 
 class RowReducer:
-    """Incremental independence testing against an accumulating row set."""
+    """Span membership and independence against an accumulating row set.
 
-    def __init__(self):
+    `reduce(row) == 0` exactly when row lies in the span of the rows
+    added so far; use `solve_left` only when the coefficients are read.
+    """
+
+    def __init__(self, rows: Iterable[int] = ()):
         self.pivots: dict[int, int] = {}  # pivot column -> reduced row
+        for row in rows:
+            self.add(row)
 
     def reduce(self, row: int) -> int:
         while row:
@@ -450,8 +453,6 @@ def complete_basis(span_rows: Gf2Matrix, inside: Gf2Matrix) -> Gf2Matrix:
     echelon choice when `inside` is an RREF kernel basis).  Requires
     rs(span_rows) ⊆ rs(inside).
     """
-    reducer = RowReducer()
-    for row in span_rows.bits:
-        reducer.add(row)
+    reducer = RowReducer(span_rows.bits)
     picked = [row for row in inside.bits if reducer.add(row)]
     return Gf2Matrix(picked, span_rows.cols)

@@ -10,8 +10,8 @@ from sympy.polys.matrices import DomainMatrix
 from qsticker.gf2 import (
     Canvas,
     Gf2Matrix,
+    RowReducer,
     complete_basis,
-    in_row_space,
     inverse,
     kernel_basis,
     rank,
@@ -164,7 +164,9 @@ def test_subspace_intersect_against_exhaustive_enumeration():
         oracle = span_set(a) & span_set(b)
         assert span_set(got) == oracle
         for r in got.bits:
-            assert in_row_space(a, r) and in_row_space(b, r)
+            row = Gf2Matrix([r], cols)
+            assert solve_left(a, row) is not None
+            assert solve_left(b, row) is not None
 
 
 def test_standard_form_cases():
@@ -326,6 +328,8 @@ def test_solve_left_round_trip_and_unsolvable_exactly_outside_span(pair):
         assert x.mul(a) == b
     else:
         assert x is None
+    reducer = RowReducer(a.bits)
+    assert {r for r in range(1 << a.cols) if reducer.reduce(r) == 0} == inside
 
 
 @PROPERTY

@@ -345,3 +345,160 @@ def test_branch_statement_iv_prime_fails_when_logicals_are_measured():
     iv = next(st for st in verify_surgery(bad).statements
               if st.name.startswith("iv'"))
     assert iv.status == "fail" and "rank 1 for 2 rows" in iv.detail
+
+
+# -- pinned verifier outputs ----------------------------------------------
+
+
+def _dressed(code, sigma, rng):
+    """Each Σ row times two random memory Z checks: the same logical class."""
+    hz = code.hz.bits
+    rows = [r ^ hz[rng.randrange(len(hz))] ^ hz[rng.randrange(len(hz))]
+            for r in sigma.vectors.bits]
+    return OperatorSet("Z", Gf2Matrix(rows, code.n))
+
+
+def _verify_report_cases():
+    """(code, Σ, d_r) on desk_code(3), hgp:5,5, hgp:4,6 and the small codes.
+
+    Every Σ comes plain and dressed by Z stabilisers; the small codes
+    are the criterion-3 pool, where a q = k measurement leaves k = 0.
+    """
+    from qsticker.io import desk_code, load_code
+    from qsticker.sampling import SigmaSampler
+
+    rng = random.Random(4321)
+    desk = desk_code(3)
+    sampler = SigmaSampler(code=desk, l_max=4, thickness=3, max_q=6, seed=11)
+    for q in range(1, 7):
+        sigma = sampler.sample(q, 0)
+        yield desk, sigma, 2
+        if q % 2:
+            yield desk, _dressed(desk, sigma, rng), 3
+    for spec in ("hgp:5,5", "hgp:4,6"):
+        code = load_code(spec)
+        sigma = OperatorSet("Z", Gf2Matrix([code.jz.bits[0]], code.n))
+        yield code, sigma, 2
+        yield code, _dressed(code, sigma, rng), 2
+    c5 = replace(hgp(repetition_check(2), repetition_check(2)), distance=2)
+    pool = [surface13(), c5, two_blocks(), replace(direct_sum(two_blocks(), c5),
+                                                   distance=2),
+            hgp(repetition_check(2), repetition_check(3))]
+    for code in pool:
+        for take in ([(i,) for i in range(code.k)], [(0,)], [(code.k - 1,)]):
+            sigma = sigma_from_indices(code, *take)
+            yield code, sigma, 2
+            yield code, _dressed(code, sigma, rng), 3
+
+
+def test_verify_report_golden_digest():
+    """SHA-256 of `to_report()` for both sticker kinds on every case.
+
+    Recorded while the span checks still went through `solve_left`.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    reports = k_zero = 0
+    for code, sigma, d_r in _verify_report_cases():
+        split = split_logicals(code, sigma)
+        fine = finely_devised_glue(code, sigma, split=split)
+        for dc in (paste_branch(code, split, naked_glue(code, sigma), d_r),
+                   paste_measurement(code, split, fine, d_r)):
+            rep = verify_surgery(dc)
+            assert rep.ok
+            digest.update(repr(rep.to_report()).encode())
+            reports += 1
+            k_zero += dc.k == 0
+    assert reports >= 40 and k_zero >= 2
+    assert digest.hexdigest() == (
+        "1548a04abceb5aa8f35fe12d3f747191d56c1b8b4fb3b347eed53922b179ca76")
+
+
+def _rows(m, edit):
+    return Gf2Matrix(edit(list(m.bits)), m.cols)
+
+
+def _failures(dc):
+    return [(st.name.split(":")[0], st.detail)
+            for st in verify_surgery(dc).statements if st.status == "fail"]
+
+
+def test_verify_failure_witnesses():
+    """The exact failure detail of each statement, one mutant each.
+
+    Recorded while the span checks still went through `solve_left`.
+    """
+    c = two_blocks()
+    s = sigma_from_indices(c, (0,))
+    split = split_logicals(c, s)
+    dcm = paste_measurement(c, split, finely_devised_glue(c, s, split=split), 2)
+    dcb = paste_branch(c, split, naked_glue(c, s), 2)
+
+    def memory(dc, **kw):
+        return replace(dc, memory=replace(dc.memory, **kw))
+
+    def deformed(dc, **kw):
+        return replace(dc, code=replace(dc.code, **kw))
+
+    def zero_first(m):
+        return _rows(m, lambda b: [0] + b[1:])
+
+    anticommuting = _rows(dcm.code.hx, lambda b: [b[0] ^ 1 << c.n] + b[1:])
+    mutants = {
+        "i (commutation)": deformed(dcm, hx=anticommuting),
+        # the memory has an X check the projection lacks, then vice versa
+        "i (lhs)": memory(dcm, hx=_rows(c.hx, lambda b: b + [1])),
+        "i (rhs)": memory(dcm, hx=_rows(c.hx, lambda b: b[:1] + b[2:])),
+        "ii": memory(dcm, hz=_rows(c.hz, lambda b: b + [1])),
+        "iii": deformed(dcm, jx=zero_first(dcm.code.jx)),
+        "iv": deformed(dcm, jz=zero_first(dcm.code.jz)),
+        "v": replace(dcm, split=replace(
+            split, jza=_rows(split.jza, lambda b: [b[0] ^ 1] + b[1:]))),
+        "iii'": deformed(dcb, jx=zero_first(dcb.code.jx)),
+        "iv'": memory(dcb, jz=_rows(c.jz, lambda b: [b[0], b[1] ^ 1] + b[2:])),
+        "v'": replace(dcb, j_g=Gf2Matrix.zeros(dcb.j_g.rows, dcb.j_g.cols)),
+    }
+    assert {name: _failures(dc) for name, dc in mutants.items()} == {
+        "i (commutation)": [("i", "deformed X row 0 anticommutes with a Z "
+                                  "check (pasting identity violated)")],
+        "i (lhs)": [("i", "lhs: row 4 is outside the span")],
+        "i (rhs)": [("i", "rhs: row 1 is outside the span")],
+        "ii": [("ii", "row 4 is outside the span")],
+        "iii": [("iii", "lhs: row 0 is outside the span")],
+        "iv": [("iv", "lhs: row 0 is outside the span")],
+        "v": [("v", "row 0 is outside the span")],
+        "iii'": [("iii'", "lhs: row 0 is outside the span")],
+        "iv'": [("iv'", "row 1 is outside the span")],
+        "v'": [("v'", "row 0 is outside the span")],
+    }
+
+
+def test_verify_solves_only_for_branch_logical_classes(monkeypatch):
+    # span membership is a row reduction; only iv' reads the J_Z
+    # coefficients of a solve
+    import sys
+
+    from qsticker import gf2
+
+    c = two_blocks()
+    s = sigma_from_indices(c, (0,))
+    split = split_logicals(c, s)
+    dcm = paste_measurement(c, split, finely_devised_glue(c, s, split=split), 2)
+    dcb = paste_branch(c, split, naked_glue(c, s), 2)
+    real = gf2.solve_left
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qsticker" and vars(mod).get("solve_left") is real:
+            monkeypatch.setattr(mod, "solve_left", counting)
+    counts = []
+    for dc in (dcm, dcb):
+        calls.clear()
+        assert verify_surgery(dc).ok
+        counts.append(len(calls))
+    assert counts == [0, 1]
