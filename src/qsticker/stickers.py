@@ -239,7 +239,7 @@ class GlsReport:
 
 
 def _outside(reducer: RowReducer, rows: Gf2Matrix) -> str:
-    """"" if every row lies in the reducer's span, else the first that does not."""
+    """Empty if every row lies in the reducer's span, else the first that does not."""
     for i, row in enumerate(rows.bits):
         if reducer.reduce(row):
             return f"row {i} is outside the span"
@@ -247,6 +247,7 @@ def _outside(reducer: RowReducer, rows: Gf2Matrix) -> str:
 
 
 def _spaces_equal(a: Gf2Matrix, b: Gf2Matrix) -> str:
+    """Empty if rs(a) = rs(b), else a row of a (lhs) or b (rhs) outside."""
     wit = _outside(RowReducer(b.bits), a)
     if wit:
         return "lhs: " + wit

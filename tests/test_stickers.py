@@ -307,6 +307,14 @@ def test_seeded_gls_suite():
     assert cases >= 8
 
 
+def _dressed(code, sigma, rng):
+    """Each Σ row times two random memory Z checks: the same logical class."""
+    hz = code.hz.bits
+    rows = [r ^ hz[rng.randrange(len(hz))] ^ hz[rng.randrange(len(hz))]
+            for r in sigma.vectors.bits]
+    return OperatorSet("Z", Gf2Matrix(rows, code.n))
+
+
 def test_branch_preserves_logicals_of_stabiliser_dressed_sigma():
     from qsticker.io import desk_code
     from qsticker.sampling import SigmaSampler
@@ -314,12 +322,8 @@ def test_branch_preserves_logicals_of_stabiliser_dressed_sigma():
     c = desk_code(7)
     sampler = SigmaSampler(c, l_max=3, thickness=3, max_q=3, seed=5)
     rng = random.Random(2024)
-    hz = c.hz.bits
     for trial in range(6):
-        # each operator times two memory Z checks: the same logical class
-        rows = [r ^ hz[rng.randrange(len(hz))] ^ hz[rng.randrange(len(hz))]
-                for r in sampler.sample(3, trial).vectors.bits]
-        s = OperatorSet("Z", Gf2Matrix(rows, c.n))
+        s = _dressed(c, sampler.sample(3, trial), rng)
         split = split_logicals(c, s)
         dc = paste_branch(c, split, naked_glue(c, s), 2)
         rep = verify_surgery(dc)
@@ -348,14 +352,6 @@ def test_branch_statement_iv_prime_fails_when_logicals_are_measured():
 
 
 # -- pinned verifier outputs ----------------------------------------------
-
-
-def _dressed(code, sigma, rng):
-    """Each Σ row times two random memory Z checks: the same logical class."""
-    hz = code.hz.bits
-    rows = [r ^ hz[rng.randrange(len(hz))] ^ hz[rng.randrange(len(hz))]
-            for r in sigma.vectors.bits]
-    return OperatorSet("Z", Gf2Matrix(rows, code.n))
 
 
 def _verify_report_cases():
