@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .gf2 import (
     Gf2Matrix,
+    _free_vectors,
     complete_basis,
     inverse,
     kernel_basis,
@@ -122,25 +123,13 @@ def standard_logicals(hx: Gf2Matrix, hz_like: Gf2Matrix) -> tuple[Gf2Matrix, Gf2
     rz, pz_local = rref(hz_like.permute_cols(col_order))
     if pz_local and pz_local[-1] >= len(other):
         raise ValueError("hz reduction lost rank; hx and hz are incompatible")
-    pz = [col_order[c] for c in pz_local]
-    pz_set = set(pz)
-    position = {c: i for i, c in enumerate(col_order)}
+    pz_set = {col_order[c] for c in pz_local}
     rest = [c for c in range(n) if c not in px_set and c not in pz_set]
-    jz_rows = []
-    jx_rows = []
-    for c in rest:
-        vz = 1 << c
-        for i, p in enumerate(px):
-            if rx.bits[i] & (1 << c):
-                vz |= 1 << p
-        jz_rows.append(vz)
-        vx = 1 << c
-        pc = 1 << position[c]
-        for i, p in enumerate(pz):
-            if rz.bits[i] & pc:
-                vx |= 1 << p
-        jx_rows.append(vx)
-    return Gf2Matrix(jx_rows, n), Gf2Matrix(jz_rows, n)
+    jz = Gf2Matrix(_free_vectors(rx.bits, px, rest), n)
+    # J_X is read in the permuted columns, then put back in place
+    position = {c: i for i, c in enumerate(col_order)}
+    jx = Gf2Matrix(_free_vectors(rz.bits, pz_local, [position[c] for c in rest]), n)
+    return jx.permute_cols([position[c] for c in range(n)]), jz
 
 
 def derive_css_logicals(hx: Gf2Matrix, hz: Gf2Matrix) -> tuple[Gf2Matrix, Gf2Matrix]:
@@ -355,14 +344,11 @@ def _distance_upper_estimate(h: Gf2Matrix, j: Gf2Matrix, trials: int,
         perm = list(range(n))
         rng.shuffle(perm)
         red, piv = rref(gen.permute_cols(perm))
-        for row in red.bits[: len(piv)]:
-            # undo the permutation to evaluate the logical signature
-            v = 0
-            for newc in range(n):
-                if (row >> newc) & 1:
-                    v |= 1 << perm[newc]
+        # undo the permutation to evaluate the logical signature
+        back = sorted(range(n), key=perm.__getitem__)
+        for v in Gf2Matrix(red.bits[: len(piv)], n).permute_cols(back).bits:
             if j.mul_vec(v) != 0:
-                w = row.bit_count()
+                w = v.bit_count()
                 if best is None or w < best:
                     best = w
     return best

@@ -179,18 +179,12 @@ class Gf2Matrix:
         return Gf2Matrix(out, other.cols)
 
     def mul_transpose(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        """self @ other^T without materializing the transpose."""
+        """self @ other^T, as `mul` against the transpose of other."""
         if self.cols != other.cols:
             raise ValueError(
                 f"shape mismatch in mul_transpose: {self.shape} vs {other.shape}"
             )
-        out = []
-        for a in self.bits:
-            acc = 0
-            for j, b in enumerate(other.bits):
-                acc |= ((a & b).bit_count() & 1) << j
-            out.append(acc)
-        return Gf2Matrix(out, other.rows)
+        return self.mul(other.transpose())
 
     def mul_vec(self, v: int) -> int:
         """self @ v^T for a bit-packed vector v; returns a bit-packed vector."""
@@ -217,13 +211,18 @@ class Gf2Matrix:
         return Gf2Matrix([self.bits[i] for i in idx], self.cols)
 
     def take_cols(self, idx: Sequence[int]) -> "Gf2Matrix":
-        out = []
-        for r in self.bits:
-            acc = 0
-            for jj, j in enumerate(idx):
-                acc |= ((r >> j) & 1) << jj
-            out.append(acc)
-        return Gf2Matrix(out, len(idx))
+        """Columns idx of self, in that order; repeats are allowed.
+
+        A prefix range(n) is a mask on each row; any other index list
+        picks rows of the transpose.  Either way the cost follows the
+        set bits, not rows × columns.
+        """
+        if len(idx) and (min(idx) < 0 or max(idx) >= self.cols):
+            raise IndexError("column index out of range")
+        if idx == range(len(idx)):
+            mask = (1 << len(idx)) - 1
+            return Gf2Matrix([r & mask for r in self.bits], len(idx))
+        return self.transpose().take_rows(idx).transpose()
 
     def kron(self, other: "Gf2Matrix") -> "Gf2Matrix":
         """Kronecker product self ⊗ other."""
@@ -242,8 +241,8 @@ class Gf2Matrix:
 
     def permute_cols(self, perm: Sequence[int]) -> "Gf2Matrix":
         """Column permutation: new column j = old column perm[j]."""
-        if len(perm) != self.cols:
-            raise ValueError("permutation length mismatch")
+        if sorted(perm) != list(range(self.cols)):
+            raise ValueError("perm is not a permutation of range(cols)")
         return self.take_cols(perm)
 
 
@@ -320,23 +319,34 @@ def row_basis(m: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(red.bits[: len(piv)], m.cols)
 
 
+def _free_vectors(red: Sequence[int], pivots: Sequence[int],
+                  free: Iterable[int]) -> list[int]:
+    """e_f + Σ e_p over the pivots p whose reduced row holds f, per f in free.
+
+    `red` is in RREF with pivot columns `pivots`; each row is walked
+    once over its set bits in `free`.
+    """
+    vec = {f: 1 << f for f in free}
+    keep = sum(vec.values())
+    for row, p in zip(red, pivots):
+        row &= keep
+        while row:
+            low = row & -row
+            vec[low.bit_length() - 1] |= 1 << p
+            row ^= low
+    return list(vec.values())
+
+
 def kernel_basis(m: Gf2Matrix) -> Gf2Matrix:
     """RREF basis of {v : m @ v^T = 0}, one basis vector per row.
 
-    The row count is always cols - rank(m) (rank-nullity).
+    The row count is always cols - rank(m) (rank-nullity).  The vector
+    of each free column is read by walking the set bits of the reduced
+    rows, then the basis is reduced to RREF.
     """
     red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    rows = []
-    for f in free:
-        v = 1 << f
-        fm = 1 << f
-        for i, c in enumerate(pivots):
-            if red.bits[i] & fm:
-                v |= 1 << c
-        rows.append(v)
-    basis = Gf2Matrix(rows, m.cols)
+    free = sorted(set(range(m.cols)).difference(pivots))
+    basis = Gf2Matrix(_free_vectors(red.bits, pivots, free), m.cols)
     red2, piv2 = rref(basis)
     return Gf2Matrix(red2.bits[: len(piv2)], m.cols)
 

@@ -279,7 +279,7 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36,
     c = dc.memory
     code = dc.code
     rep = GlsReport(kind=dc.kind)
-    mem_cols = list(range(dc.mem_qubits))
+    mem_cols = range(dc.mem_qubits)
     hz_span = RowReducer(code.hz.bits)
 
     def check(name: str, wit: str) -> None:

@@ -25,7 +25,7 @@ from qsticker.codes import (
     support_union,
     validate_code,
 )
-from qsticker.gf2 import Gf2Matrix, kernel_basis, rank, row_basis
+from qsticker.gf2 import Gf2Matrix, kernel_basis, rank, row_basis, rref
 
 
 # -- oracles -----------------------------------------------------------
@@ -184,6 +184,46 @@ def test_standard_form_logicals_have_unit_weight_on_z_supports():
             zsupp |= r
         for r in c.jx.bits:
             assert (r & zsupp).bit_count() <= 1
+
+
+def standard_logicals_per_pivot(hx, hz_like):
+    """The per-(free column, pivot) loops `standard_logicals` replaced."""
+    n = hx.cols
+    rx, px = rref(hx)
+    other = [c for c in range(n) if c not in px]
+    col_order = other + sorted(px)
+    rz, pz_local = rref(hz_like.permute_cols(col_order))
+    pz = [col_order[c] for c in pz_local]
+    jx_rows, jz_rows = [], []
+    for c in (c for c in other if c not in pz):
+        vz = vx = 1 << c
+        for i, p in enumerate(px):
+            if rx.bits[i] & (1 << c):
+                vz |= 1 << p
+        for i, p in enumerate(pz):
+            if rz.bits[i] & (1 << col_order.index(c)):
+                vx |= 1 << p
+        jx_rows.append(vx)
+        jz_rows.append(vz)
+    return Gf2Matrix(jx_rows, n), Gf2Matrix(jz_rows, n)
+
+
+def test_standard_logicals_match_per_pivot_loops():
+    rng = random.Random(12)
+    codes = [random_css(rng, 12, 4, 4) for _ in range(10)]
+    codes += [hgp(repetition_check(3), repetition_check(4)),
+              hgp(repetition_check(4, truncated=True), repetition_check(3))]
+    gauged = 0
+    for c in codes:
+        hz_likes = [c.hz]
+        if c.k >= 2:  # keep one logical, turn the rest into gauge
+            sub = subsystem_code(c.hx, c.hz, c.jx.take_rows([0]), c.jz.take_rows([0]))
+            hz_likes.append(sub.z_stabilizer_span())
+            gauged += 1
+        for hz_like in hz_likes:
+            assert (standard_logicals(c.hx, hz_like)
+                    == standard_logicals_per_pivot(c.hx, hz_like))
+    assert gauged >= 5
 
 
 # -- validation --------------------------------------------------------

@@ -360,3 +360,114 @@ def test_kernel_basis_rank_nullity(m):
 @given(matrices())
 def test_kernel_basis_orthogonal_to_rows(m):
     assert m.mul_transpose(kernel_basis(m)).is_zero()
+
+
+# -- the per-bit, per-row-pair and per-free-column loops the kernels
+# replaced, kept as oracles ------------------------------------------------
+
+
+def take_cols_per_bit(m, idx):
+    out = []
+    for r in m.bits:
+        acc = 0
+        for jj, j in enumerate(idx):
+            acc |= ((r >> j) & 1) << jj
+        out.append(acc)
+    return Gf2Matrix(out, len(idx))
+
+
+def mul_transpose_per_pair(a, b):
+    out = []
+    for x in a.bits:
+        acc = 0
+        for j, y in enumerate(b.bits):
+            acc |= ((x & y).bit_count() & 1) << j
+        out.append(acc)
+    return Gf2Matrix(out, b.rows)
+
+
+def kernel_basis_per_free_column(m):
+    red, pivots = rref(m)
+    rows = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = 1 << f
+        for i, c in enumerate(pivots):
+            if red.bits[i] & (1 << f):
+                v |= 1 << c
+        rows.append(v)
+    return row_basis(Gf2Matrix(rows, m.cols))
+
+
+@st.composite
+def column_picks(draw):
+    """(m, idx): prefix and other ranges, or index lists unsorted and
+    with repeats."""
+    m = draw(matrices(max_cols=40))
+    cols = st.integers(0, m.cols)
+    idx = draw(st.one_of(
+        st.builds(range, cols),
+        st.builds(range, cols, cols, st.integers(1, 3)),
+        st.lists(st.integers(0, max(m.cols - 1, 0)), max_size=2 * m.cols)))
+    return m, idx
+
+
+@PROPERTY
+@given(column_picks())
+@example((Gf2Matrix.zeros(0, 4), [3, 0, 3]))
+@example((Gf2Matrix.zeros(3, 0), range(0)))
+@example((Gf2Matrix([0b1011, 0b0110], 4), range(4)))
+def test_take_cols_matches_per_bit_loop(pick):
+    m, idx = pick
+    assert m.take_cols(idx) == take_cols_per_bit(m, idx)
+
+
+@PROPERTY
+@given(matrices(max_cols=30).flatmap(
+    lambda m: st.tuples(st.just(m), st.permutations(range(m.cols)))))
+def test_permute_cols_matches_per_bit_loop(pair):
+    m, perm = pair
+    assert m.permute_cols(perm) == take_cols_per_bit(m, perm)
+
+
+@st.composite
+def transpose_pairs(draw):
+    """(a, b) of equal width, random or dense kernel-basis rows."""
+    a = draw(matrices(max_cols=30))
+    b = draw(matrices(cols=a.cols))
+    if draw(st.booleans()):
+        a, b = kernel_basis(b), kernel_basis(a)
+    return a, b
+
+
+@PROPERTY
+@given(transpose_pairs())
+@example((Gf2Matrix.zeros(0, 3), Gf2Matrix([0b101], 3)))
+@example((Gf2Matrix([0b11], 2), Gf2Matrix.zeros(0, 2)))
+@example((Gf2Matrix.zeros(2, 0), Gf2Matrix.zeros(3, 0)))
+def test_mul_transpose_matches_per_row_pair_loop(pair):
+    a, b = pair
+    assert a.mul_transpose(b) == mul_transpose_per_pair(a, b)
+
+
+@PROPERTY
+@given(matrices(max_cols=30))
+@example(Gf2Matrix.zeros(0, 4))
+@example(Gf2Matrix.zeros(3, 0))
+@example(Gf2Matrix.identity(5))
+def test_kernel_basis_matches_per_free_column_loop(m):
+    assert kernel_basis(m) == kernel_basis_per_free_column(m)
+
+
+def test_take_cols_rejects_out_of_range_indices():
+    m = Gf2Matrix([0b101, 0b011], 3)
+    for idx in ([0, 5], [3], [-1], [0, -3], range(4), range(-1, 2)):
+        with pytest.raises(IndexError):
+            m.take_cols(idx)
+    assert m.take_cols([]) == Gf2Matrix.zeros(2, 0)
+
+
+def test_permute_cols_rejects_non_permutations():
+    m = Gf2Matrix([0b101, 0b011], 3)
+    for perm in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3], [-1, 0, 1]):
+        with pytest.raises(ValueError):
+            m.permute_cols(perm)
