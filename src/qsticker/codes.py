@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from .gf2 import (
     Gf2Matrix,
     _free_vectors,
-    complete_basis,
     inverse,
     kernel_basis,
+    kernel_complement,
     rank,
     rref,
     solve_left,  # unused here; perfbench's tracer test patches this binding
@@ -156,13 +156,19 @@ def complete_gauge(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix,
     """Gauge generators (F_X, F_Z) completing given checks and logicals.
 
     Output satisfies F_X F_Z^T = E, J_X F_Z^T = 0 and F_X J_Z^T = 0, so
-    the logicals stay bare.
+    the logicals stay bare.  Raises ValueError unless
+    hx (hz; jz)^T = 0 and hz jx^T = 0.
     """
     n = hx.cols
-    kz = kernel_basis(hx)
-    kx = kernel_basis(hz)
-    fz0 = complete_basis(hz.vstack(jz), kz)
-    fx0 = complete_basis(hx.vstack(jx), kx)
+    z_span = hz.vstack(jz)
+    for name, prod in (("hx @ (hz; jz)^T", hx.mul_transpose(z_span)),
+                       ("hz @ jx^T", hz.mul_transpose(jx))):
+        bad = next((i for i, r in enumerate(prod.bits) if r), None)
+        if bad is not None:
+            raise ValueError(f"checks and logicals do not commute: "
+                             f"row {bad} of {name} is nonzero")
+    fz0 = kernel_complement(hx, z_span)
+    fx0 = kernel_complement(hz, hx.vstack(jx))
     if fz0.rows != fx0.rows:
         raise ValueError("gauge spaces have mismatched dimensions")
     if fz0.rows == 0:

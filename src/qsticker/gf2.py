@@ -9,7 +9,9 @@ shares its tie-breaking: leftmost pivot column, lowest row index.  All
 basis outputs are in reduced row-echelon form, so identical inputs give
 bit-identical outputs.  Span membership goes through `RowReducer`, which
 factors the span once and reduces each candidate row; `solve_left` is
-for callers that read the coefficients.
+for callers that read the coefficients.  `kernel_complement` uses
+`RowReducer`'s echelon with back-substitution, so it builds only the
+kernel rows it returns, never a kernel basis.
 """
 
 from __future__ import annotations
@@ -466,3 +468,50 @@ def complete_basis(span_rows: Gf2Matrix, inside: Gf2Matrix) -> Gf2Matrix:
     reducer = RowReducer(span_rows.bits)
     picked = [row for row in inside.bits if reducer.add(row)]
     return Gf2Matrix(picked, span_rows.cols)
+
+
+_BYTE_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def _reverse_bits(row: int, n: int) -> int:
+    """Row with column j moved to column n - 1 - j."""
+    size = (n + 7) // 8
+    flipped = row.to_bytes(size, "little").translate(_BYTE_REVERSED)
+    return int.from_bytes(flipped, "big") >> (8 * size - n)
+
+
+def kernel_complement(h: Gf2Matrix, span: Gf2Matrix) -> Gf2Matrix:
+    """complete_basis(span, kernel_basis(h)), without the kernel basis.
+
+    Requires rs(span) ⊆ ker h.  Exact by reversed pivots: reduce h from
+    its highest column down (a `RowReducer` over bit-reversed rows, whose
+    lowest-bit pivot is h's highest column).  The columns that take no
+    pivot there are free: a kernel vector is fixed by its free bits, and
+    the one with a single free bit f is zero on every other free column,
+    so it is the RREF kernel row with pivot f, and the RREF pivots of
+    ker h are the free columns.  `complete_basis` skips the row with
+    pivot f exactly when some span vector has f as its highest free
+    column; reducing the span rows masked to the free columns, again
+    from the highest column down, finds those columns as its pivots.
+    Each kept row is built by back-substitution through h's echelon.
+    """
+    if h.cols != span.cols:
+        raise ValueError("kernel_complement: column mismatch")
+    n = h.cols
+    echelon = RowReducer(_reverse_bits(r, n) for r in h.bits).pivots
+    free = [c for c in range(n) if c not in echelon]
+    free_mask = sum(1 << c for c in free)
+    covered = RowReducer(_reverse_bits(r, n) & free_mask for r in span.bits).pivots
+    # echelon rows hold no bits below their pivot, so each pivot bit
+    # follows from the bits above it
+    order = sorted(echelon.items(), reverse=True)
+    out = []
+    for f in reversed(free):
+        if f in covered:
+            continue
+        x = 1 << f
+        for p, row in order:
+            if (row & x).bit_count() & 1:
+                x |= 1 << p
+        out.append(_reverse_bits(x, n))
+    return Gf2Matrix(out, n)

@@ -191,13 +191,8 @@ def paste_branch(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
 
 
 def _assert_validity(dc: DeformedCode) -> None:
+    # `subsystem_code` already checked hx (hz; jz)^T = 0 and hz jx^T = 0
     code = dc.code
-    if not code.hx.mul_transpose(code.hz).is_zero():
-        raise GlueError("deformed checks do not commute")
-    if not code.hx.mul_transpose(code.jz).is_zero():
-        raise GlueError("deformed hx does not annihilate jz")
-    if not code.hz.mul_transpose(code.jx).is_zero():
-        raise GlueError("deformed hz does not annihilate jx")
     if code.jx.mul_transpose(code.jz) != Gf2Matrix.identity(code.k):
         raise GlueError("deformed logical pairing is not the identity")
 

@@ -270,6 +270,36 @@ def test_validate_flags_logicals_that_are_not_bare():
         assert [(f.name, f.witness) for f in failures] == [(name, witness)]
 
 
+def test_subsystem_code_rejects_noncommuting_input():
+    # the gauge completion needs rs(hz; jz) ⊆ ker hx and rs(jx) ⊆ ker hz;
+    # most random inputs break it and used to come back as a code
+    rng = random.Random(2718)
+
+    def rand(rows, n):
+        return Gf2Matrix([rng.getrandbits(n) for _ in range(rows)], n)
+
+    rejected = 0
+    for _ in range(40):
+        n = rng.randrange(4, 9)
+        k = rng.randrange(2)
+        hx, hz, jx, jz = (rand(rng.randrange(1, 3), n), rand(rng.randrange(1, 3), n),
+                          rand(k, n), rand(k, n))
+        if (hx.mul_transpose(hz.vstack(jz)).is_zero()
+                and hz.mul_transpose(jx).is_zero()):
+            continue
+        with pytest.raises(ValueError, match="do not commute"):
+            subsystem_code(hx, hz, jx, jz)
+        rejected += 1
+    assert rejected >= 20
+    hx, hz = Gf2Matrix([0b0011], 4), Gf2Matrix([0b1100, 0b0110], 4)
+    none = Gf2Matrix.zeros(0, 4)
+    with pytest.raises(ValueError, match=r"row 0 of hx @ \(hz; jz\)\^T"):
+        subsystem_code(hx, hz, none, none)
+    hx, hz = Gf2Matrix([0b0011], 4), Gf2Matrix([0b1100], 4)
+    with pytest.raises(ValueError, match=r"row 0 of hz @ jx\^T"):
+        subsystem_code(hx, hz, Gf2Matrix([0b0100], 4), Gf2Matrix([0b0011], 4))
+
+
 def test_k0_distance_unknown_by_convention():
     lam2 = repetition_check(2)
     c = hgp(lam2, lam2)

@@ -14,6 +14,7 @@ from qsticker.gf2 import (
     complete_basis,
     inverse,
     kernel_basis,
+    kernel_complement,
     rank,
     right_inverse,
     row_basis,
@@ -456,6 +457,53 @@ def test_mul_transpose_matches_per_row_pair_loop(pair):
 @example(Gf2Matrix.identity(5))
 def test_kernel_basis_matches_per_free_column_loop(m):
     assert kernel_basis(m) == kernel_basis_per_free_column(m)
+
+
+@st.composite
+def kernel_spans(draw):
+    """(h, span): span rows are random combinations of ker h rows, with
+    repeats and zero rows allowed, or all of a shuffled kernel basis."""
+    h = draw(matrices(max_cols=30))
+    kern = kernel_basis(h).bits
+    if draw(st.booleans()):
+        rows = list(draw(st.permutations(kern)))
+    else:
+        picks = draw(st.lists(st.integers(0, (1 << len(kern)) - 1),
+                              max_size=len(kern) + 3))
+        rows = []
+        for pick in picks:
+            acc = 0
+            for i, r in enumerate(kern):
+                if pick >> i & 1:
+                    acc ^= r
+            rows.append(acc)
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
+    return h, Gf2Matrix(rows, h.cols)
+
+
+_H = Gf2Matrix([0b00110, 0b00011, 0b11000], 5)
+
+
+@PROPERTY
+@given(kernel_spans())
+@example((_H, Gf2Matrix.zeros(0, 5)))
+@example((_H, kernel_basis(_H)))
+@example((_H, Gf2Matrix([0b00111] * 3, 5)))
+@example((Gf2Matrix.zeros(0, 4), Gf2Matrix([0b0101, 0b1010, 0b1111], 4)))
+@example((Gf2Matrix.zeros(3, 0), Gf2Matrix.zeros(2, 0)))
+def test_kernel_complement_matches_completion_of_kernel_basis(pair):
+    h, span = pair
+    kern = kernel_basis(h)
+    out = kernel_complement(h, span)
+    assert out == complete_basis(span, kern)
+    assert out.rows == kern.rows - rank(span)
+    if span.rows == 0:
+        assert out == kern
+
+
+def test_kernel_complement_rejects_a_width_mismatch():
+    with pytest.raises(ValueError):
+        kernel_complement(Gf2Matrix.zeros(1, 3), Gf2Matrix.zeros(1, 4))
 
 
 def test_take_cols_rejects_out_of_range_indices():

@@ -411,6 +411,35 @@ def test_verify_report_golden_digest():
         "1548a04abceb5aa8f35fe12d3f747191d56c1b8b4fb3b347eed53922b179ca76")
 
 
+def test_gauge_generators_golden_digest():
+    """SHA-256 of (F_X, F_Z) for both sticker kinds on every verify case
+    and on plain and dressed Σ of the [[400,16]] `desk_code(7)`.
+
+    Recorded while the gauge was completed from two kernel bases.
+    """
+    import hashlib
+
+    from qsticker.io import desk_code
+    from qsticker.sampling import SigmaSampler
+
+    desk = desk_code(7)
+    sigma = SigmaSampler(desk, l_max=4, thickness=3, max_q=6, seed=11).sample(3, 0)
+    extra = [(desk, sigma, 4), (desk, _dressed(desk, sigma, random.Random(7)), 2)]
+    digest = hashlib.sha256()
+    gauged = 0
+    for code, sigma, d_r in [*_verify_report_cases(), *extra]:
+        split = split_logicals(code, sigma)
+        fine = finely_devised_glue(code, sigma, split=split)
+        for dc in (paste_branch(code, split, naked_glue(code, sigma), d_r),
+                   paste_measurement(code, split, fine, d_r)):
+            digest.update(repr((dc.kind, dc.n, dc.code.fx.bits,
+                                dc.code.fz.bits)).encode())
+            gauged += dc.code.k_gauge > 0
+    assert gauged >= 12
+    assert digest.hexdigest() == (
+        "729e369e1467bb3d7bcc2c616e9bf657339d910c8363137600346081b9749ce4")
+
+
 def _rows(m, edit):
     return Gf2Matrix(edit(list(m.bits)), m.cols)
 
@@ -498,3 +527,34 @@ def test_verify_solves_only_for_branch_logical_classes(monkeypatch):
         assert verify_surgery(dc).ok
         counts.append(len(calls))
     assert counts == [0, 1]
+
+
+def test_paste_builds_one_kernel_basis(monkeypatch):
+    # the gauge completion reads its rows off one echelon per check
+    # matrix; the only kernel basis left is the glue's, for J_G
+    import sys
+
+    from qsticker import gf2
+
+    c = two_blocks()
+    s = sigma_from_indices(c, (0,))
+    split = split_logicals(c, s)
+    fine = finely_devised_glue(c, s, split=split)
+    nk = naked_glue(c, s)
+    real = gf2.kernel_basis
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qsticker" and vars(mod).get("kernel_basis") is real:
+            monkeypatch.setattr(mod, "kernel_basis", counting)
+    counts = []
+    for paste, glue in ((paste_measurement, fine), (paste_branch, nk)):
+        calls.clear()
+        paste(c, split, glue, 2)
+        counts.append(len(calls))
+        assert calls[-1] == (glue.hg,)
+    assert counts == [1, 1]
