@@ -263,23 +263,25 @@ def validate_code(c: SubsystemCode) -> ValidationReport:
     product_vanishes("hx @ hz^T = 0", c.hx, c.hz,
                      "hx row {} anticommutes with hz row {}")
 
-    add("k_g accounting", c.k_gauge == c.n - rank(c.hx) - rank(c.hz) - c.k,
-        f"k_g={c.k_gauge}, n-rank(hx)-rank(hz)-k="
-        f"{c.n - rank(c.hx) - rank(c.hz) - c.k}")
+    rank_hx, rank_hz = rank(c.hx), rank(c.hz)
+    k_g = c.n - rank_hx - rank_hz - c.k
+    add("k_g accounting", c.k_gauge == k_g,
+        f"k_g={c.k_gauge}, n-rank(hx)-rank(hz)-k={k_g}")
 
-    for species, h, parts in (
-        ("Z", c.hx, (c.hz, c.jz, c.fz)),
-        ("X", c.hz, (c.hx, c.jx, c.fx)),
+    for species, h, rank_h, parts, rank_0 in (
+        ("Z", c.hx, rank_hx, (c.hz, c.jz, c.fz), rank_hz),
+        ("X", c.hz, rank_hz, (c.hx, c.jx, c.fx), rank_hx),
     ):
-        stacked = parts[0].vstack(parts[1]).vstack(parts[2])
-        dims_add = rank(stacked) == rank(parts[0]) + parts[1].rows + parts[2].rows
+        rank_stacked = rank(parts[0].vstack(parts[1]).vstack(parts[2]))
+        expected = rank_0 + parts[1].rows + parts[2].rows
+        dim_ker = h.cols - rank_h
+        dims_add = rank_stacked == expected
         inside = all(h.mul_transpose(p).is_zero() for p in parts)
-        spans = rank(stacked) == kernel_basis(h).rows
+        spans = rank_stacked == dim_ker
         witness = ""
         if not (dims_add and inside and spans):
-            witness = (f"rank(stack)={rank(stacked)}, "
-                       f"expected {rank(parts[0]) + parts[1].rows + parts[2].rows}; "
-                       f"dim ker={kernel_basis(h).rows}")
+            witness = (f"rank(stack)={rank_stacked}, "
+                       f"expected {expected}; dim ker={dim_ker}")
         add(f"ker decomposition ({species} side)", dims_add and inside and spans,
             witness)
 

@@ -8,10 +8,11 @@ through the one Gauss–Jordan routine `_eliminate`, so every wrapper
 shares its tie-breaking: leftmost pivot column, lowest row index.  All
 basis outputs are in reduced row-echelon form, so identical inputs give
 bit-identical outputs.  Span membership goes through `RowReducer`, which
-factors the span once and reduces each candidate row; `solve_left` is
-for callers that read the coefficients.  `kernel_complement` uses
-`RowReducer`'s echelon with back-substitution, so it builds only the
-kernel rows it returns, never a kernel basis.
+factors the span once, pivoting on each row's highest column, and
+reduces each candidate row; `solve_left` is for callers that read the
+coefficients.  `kernel_complement` reads `RowReducer`'s echelon directly
+and back-substitutes, so it builds only the kernel rows it returns,
+never a kernel basis.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ class Gf2Matrix:
         object.__setattr__(self, "rows", len(bits))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "bits", tuple(bits))
+
+    @classmethod
+    def _of(cls, bits: Sequence[int], cols: int) -> "Gf2Matrix":
+        """Unchecked constructor for rows this module built inside range(cols)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(bits))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "bits", tuple(bits))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Gf2Matrix is immutable")
@@ -137,9 +147,9 @@ class Gf2Matrix:
         counts = [0] * self.cols
         for r in self.bits:
             while r:
-                low = r & -r
-                counts[low.bit_length() - 1] += 1
-                r ^= low
+                j = r.bit_length() - 1
+                counts[j] += 1
+                r ^= 1 << j
         return max(counts, default=0)
 
     def wmax(self) -> int:
@@ -153,10 +163,10 @@ class Gf2Matrix:
         for i, r in enumerate(self.bits):
             bit = 1 << i
             while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= bit
-                r ^= low
-        return Gf2Matrix(out, self.rows)
+                j = r.bit_length() - 1
+                out[j] |= bit
+                r ^= 1 << j
+        return Gf2Matrix._of(out, self.rows)
 
     def add(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.shape != other.shape:
@@ -174,11 +184,11 @@ class Gf2Matrix:
         for r in self.bits:
             acc = 0
             while r:
-                low = r & -r
-                acc ^= orows[low.bit_length() - 1]
-                r ^= low
+                j = r.bit_length() - 1
+                acc ^= orows[j]
+                r ^= 1 << j
             out.append(acc)
-        return Gf2Matrix(out, other.cols)
+        return Gf2Matrix._of(out, other.cols)
 
     def mul_transpose(self, other: "Gf2Matrix") -> "Gf2Matrix":
         """self @ other^T, as `mul` against the transpose of other."""
@@ -198,13 +208,13 @@ class Gf2Matrix:
     def vstack(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return Gf2Matrix(self.bits + other.bits, self.cols)
+        return Gf2Matrix._of(self.bits + other.bits, self.cols)
 
     def hstack(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
         sh = self.cols
-        return Gf2Matrix(
+        return Gf2Matrix._of(
             [a | (b << sh) for a, b in zip(self.bits, other.bits)],
             self.cols + other.cols,
         )
@@ -223,7 +233,7 @@ class Gf2Matrix:
             raise IndexError("column index out of range")
         if idx == range(len(idx)):
             mask = (1 << len(idx)) - 1
-            return Gf2Matrix([r & mask for r in self.bits], len(idx))
+            return Gf2Matrix._of([r & mask for r in self.bits], len(idx))
         return self.transpose().take_rows(idx).transpose()
 
     def kron(self, other: "Gf2Matrix") -> "Gf2Matrix":
@@ -307,7 +317,7 @@ def rref(m: Gf2Matrix) -> tuple[Gf2Matrix, list[int]]:
     """
     work = list(m.bits)
     pivots = _eliminate(work, m.cols)
-    return Gf2Matrix(work, m.cols), pivots
+    return Gf2Matrix._of(work, m.cols), pivots
 
 
 def rank(m: Gf2Matrix) -> int:
@@ -333,9 +343,9 @@ def _free_vectors(red: Sequence[int], pivots: Sequence[int],
     for row, p in zip(red, pivots):
         row &= keep
         while row:
-            low = row & -row
-            vec[low.bit_length() - 1] |= 1 << p
-            row ^= low
+            j = row.bit_length() - 1
+            vec[j] |= 1 << p
+            row ^= 1 << j
     return list(vec.values())
 
 
@@ -442,8 +452,7 @@ class RowReducer:
 
     def reduce(self, row: int) -> int:
         while row:
-            c = (row & -row).bit_length() - 1
-            piv = self.pivots.get(c)
+            piv = self.pivots.get(row.bit_length() - 1)
             if piv is None:
                 return row
             row ^= piv
@@ -454,7 +463,7 @@ class RowReducer:
         red = self.reduce(row)
         if red == 0:
             return False
-        self.pivots[(red & -red).bit_length() - 1] = red
+        self.pivots[red.bit_length() - 1] = red
         return True
 
 
@@ -470,48 +479,37 @@ def complete_basis(span_rows: Gf2Matrix, inside: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(picked, span_rows.cols)
 
 
-_BYTE_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
-
-
-def _reverse_bits(row: int, n: int) -> int:
-    """Row with column j moved to column n - 1 - j."""
-    size = (n + 7) // 8
-    flipped = row.to_bytes(size, "little").translate(_BYTE_REVERSED)
-    return int.from_bytes(flipped, "big") >> (8 * size - n)
-
-
 def kernel_complement(h: Gf2Matrix, span: Gf2Matrix) -> Gf2Matrix:
     """complete_basis(span, kernel_basis(h)), without the kernel basis.
 
-    Requires rs(span) ⊆ ker h.  Exact by reversed pivots: reduce h from
-    its highest column down (a `RowReducer` over bit-reversed rows, whose
-    lowest-bit pivot is h's highest column).  The columns that take no
-    pivot there are free: a kernel vector is fixed by its free bits, and
-    the one with a single free bit f is zero on every other free column,
-    so it is the RREF kernel row with pivot f, and the RREF pivots of
-    ker h are the free columns.  `complete_basis` skips the row with
-    pivot f exactly when some span vector has f as its highest free
-    column; reducing the span rows masked to the free columns, again
-    from the highest column down, finds those columns as its pivots.
-    Each kept row is built by back-substitution through h's echelon.
+    Requires rs(span) ⊆ ker h.  Exact by the echelon of h: a `RowReducer`
+    over the rows of h pivots on their highest columns, and each echelon
+    row holds no bits above its pivot.  The columns that take no pivot
+    are free: a kernel vector is fixed by its free bits, each pivot bit
+    following from the bits below it.  The one whose only free bit is f
+    sets pivot bits above f alone, so it is the RREF kernel row with
+    pivot f, and the RREF pivots of ker h are the free columns.
+    `complete_basis` skips the row with pivot f exactly when some span
+    vector has f as its highest free column; reducing the span rows
+    masked to the free columns finds those columns as its pivots.  Each
+    kept row is built by back-substitution through h's echelon.
     """
     if h.cols != span.cols:
         raise ValueError("kernel_complement: column mismatch")
     n = h.cols
-    echelon = RowReducer(_reverse_bits(r, n) for r in h.bits).pivots
+    echelon = RowReducer(h.bits).pivots
     free = [c for c in range(n) if c not in echelon]
     free_mask = sum(1 << c for c in free)
-    covered = RowReducer(_reverse_bits(r, n) & free_mask for r in span.bits).pivots
-    # echelon rows hold no bits below their pivot, so each pivot bit
-    # follows from the bits above it
-    order = sorted(echelon.items(), reverse=True)
+    covered = RowReducer(r & free_mask for r in span.bits).pivots
+    # ascending, so each pivot bit is set after every bit below it
+    order = sorted(echelon.items())
     out = []
-    for f in reversed(free):
+    for f in free:
         if f in covered:
             continue
         x = 1 << f
         for p, row in order:
             if (row & x).bit_count() & 1:
                 x |= 1 << p
-        out.append(_reverse_bits(x, n))
-    return Gf2Matrix(out, n)
+        out.append(x)
+    return Gf2Matrix._of(out, n)

@@ -275,6 +275,7 @@ def finely_devised_glue(c: SubsystemCode, sigma: OperatorSet,
     d = dressing_matrix(c, split, naked)
     rn = d.rows
     q = split.q
+    wmax_hx = c.hx.wmax()
     meta = {
         "kind": "fine",
         "n_n": naked.n_g,
@@ -282,8 +283,8 @@ def finely_devised_glue(c: SubsystemCode, sigma: OperatorSet,
         "k_n": q + rn,
         "rn": rn,
         "bound_n_g": naked.n_g + 2 * rn * (q + 1),
-        "bound_r_g": c.hx.wmax() * naked.n_g + 2 * rn * (q + 1),
-        "bound_wmax_hg": max(c.hx.wmax() + 1, 3),
+        "bound_r_g": wmax_hx * naked.n_g + 2 * rn * (q + 1),
+        "bound_wmax_hg": max(wmax_hx + 1, 3),
     }
     n_n, r_n = naked.n_g, naked.r_g
     hg = naked.hg.vstack(d)

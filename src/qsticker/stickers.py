@@ -27,7 +27,7 @@ from .codes import (
     repetition_check,
     subsystem_code,
 )
-from .gf2 import Canvas, Gf2Matrix, RowReducer, rank, solve_left
+from .gf2 import Canvas, Gf2Matrix, RowReducer, solve_left
 from .glue import GlueError, GlueSpec, LogicalSplit, glue_codewords_for
 
 
@@ -251,12 +251,19 @@ def _spaces_equal(a: Gf2Matrix, b: Gf2Matrix) -> str:
 
 
 def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix) -> str:
-    """rows modulo rs H_Z ⊕ rs F_Z have an invertible J_Z coefficient block."""
-    span = code.jz.vstack(code.z_stabilizer_span())
-    coeff = solve_left(span, rows)
-    if coeff is None:
-        return _outside(RowReducer(span.bits), rows)
-    r = rank(coeff.take_cols(range(code.k)))
+    """k rows in rs J_Z ⊕ S, independent modulo S = rs H_Z ⊕ rs F_Z.
+
+    Writing rows = C J_Z + (an S part), rows mod S = C (J_Z mod S), so
+    r = rank(rows mod S) ≤ rank C: a pass here implies an invertible J_Z
+    coefficient block C, and the two agree whenever J_Z is independent
+    modulo S, as it is for a valid code.
+    """
+    stab = code.z_stabilizer_span()
+    wit = _outside(RowReducer(code.jz.bits + stab.bits), rows)
+    if wit:
+        return wit
+    modulo = RowReducer(stab.bits)
+    r = sum(modulo.add(row) for row in rows.bits)
     if rows.rows == code.k == r:
         return ""
     return f"J_Z coefficients have rank {r} for {rows.rows} rows, k={code.k}"

@@ -270,6 +270,80 @@ def test_validate_flags_logicals_that_are_not_bare():
         assert [(f.name, f.witness) for f in failures] == [(name, witness)]
 
 
+def _axiom_mutants():
+    """Valid codes, then one mutant per way an axiom can break."""
+    from dataclasses import replace
+
+    from qsticker.io import desk_code
+
+    c1 = hgp(repetition_check(2), repetition_check(2))
+    c2 = direct_sum(c1, c1)
+    sub = subsystem_code(c2.hx, c2.hz, c2.jx.take_rows([0]), c2.jz.take_rows([0]))
+    s13 = hgp(repetition_check(3), repetition_check(3))
+    desk = desk_code(7)
+    yield from (s13, sub, desk)
+
+    def rows(m, edit):
+        return Gf2Matrix(edit(list(m.bits)), m.cols)
+
+    for c in (s13, sub):
+        yield replace(c, jz=Gf2Matrix([c.hz.bits[0]], c.n))
+        yield replace(c, hz=rows(c.hz, lambda b: b[1:]))
+        yield replace(c, hx=rows(c.hx, lambda b: b[1:]))
+        yield replace(c, hz=rows(c.hz, lambda b: b + [b[0]]))
+        yield replace(c, hz=rows(c.hz, lambda b: [b[0] ^ 1] + b[1:]))
+        yield replace(c, jz=rows(c.jz, lambda b: [0] + b[1:]))
+        yield replace(c, jx=Gf2Matrix.zeros(c.k, c.n))
+        yield replace(c, fx=rows(c.fx, lambda b: b + [c.jx.bits[0]]))
+    yield replace(sub, fz=sub.fz.add(sub.jz))
+    yield replace(sub, fx=sub.fx.add(sub.jx))
+    yield replace(sub, fz=Gf2Matrix.zeros(0, sub.n), fx=Gf2Matrix.zeros(0, sub.n))
+    yield replace(desk, hx=rows(desk.hx, lambda b: [b[0] ^ b[1]] + b[1:]))
+    yield replace(desk, hz=rows(desk.hz, lambda b: b[:-1]))
+
+
+def test_validate_report_golden_digest():
+    """SHA-256 of every check of `validate_code` on valid codes and axiom
+    mutants.
+
+    Recorded while dim ker h was read off a kernel basis.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    failing = 0
+    for c in _axiom_mutants():
+        rep = validate_code(c)
+        digest.update(repr([(a.name, a.passed, a.witness)
+                            for a in rep.checks]).encode())
+        failing += not rep.ok
+    assert failing == 18
+    assert digest.hexdigest() == (
+        "02d85219296af7f9e5544e39a214cd0cc27b7e98925b71a1f1ef388b9c888f5c")
+
+
+def test_validate_builds_no_kernel_basis(monkeypatch):
+    # dim ker h is cols - rank(h), and each rank is computed once
+    import qsticker.codes as codes
+    from qsticker import gf2
+
+    calls = {"kernel_basis": 0, "rank": 0}
+
+    def counting(name):
+        real = getattr(gf2, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(codes, name, counting(name))
+    c = hgp(repetition_check(3), repetition_check(4))
+    assert validate_code(c).ok
+    assert calls == {"kernel_basis": 0, "rank": 4}
+
+
 def test_subsystem_code_rejects_noncommuting_input():
     # the gauge completion needs rs(hz; jz) ⊆ ker hx and rs(jx) ⊆ ker hz;
     # most random inputs break it and used to come back as a code

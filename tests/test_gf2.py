@@ -440,6 +440,27 @@ def transpose_pairs(draw):
     return a, b
 
 
+def transpose_lowest_bit_first(m):
+    out = [0] * m.cols
+    for i, r in enumerate(m.bits):
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return Gf2Matrix(out, m.rows)
+
+
+@PROPERTY
+@given(matrices(max_cols=40))
+@example(Gf2Matrix.zeros(0, 4))
+@example(Gf2Matrix.zeros(3, 0))
+@example(Gf2Matrix.zeros(0, 0))
+def test_transpose_matches_lowest_bit_walk(m):
+    t = m.transpose()
+    assert t == transpose_lowest_bit_first(m)
+    assert t.shape == (m.cols, m.rows)
+
+
 @PROPERTY
 @given(transpose_pairs())
 @example((Gf2Matrix.zeros(0, 3), Gf2Matrix([0b101], 3)))
@@ -504,6 +525,15 @@ def test_kernel_complement_matches_completion_of_kernel_basis(pair):
 def test_kernel_complement_rejects_a_width_mismatch():
     with pytest.raises(ValueError):
         kernel_complement(Gf2Matrix.zeros(1, 3), Gf2Matrix.zeros(1, 4))
+
+
+def test_constructor_rejects_rows_outside_the_column_range():
+    for bits, cols in (([-1], 3), ([0b1000], 3), ([0b1, 0b100], 2), ([1], 0)):
+        with pytest.raises(ValueError, match="outside the column range"):
+            Gf2Matrix(bits, cols)
+    with pytest.raises(ValueError):
+        Gf2Matrix([], -1)
+    assert Gf2Matrix([0b111, 0], 3).bits == (0b111, 0)
 
 
 def test_take_cols_rejects_out_of_range_indices():

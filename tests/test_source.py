@@ -40,3 +40,13 @@ def test_no_unused_imports_in_package():
                    for name, line in sorted(imported.items(), key=lambda kv: kv[1])
                    if name not in used and (path.name, name) not in UNUSED_IMPORT_ALLOWED]
     assert not unused, "imported names never used: " + ", ".join(unused)
+
+
+def test_unchecked_constructor_stays_inside_gf2():
+    # Gf2Matrix._of skips the column-range check, so only rows gf2 built
+    # itself may reach it; every other module goes through Gf2Matrix(...)
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "gf2.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "_of"]
+    assert not calls, "Gf2Matrix._of used outside gf2.py: " + ", ".join(calls)

@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_signatures import codes_and_sigmas
 
 from qsticker.codes import (
     OperatorSet,
@@ -13,7 +15,7 @@ from qsticker.codes import (
     repetition_check,
     validate_code,
 )
-from qsticker.gf2 import Gf2Matrix, solve_left
+from qsticker.gf2 import Gf2Matrix, rank, solve_left
 from qsticker.glue import (
     GlueError,
     finely_devised_glue,
@@ -22,6 +24,7 @@ from qsticker.glue import (
 )
 from qsticker.stickers import (
     DeformedCode,
+    _same_logical_classes,
     build_sticker,
     paste_branch,
     paste_measurement,
@@ -499,9 +502,9 @@ def test_verify_failure_witnesses():
     }
 
 
-def test_verify_solves_only_for_branch_logical_classes(monkeypatch):
-    # span membership is a row reduction; only iv' reads the J_Z
-    # coefficients of a solve
+def test_verify_never_solves(monkeypatch):
+    # span membership and iv's rank modulo the stabilisers and gauge are
+    # row reductions
     import sys
 
     from qsticker import gf2
@@ -526,7 +529,7 @@ def test_verify_solves_only_for_branch_logical_classes(monkeypatch):
         calls.clear()
         assert verify_surgery(dc).ok
         counts.append(len(calls))
-    assert counts == [0, 1]
+    assert counts == [0, 0]
 
 
 def test_paste_builds_one_kernel_basis(monkeypatch):
@@ -558,3 +561,73 @@ def test_paste_builds_one_kernel_basis(monkeypatch):
         counts.append(len(calls))
         assert calls[-1] == (glue.hg,)
     assert counts == [1, 1]
+
+
+# -- iv' by row reduction against the solve it replaced -------------------
+
+
+def same_logical_classes_by_solve(code, rows):
+    """iv' as a solve against (J_Z; H_Z; F_Z) and the rank of its J_Z block."""
+    span = code.jz.vstack(code.z_stabilizer_span())
+    coeff = solve_left(span, rows)
+    if coeff is None:
+        i = next(i for i, row in enumerate(rows.bits)
+                 if solve_left(span, Gf2Matrix([row], code.n)) is None)
+        return f"row {i} is outside the span"
+    r = rank(coeff.take_cols(range(code.k)))
+    if rows.rows == code.k == r:
+        return ""
+    return f"J_Z coefficients have rank {r} for {rows.rows} rows, k={code.k}"
+
+
+def _edit_rows(data, m, others):
+    """m with one row flipped, copied from another, shifted by a row of
+    `others`, dropped, or with a row of `others` appended."""
+    rows = list(m.bits)
+    kind = data.draw(st.sampled_from(
+        ["flip", "copy", "shift", "drop", "append"]))
+
+    def pick(k):
+        return data.draw(st.integers(0, k - 1))
+
+    if kind == "append" and others:
+        rows.append(others[pick(len(others))])
+    elif rows:
+        i = pick(len(rows))
+        if kind == "flip":
+            rows[i] ^= 1 << pick(m.cols)
+        elif kind == "copy":
+            rows[i] = rows[pick(len(rows))]
+        elif kind == "shift" and others:
+            rows[i] ^= others[pick(len(others))]
+        elif kind == "drop":
+            del rows[i]
+    return Gf2Matrix(rows, m.cols)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(codes_and_sigmas(), st.integers(2, 3), st.data())
+def test_same_logical_classes_matches_the_solve(case, d_r, data):
+    # branch pastes of HGP and gauge-completed subsystem memories, plain
+    # or dressed Σ, then a random edit of the deformed J_Z, H_Z, F_Z or
+    # the memory J_Z (the memory keeps its row count: iv' pads it)
+    c, sigma = case
+    dc = paste_branch(c, split_logicals(c, sigma), naked_glue(c, sigma), d_r)
+    code, memory = dc.code, dc.memory
+    part = data.draw(st.sampled_from(["jz", "hz", "fz", "memory"]))
+    if part == "memory":
+        jz = _edit_rows(data, memory.jz, memory.hz.bits)
+        if jz.rows == memory.k:
+            memory = replace(memory, jz=jz)
+    else:
+        others = {"jz": code.hz.bits, "hz": code.jz.bits, "fz": code.jz.bits}
+        code = replace(code, **{part: _edit_rows(data, getattr(code, part),
+                                                 others[part])})
+    rows = replace(dc, code=code, memory=memory).pad_memory_rows(memory.jz)
+    got = _same_logical_classes(code, rows)
+    want = same_logical_classes_by_solve(code, rows)
+    stab = code.z_stabilizer_span()
+    if rank(code.jz.vstack(stab)) == rank(stab) + code.k:
+        assert got == want
+    if not got:
+        assert not want
