@@ -6,7 +6,6 @@ from .gf2 import (
     Gf2Matrix,
     kernel_basis,
     rank,
-    right_inverse,
     solve_left,
     standard_form,
     subspace_intersect,
@@ -44,6 +43,7 @@ from .stickers import (
     build_sticker,
     paste_branch,
     paste_measurement,
+    sticker_qubits,
     verify_surgery,
 )
 from .branching import (
@@ -57,8 +57,6 @@ from .pauli import (
     MeasurementPlan,
     PauliOp,
     build_measurement_plan,
-    characteristic_number,
-    commutes,
     is_regular,
     parse_pauli,
     regularise,

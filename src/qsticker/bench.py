@@ -8,6 +8,7 @@ JSON text.
 
 from __future__ import annotations
 
+import json
 import statistics
 from dataclasses import dataclass, field
 
@@ -36,8 +37,6 @@ class BenchRun:
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
-        import json
-
         payload = {
             "schema": 1,
             "kind": self.kind,

@@ -22,14 +22,9 @@ from dataclasses import dataclass, field
 from .codes import OperatorSet, SubsystemCode, support_union
 from .errors import InternalError
 from .gf2 import Gf2Matrix, solve_left
-from .glue import (
-    GlueError,
-    finely_devised_glue,
-    induced_subgraph,
-    naked_glue,
-    split_logicals,
-)
-from .stickers import DeformedCode, paste_branch, paste_measurement
+from .glue import GlueError, finely_devised_glue, naked_glue, split_logicals
+from .stickers import DeformedCode, paste_branch, paste_measurement, sticker_qubits
+from .tanner import induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -51,9 +46,6 @@ class BranchTree:
     def leaf_nodes(self) -> list[BranchNode]:
         """The singleton nodes where measurement stickers attach."""
         return [n for n in self.nodes if len(n.ops) == 1]
-
-    def level_nodes(self, level: int) -> list[BranchNode]:
-        return [n for n in self.nodes if n.level == level]
 
 
 def plan_branching(c: SubsystemCode, sigma: OperatorSet,
@@ -201,7 +193,7 @@ def _bfb_sizes(h: Gf2Matrix, reps: tuple[int, ...], level: int, d_meas: int,
         support |= r
     induced, cols, rows = induced_subgraph(h, support)
     n_g, r_g = len(cols), len(rows)
-    branch_qubits = n_g + r_g  # d_R = 2: (d_R-1)(n_G + r_G)
+    branch_qubits = sticker_qubits(n_g, r_g, 2, "branch")
     per_level[level] = per_level.get(level, 0) + branch_qubits
     total = branch_qubits
     if len(reps) >= 2:
@@ -212,7 +204,7 @@ def _bfb_sizes(h: Gf2Matrix, reps: tuple[int, ...], level: int, d_meas: int,
     else:
         # leaf measurement sticker on this node's open boundary: the
         # transferred codeword covers the whole induced glue graph
-        meas = (d_meas - 1) * n_g + d_meas * r_g
+        meas = sticker_qubits(n_g, r_g, d_meas, "measurement")
         per_level[level + 1] = per_level.get(level + 1, 0) + meas
         total += meas
     return total
@@ -246,7 +238,7 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
     n_n = len(support_union(sigma))
     if scheme == "ds":
         fine = finely_devised_glue(c, sigma)
-        measured = (d_r - 1) * fine.n_g + d_r * fine.r_g
+        measured = sticker_qubits(fine.n_g, fine.r_g, d_r, "measurement")
         bounds = {
             "formula": "O(n_N d q)",
             "n_n": n_n,

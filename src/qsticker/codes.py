@@ -35,6 +35,7 @@ from .gf2 import (
     rref,
     solve_left,  # unused here; perfbench's tracer test patches this binding
 )
+from .tanner import induced_subgraph
 
 
 def repetition_check(n: int, truncated: bool = False) -> Gf2Matrix:
@@ -287,11 +288,12 @@ def validate_code(c: SubsystemCode) -> ValidationReport:
 
     pj = c.jx.mul_transpose(c.jz)
     wit = ""
-    if pj != Gf2Matrix.identity(c.k):
-        bad = next(i for i in range(c.k)
-                   if pj.bits[i] != Gf2Matrix.identity(c.k).bits[i])
+    if c.jx.rows != c.k:
+        wit = f"row counts: jx {c.jx.rows}, jz {c.k}"
+    elif pj != Gf2Matrix.identity(c.k):
+        bad = next(i for i, r in enumerate(pj.bits) if r != 1 << i)
         wit = f"jx row {bad} pairs as {pj.row_list(bad)}"
-    add("jx @ jz^T = E_k", pj == Gf2Matrix.identity(c.k), wit)
+    add("jx @ jz^T = E_k", not wit, wit)
 
     pf = c.fx.mul_transpose(c.fz)
     add("fx @ fz^T = E_kg", pf == Gf2Matrix.identity(c.k_gauge),
@@ -362,8 +364,12 @@ def _distance_upper_estimate(h: Gf2Matrix, j: Gf2Matrix, trials: int,
     return best
 
 
-def exact_distance(c: SubsystemCode, cap: int = 6, budget: int = 10_000_000,
-                   estimate_trials: int = 40, seed: int = 0) -> DistanceResult:
+# randomized trials behind the upper estimate when the search runs out
+_ESTIMATE_TRIALS = 40
+
+
+def exact_distance(c: SubsystemCode, cap: int = 6,
+                   budget: int = 10_000_000) -> DistanceResult:
     """Exact distance by weight-ordered search, or Unknown with an estimate.
 
     For k = 0 there are no logical errors and the minimum is over an
@@ -382,10 +388,10 @@ def exact_distance(c: SubsystemCode, cap: int = 6, budget: int = 10_000_000,
             best = w
     if best is not None and best <= exhausted:
         return DistanceResult(best, True, searched_weight=exhausted)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     est = None
     for h, j in ((c.hx, c.jx), (c.hz, c.jz)):
-        e = _distance_upper_estimate(h, j, estimate_trials, rng)
+        e = _distance_upper_estimate(h, j, _ESTIMATE_TRIALS, rng)
         if e is not None and (est is None or e < est):
             est = e
     if best is not None:
@@ -435,9 +441,8 @@ def contained_logical_count(c: SubsystemCode, support: tuple[int, ...],
     (H_X, J_X) for Z species and (H_Z, J_Z) for X species.
     """
     h, j = (c.hx, c.jx) if species == "Z" else (c.hz, c.jz)
-    mask = sum(1 << u for u in set(support))
-    local = h.take_rows([i for i, r in enumerate(h.bits) if r & mask]).take_cols(support)
-    return rank(kernel_basis(local).mul_transpose(j.take_cols(support)))
+    local, cols, _ = induced_subgraph(h, sum(1 << u for u in set(support)))
+    return rank(kernel_basis(local).mul_transpose(j.take_cols(cols)))
 
 
 def redundancy_number(c: SubsystemCode, sigma: OperatorSet) -> int:

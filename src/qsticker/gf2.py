@@ -12,7 +12,11 @@ factors the span once, pivoting on each row's highest column, and
 reduces each candidate row; `solve_left` is for callers that read the
 coefficients.  `kernel_complement` reads `RowReducer`'s echelon directly
 and back-substitutes, so it builds only the kernel rows it returns,
-never a kernel basis.
+never a kernel basis.  `complete_basis` stays beside it for callers that
+already hold the kernel basis they complete into: `glue.dressing_matrix`
+builds ker H_N anyway for (ker H_N) S, and completing into that basis is
+several times faster than `kernel_complement`, which would factor H_N
+again for the same rows.
 """
 
 from __future__ import annotations
@@ -96,15 +100,6 @@ class Gf2Matrix:
 
     def to_lists(self) -> list[list[int]]:
         return [self.row_list(i) for i in range(self.rows)]
-
-    def to_array(self):
-        import numpy as np
-
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, r in enumerate(self.bits):
-            for j in range(self.cols):
-                out[i, j] = (r >> j) & 1
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -366,8 +361,14 @@ def kernel_basis(m: Gf2Matrix) -> Gf2Matrix:
 def solve_left(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix | None:
     """Find X with X @ a = b, or None if some row of b is outside rs(a).
 
-    Returns the particular solution with free coefficients zero
-    (canonical for regression tests).
+    The particular solution combines only the rows `_eliminate` picks
+    as pivots: for each pivot column in ascending order, the first row
+    holding it in the current order, where every pick swaps that row
+    into the next slot.  So on rank-deficient `a` the swaps decide
+    which rows carry it, not the lowest index: for a with rows 0b10,
+    0b10, 0b01 and b with the row 0b10 the solution is 0b010 (row 1),
+    not row 0.  Outputs depend on this rule: γ of a measurement paste
+    solves against the rank-deficient H_G.
     """
     if a.cols != b.cols:
         raise ValueError("solve_left: column mismatch")
@@ -386,14 +387,6 @@ def solve_left(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix | None:
             return None
         xrows.append(acc >> n)
     return Gf2Matrix(xrows, a.rows)
-
-
-def right_inverse(u: Gf2Matrix) -> Gf2Matrix:
-    """Some R with u @ R = E; raises if u is not row full rank."""
-    x = solve_left(u.transpose(), Gf2Matrix.identity(u.rows))
-    if x is None:
-        raise ValueError("right_inverse: matrix is row-rank-deficient")
-    return x.transpose()
 
 
 def inverse(m: Gf2Matrix) -> Gf2Matrix:

@@ -43,7 +43,7 @@ from .gf2 import (
     solve_left,
     standard_form,
 )
-from .tanner import bit_duplication, check_duplication
+from .tanner import bit_duplication, check_duplication, induced_subgraph
 
 
 class GlueError(ValueError):
@@ -165,24 +165,6 @@ class GlueSpec:
 def check_compatibility(c: SubsystemCode, g: GlueSpec) -> bool:
     """The defining identity H_X S^T = T H_G."""
     return c.hx.mul_transpose(g.s) == g.t.mul(g.hg)
-
-
-def induced_subgraph(h: Gf2Matrix, support: int
-                     ) -> tuple[Gf2Matrix, tuple[int, ...], tuple[int, ...]]:
-    """Induced subgraph of a check matrix on a bit-packed bit support.
-
-    Returns (induced matrix, bit columns, check rows): the columns are
-    the support bits in ascending order, the rows every check touching
-    them.
-    """
-    cols = []
-    m = support
-    while m:
-        low = m & -m
-        cols.append(low.bit_length() - 1)
-        m ^= low
-    rows = tuple(i for i, r in enumerate(h.bits) if r & support)
-    return h.take_rows(rows).take_cols(cols), tuple(cols), rows
 
 
 def naked_glue(c: SubsystemCode, sigma: OperatorSet) -> GlueSpec:

@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 import os
 import random
+from dataclasses import replace
 
-from .codes import SubsystemCode, css_code, hgp, repetition_check
+from .codes import OperatorSet, SubsystemCode, css_code, hgp, repetition_check
 from .gf2 import Gf2Matrix
 
 
@@ -190,8 +191,6 @@ def load_code(spec: str, fmt: str = "alist") -> SubsystemCode:
         if len(parts) != 2:
             raise ValueError("hgp spec needs two lengths, e.g. hgp:3,3")
         m, n = int(parts[0]), int(parts[1])
-        from dataclasses import replace
-
         code = hgp(repetition_check(m), repetition_check(n),
                    name=f"hgp({m},{n})")
         return replace(code, distance=min(m, n))
@@ -225,8 +224,6 @@ def load_code(spec: str, fmt: str = "alist") -> SubsystemCode:
 
 def load_sigma(path: str, code: SubsystemCode):
     """Operator set from a dense-text file of Z-operator rows."""
-    from .codes import OperatorSet
-
     m = load_dense_text(path)
     if m.cols != code.n:
         raise ValueError(

@@ -68,13 +68,6 @@ class PauliOp:
         """η: overlap parity of the X and Z parts."""
         return (self.x & self.z).bit_count() & 1
 
-    def x_sub(self) -> "PauliOp":
-        """The X sub-operator X(x)."""
-        return PauliOp(self.n, 0, self.x, 0)
-
-    def z_sub(self) -> "PauliOp":
-        return PauliOp(self.n, 0, 0, self.z)
-
     def mul(self, other: "PauliOp") -> "PauliOp":
         if self.n != other.n:
             raise ValueError("operator length mismatch")
@@ -132,15 +125,6 @@ def parse_pauli(text: str, n: int) -> PauliOp:
     if pos != len(rest):
         raise ValueError(f"unparsable Pauli text {text!r} at {pos}")
     return op
-
-
-def commutes(a: PauliOp, b: PauliOp) -> bool:
-    """Symplectic commutation test."""
-    return a.commutes_with(b)
-
-
-def characteristic_number(p: PauliOp) -> int:
-    return p.characteristic_number()
 
 
 def _cross_anticommute(a: PauliOp, b: PauliOp) -> bool:

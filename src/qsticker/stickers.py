@@ -1,8 +1,14 @@
 """Stickers, deformed codes, and the generalized-lattice-surgery checks.
 
 A sticker is the hypergraph product of a glue code H_G with a length-d_R
-repetition code (measurement kind) or its truncated variant (branch
-kind); the branch forms equal the measurement forms with the last block
+repetition code λ: the plain one for the measurement kind, the
+truncated one (last column dropped) for the branch kind.  One formula
+builds both,
+
+    H_X = (E_{d_R−1} ⊗ H_G | λ ⊗ E_{r_G}),
+    H_Z = (λ^T ⊗ E_{n_G} | E_{λ.cols} ⊗ H_G^T),
+
+so the branch forms equal the measurement forms with the last block
 column of H_X and the last block column and row of H_Z deleted.
 
 Pasting a sticker onto the memory replaces the first repetition slot by
@@ -44,6 +50,12 @@ class Sticker:
         return self.hx_s.cols
 
 
+def sticker_qubits(n_g: int, r_g: int, d_r: int, kind: str) -> int:
+    """Qubits of a sticker: d_R−1 glue-bit blocks and d_R (measurement)
+    or d_R−1 (branch) glue-check blocks."""
+    return (d_r - 1) * n_g + (d_r if kind == "measurement" else d_r - 1) * r_g
+
+
 def build_sticker(glue: GlueSpec, d_r: int, kind: str) -> Sticker:
     """Hypergraph-product sticker of the glue code and a repetition code."""
     if d_r < 2:
@@ -51,19 +63,11 @@ def build_sticker(glue: GlueSpec, d_r: int, kind: str) -> Sticker:
     if kind not in ("measurement", "branch"):
         raise ValueError("kind must be 'measurement' or 'branch'")
     hg = glue.hg
-    n_g, r_g = glue.n_g, glue.r_g
-    lam = repetition_check(d_r)
-    if kind == "measurement":
-        hx = Gf2Matrix.identity(d_r - 1).kron(hg).hstack(
-            lam.kron(Gf2Matrix.identity(r_g)))
-        hz = lam.transpose().kron(Gf2Matrix.identity(n_g)).hstack(
-            Gf2Matrix.identity(d_r).kron(hg.transpose()))
-    else:
-        lam_t = repetition_check(d_r, truncated=True)
-        hx = Gf2Matrix.identity(d_r - 1).kron(hg).hstack(
-            lam_t.kron(Gf2Matrix.identity(r_g)))
-        hz = lam_t.transpose().kron(Gf2Matrix.identity(n_g)).hstack(
-            Gf2Matrix.identity(d_r - 1).kron(hg.transpose()))
+    lam = repetition_check(d_r, truncated=kind == "branch")
+    hx = Gf2Matrix.identity(d_r - 1).kron(hg).hstack(
+        lam.kron(Gf2Matrix.identity(glue.r_g)))
+    hz = lam.transpose().kron(Gf2Matrix.identity(glue.n_g)).hstack(
+        Gf2Matrix.identity(lam.cols).kron(hg.transpose()))
     return Sticker(kind=kind, glue=glue, d_r=d_r, hx_s=hx, hz_s=hz)
 
 
@@ -97,29 +101,54 @@ class DeformedCode:
         return m.hstack(Gf2Matrix.zeros(m.rows, self.n - self.mem_qubits))
 
 
-def _assemble_deformed(c: SubsystemCode, glue: GlueSpec, d_r: int,
-                       kind: str) -> tuple[Gf2Matrix, Gf2Matrix]:
-    """Deformed (H_X, H_Z): the memory and its sticker side by side.
+def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
+           kind: str, jx_mem: Gf2Matrix, jz_mem: Gf2Matrix,
+           gamma: Gf2Matrix | None) -> DeformedCode:
+    """The memory and its sticker side by side, with their logicals.
 
     Only T (memory X-checks to the v_1 block) and S (memory qubits into
-    the first sticker Z-check block) couple the two.
+    the first sticker Z-check block) couple the two.  Each memory X
+    logical row J carries J S^T on every u block, plus γ on the last v
+    block for a measurement sticker; Z logicals stay on the memory.
     """
     sticker = build_sticker(glue, d_r, kind)
-    n = c.n
+    n, n_g = c.n, glue.n_g
     total = n + sticker.qubits
     hx = Canvas(c.hx.rows + sticker.hx_s.rows, total)
     hx.put(0, 0, c.hx)
-    hx.put(0, n + (d_r - 1) * glue.n_g, glue.t)
+    hx.put(0, n + (d_r - 1) * n_g, glue.t)
     hx.put(c.hx.rows, n, sticker.hx_s)
     hz = Canvas(c.hz.rows + sticker.hz_s.rows, total)
     hz.put(0, 0, c.hz)
     hz.put(c.hz.rows, 0, glue.s)
     hz.put(c.hz.rows, n, sticker.hz_s)
-    return hx.to_matrix(), hz.to_matrix()
+    jx = Canvas(jx_mem.rows, total)
+    jx.put(0, 0, jx_mem)
+    jx_s = jx_mem.mul(glue.s.transpose())
+    for j in range(1, d_r):
+        jx.put(0, n + (j - 1) * n_g, jx_s)
+    if gamma is not None:
+        jx.put(0, n + (d_r - 1) * (n_g + glue.r_g), gamma)
+    jz = jz_mem.hstack(Gf2Matrix.zeros(jz_mem.rows, total - n))
+    suffix = "meas" if kind == "measurement" else "branch"
+    code = subsystem_code(hx.to_matrix(), hz.to_matrix(), jx.to_matrix(), jz,
+                          name=f"{c.name}+{suffix}")
+    # `subsystem_code` already checked hx (hz; jz)^T = 0 and hz jx^T = 0
+    if code.jx.mul_transpose(code.jz) != Gf2Matrix.identity(code.k):
+        raise GlueError("deformed logical pairing is not the identity")
+    ob_lo = n + (d_r - 2) * n_g
+    return DeformedCode(
+        code=code, kind=kind, memory=c, split=split, glue=glue,
+        d_r=d_r, d_t=c.distance if c.distance is not None else d_r,
+        mem_qubits=n, ob_range=(ob_lo, ob_lo + n_g) if kind == "branch" else None,
+        gamma=gamma, j_g=glue_codewords_for(glue, split.jza),
+        provenance={"memory": c.name, "sticker": kind,
+                    "q": split.q, "d_r": d_r},
+    )
 
 
 def paste_measurement(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
-                      d_r: int, name: str = "") -> DeformedCode:
+                      d_r: int) -> DeformedCode:
     """Deformed code measuring ⟨Σ⟩: k drops to k − q.
 
     Requires a finely devised glue code; γ solving J_{X,C} S^T = γ H_G
@@ -129,72 +158,23 @@ def paste_measurement(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
         raise ValueError("d_r must be at least 2")
     if glue.devisedness != "fine":
         raise GlueError("measurement paste needs a finely devised glue code")
-    hx, hz = _assemble_deformed(c, glue, d_r, "measurement")
-    n, n_g, r_g = c.n, glue.n_g, glue.r_g
-    total = hx.cols
-    jxc_s = split.jxc.mul(glue.s.transpose())
-    gamma = solve_left(glue.hg, jxc_s)
+    gamma = solve_left(glue.hg, split.jxc.mul(glue.s.transpose()))
     if gamma is None:
         raise GlueError("glue is labelled fine but gamma has no solution: "
                         "J_{X,C} S^T is not in the row space of H_G")
-    k_new = split.jxc.rows
-    jx_canvas = Canvas(k_new, total)
-    jx_canvas.put(0, 0, split.jxc)
-    for j in range(1, d_r):
-        jx_canvas.put(0, n + (j - 1) * n_g, jxc_s)
-    jx_canvas.put(0, n + (d_r - 1) * n_g + (d_r - 1) * r_g, gamma)
-    jz = split.jzc.hstack(Gf2Matrix.zeros(k_new, total - n))
-    code = subsystem_code(hx, hz, jx_canvas.to_matrix(), jz,
-                          name=name or f"{c.name}+meas")
-    j_g = glue_codewords_for(glue, split.jza)
-    dc = DeformedCode(
-        code=code, kind="measurement", memory=c, split=split, glue=glue,
-        d_r=d_r, d_t=c.distance if c.distance is not None else d_r,
-        mem_qubits=n, ob_range=None, gamma=gamma, j_g=j_g,
-        provenance={"memory": c.name, "sticker": "measurement",
-                    "q": split.q, "d_r": d_r},
-    )
-    _assert_validity(dc)
-    return dc
+    return _paste(c, split, glue, d_r, "measurement", split.jxc, split.jzc,
+                  gamma)
 
 
 def paste_branch(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
-                 d_r: int, name: str = "") -> DeformedCode:
+                 d_r: int) -> DeformedCode:
     """Deformed code transferring ⟨Σ⟩ to the open boundary: k is preserved."""
     if d_r < 2:
         raise ValueError("d_r must be at least 2")
     if glue.devisedness not in ("coarse", "fine"):
         raise GlueError("branch paste needs an at least coarsely devised glue code")
-    hx, hz = _assemble_deformed(c, glue, d_r, "branch")
-    n, n_g = c.n, glue.n_g
-    total = hx.cols
-    jx_mem = split.jxa.vstack(split.jxc)
-    jx_s = jx_mem.mul(glue.s.transpose())
-    jx_canvas = Canvas(c.k, total)
-    jx_canvas.put(0, 0, jx_mem)
-    for j in range(1, d_r):
-        jx_canvas.put(0, n + (j - 1) * n_g, jx_s)
-    jz = split.jza.vstack(split.jzc).hstack(Gf2Matrix.zeros(c.k, total - n))
-    code = subsystem_code(hx, hz, jx_canvas.to_matrix(), jz,
-                          name=name or f"{c.name}+branch")
-    ob_lo = n + (d_r - 2) * n_g
-    j_g = glue_codewords_for(glue, split.jza)
-    dc = DeformedCode(
-        code=code, kind="branch", memory=c, split=split, glue=glue,
-        d_r=d_r, d_t=c.distance if c.distance is not None else d_r,
-        mem_qubits=n, ob_range=(ob_lo, ob_lo + n_g), gamma=None, j_g=j_g,
-        provenance={"memory": c.name, "sticker": "branch",
-                    "q": split.q, "d_r": d_r},
-    )
-    _assert_validity(dc)
-    return dc
-
-
-def _assert_validity(dc: DeformedCode) -> None:
-    # `subsystem_code` already checked hx (hz; jz)^T = 0 and hz jx^T = 0
-    code = dc.code
-    if code.jx.mul_transpose(code.jz) != Gf2Matrix.identity(code.k):
-        raise GlueError("deformed logical pairing is not the identity")
+    return _paste(c, split, glue, d_r, "branch", split.jxa.vstack(split.jxc),
+                  split.jza.vstack(split.jzc), None)
 
 
 # -- generalized-lattice-surgery statement suite ------------------------
@@ -269,8 +249,11 @@ def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix) -> str:
     return f"J_Z coefficients have rank {r} for {rows.rows} rows, k={code.k}"
 
 
-def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36,
-                   distance_weight_cap: int = 5) -> GlsReport:
+# the exhaustive distance search covers at least this weight
+_DISTANCE_WEIGHT_CAP = 5
+
+
+def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     """Check the lattice-surgery theorem statement by statement.
 
     Everything except the distance statements is exact linear algebra
@@ -331,7 +314,7 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36,
     else:
         bound = c.distance // max(dc.glue.s_norm, 1)
     if code.n <= distance_qubit_cap:
-        cap = min(max(distance_weight_cap, bound), code.n)
+        cap = min(max(_DISTANCE_WEIGHT_CAP, bound), code.n)
         res = exact_distance(code, cap=cap)
         rep.distance = res
         if res.value is not None:

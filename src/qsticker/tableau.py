@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError
-from .gf2 import Gf2Matrix, solve_left
+from .gf2 import Gf2Matrix, kernel_basis, rank, solve_left
 from .pauli import MeasurementPlan, PauliOp
 
 ORACLE_QUBIT_BUDGET = 12
@@ -49,8 +49,6 @@ class StabilizerState:
             raise ValueError("generators are dependent")
 
     def _symplectic_rank(self) -> int:
-        from .gf2 import rank
-
         rows = [g.x | (g.z << self.n) for g in self.gens]
         return rank(Gf2Matrix(rows, 2 * self.n))
 
@@ -277,15 +275,6 @@ class PlanResult:
     corrections_applied: tuple[int, ...]
     final: StabilizerState
 
-    @property
-    def mu_x(self) -> tuple[int, ...]:
-        q = len(self.op_outcomes)
-        return self.raw_outcomes[:q]
-
-    @property
-    def mu_z(self) -> tuple[int, ...]:
-        q = len(self.op_outcomes)
-        return self.raw_outcomes[q:2 * q]
 
 
 def plan_measurement_sequence(plan: MeasurementPlan) -> list[PauliOp]:
@@ -299,8 +288,6 @@ def memory_factor(state: StabilizerState, mem_qubits: int) -> StabilizerState:
     if it does not determine a pure memory state (i.e. the state is
     entangled with the ancillas).
     """
-    from .gf2 import kernel_basis
-
     n = state.n
     anc = n - mem_qubits
     anc_mask = ((1 << n) - 1) ^ ((1 << mem_qubits) - 1)

@@ -1,4 +1,5 @@
-"""The two degree-reducing duplications, acting on a check matrix.
+"""Tanner-graph operations on a check matrix: induced subgraphs and the
+two degree-reducing duplications.
 
 Rows of the check matrix are checks and columns are bits.  Bit
 duplication splits bit u: a new bit u' and a new weight-2 check
@@ -46,3 +47,21 @@ def check_duplication(h: Gf2Matrix, a: int, ba: Iterable[int]) -> Gf2Matrix:
     rows[a] ^= moved
     rows.append(moved)
     return Gf2Matrix(rows, h.cols + 1)
+
+
+def induced_subgraph(h: Gf2Matrix, support: int
+                     ) -> tuple[Gf2Matrix, tuple[int, ...], tuple[int, ...]]:
+    """Induced subgraph of a check matrix on a bit-packed bit support.
+
+    Returns (induced matrix, bit columns, check rows): the columns are
+    the support bits in ascending order, the rows every check touching
+    them.
+    """
+    cols = []
+    m = support
+    while m:
+        low = m & -m
+        cols.append(low.bit_length() - 1)
+        m ^= low
+    rows = tuple(i for i, r in enumerate(h.bits) if r & support)
+    return h.take_rows(rows).take_cols(cols), tuple(cols), rows

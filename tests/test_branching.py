@@ -45,8 +45,8 @@ def test_tree_arithmetic_q4():
     assert tree.levels == 2
     assert len(tree.nodes) == 6  # S1..S6
     assert len(tree.leaf_nodes()) == 4
-    assert len(tree.level_nodes(1)) == 2
-    assert len(tree.level_nodes(2)) == 4
+    assert len([n for n in tree.nodes if n.level == 1]) == 2
+    assert len([n for n in tree.nodes if n.level == 2]) == 4
 
 
 def test_tree_arithmetic_q2_and_q5():

@@ -240,6 +240,19 @@ def test_validate_flags_broken_pairing():
                for f in rep.failures())
 
 
+@pytest.mark.parametrize("jx_rows", [1, 3], ids=["fewer", "more"])
+def test_validate_flags_logical_row_count_mismatch(jx_rows):
+    # J_X with fewer or more rows than J_Z fails the pairing check with
+    # both counts as the witness, instead of raising
+    from dataclasses import replace
+
+    c1 = hgp(repetition_check(2), repetition_check(2))
+    c = direct_sum(c1, c1)
+    jx = Gf2Matrix((c.jx.bits + (0,))[:jx_rows], c.n)
+    checks = {f.name: f.witness for f in validate_code(replace(c, jx=jx)).failures()}
+    assert checks["jx @ jz^T = E_k"] == f"row counts: jx {jx_rows}, jz 2"
+
+
 def test_validate_flags_noncommuting_checks():
     from qsticker.codes import SubsystemCode
 

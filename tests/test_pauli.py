@@ -13,8 +13,6 @@ import pytest
 from qsticker.pauli import (
     PauliOp,
     build_measurement_plan,
-    characteristic_number,
-    commutes,
     is_regular,
     parse_pauli,
     regularise,
@@ -61,27 +59,27 @@ def test_commutes_matches_dense():
         a = random_pauli(rng, 3)
         b = random_pauli(rng, 3)
         da, db = dense(a), dense(b)
-        assert commutes(a, b) == np.allclose(da @ db, db @ da)
+        assert a.commutes_with(b) == np.allclose(da @ db, db @ da)
 
 
 def test_commutation_examples():
     x1 = parse_pauli("X1", 2)
     z1 = parse_pauli("Z1", 2)
     z2 = parse_pauli("Z2", 2)
-    assert not commutes(x1, z1)
-    assert commutes(x1, z2)
+    assert not x1.commutes_with(z1)
+    assert x1.commutes_with(z2)
     yy = parse_pauli("Y1Y2", 2)
     xx = parse_pauli("X1X2", 2)
-    assert commutes(yy, xx)
+    assert yy.commutes_with(xx)
 
 
 def test_characteristic_number_examples():
-    assert characteristic_number(parse_pauli("X1Z2", 2)) == 0
+    assert parse_pauli("X1Z2", 2).characteristic_number() == 0
     op = parse_pauli("+iX1Z1", 2)
-    assert characteristic_number(op) == 1
+    assert op.characteristic_number() == 1
     assert op.is_hermitian()
     op2 = parse_pauli("+iX1X2Z1", 2)
-    assert characteristic_number(op2) == 1
+    assert op2.characteristic_number() == 1
     # Y = iXZ in this convention
     assert parse_pauli("Y1", 1) == parse_pauli("+iX1Z1", 1)
 
@@ -106,7 +104,7 @@ def test_parse_and_str_round_trip():
 def test_is_regular_examples():
     a = parse_pauli("X1Z2", 2)
     b = parse_pauli("X2Z1", 2)
-    assert commutes(a, b)
+    assert a.commutes_with(b)
     assert is_regular([a, b]) is False  # cross parts anticommute
     assert is_regular([parse_pauli("X1", 2), parse_pauli("Z2", 2)]) is True
     assert is_regular([a]) is True  # singleton, vacuous
@@ -150,7 +148,7 @@ def random_commuting_set(rng, count, n):
         cand = random_pauli(rng, n)
         if cand.x == 0 and cand.z == 0:
             continue
-        if all(commutes(cand, o) for o in ops):
+        if all(cand.commutes_with(o) for o in ops):
             ops.append(cand)
     return ops
 
@@ -206,7 +204,7 @@ def test_plan_two_regular_operators():
     for group in (plan.omega_x, plan.omega_z):
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
-                assert commutes(group[i], group[j])
+                assert group[i].commutes_with(group[j])
 
 
 def test_plan_rejects_irregular_set():

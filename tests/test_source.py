@@ -17,6 +17,18 @@ def test_no_assert_statements_in_package():
     assert not found, "assert statements vanish under python -O: " + ", ".join(found)
 
 
+def test_imports_only_at_module_level():
+    # a function-local import hides a dependency and a binding the tracer
+    # in perfbench patches; none is needed to break an import cycle
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, "imports inside function bodies: " + ", ".join(found)
+
+
 # perfbench/tests asserts that its tracer patches this module binding
 UNUSED_IMPORT_ALLOWED = {("codes.py", "solve_left")}
 

@@ -28,6 +28,7 @@ from qsticker.stickers import (
     build_sticker,
     paste_branch,
     paste_measurement,
+    sticker_qubits,
     verify_surgery,
 )
 
@@ -72,19 +73,23 @@ def test_sticker_qubit_counts():
     assert m3.hz_s.rows == 3 * 3  # d_R n_G Z-checks
     with pytest.raises(ValueError):
         build_sticker(g, 1, "measurement")
+    for kind in ("measurement", "branch"):
+        for d_r in range(2, 6):
+            assert (sticker_qubits(g.n_g, g.r_g, d_r, kind)
+                    == build_sticker(g, d_r, kind).qubits)
 
 
 def test_branch_is_measurement_with_deletions():
     # H^B_X = H^M_X minus the last block column; H^B_Z additionally
     # minus the last block row
     g = toy_glue()
-    d_r = 3
-    m = build_sticker(g, d_r, "measurement")
-    b = build_sticker(g, d_r, "branch")
     n_g, r_g = g.n_g, g.r_g
-    keep = list(range((d_r - 1) * n_g + (d_r - 1) * r_g))
-    assert b.hx_s == m.hx_s.take_cols(keep)
-    assert b.hz_s == m.hz_s.take_rows(range((d_r - 1) * n_g)).take_cols(keep)
+    for d_r in (2, 3, 4):
+        m = build_sticker(g, d_r, "measurement")
+        b = build_sticker(g, d_r, "branch")
+        keep = list(range((d_r - 1) * n_g + (d_r - 1) * r_g))
+        assert b.hx_s == m.hx_s.take_cols(keep)
+        assert b.hz_s == m.hz_s.take_rows(range((d_r - 1) * n_g)).take_cols(keep)
 
 
 def test_sticker_checks_commute():
