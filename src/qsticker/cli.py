@@ -236,7 +236,11 @@ def cmd_simulate(args) -> int:
             "operator_outcomes": list(res.op_outcomes),
             "corrections_applied": list(res.corrections_applied),
         })
-        state = memory_factor(res.final, n)
+        try:
+            state = memory_factor(res.final, n)
+        except ValueError as exc:
+            # every ancilla has been read out, so the memory must factor
+            raise InternalError(f"after round {len(rounds)}: {exc} (bug)") from exc
     payload = {
         "schema": 1,
         "n": n,

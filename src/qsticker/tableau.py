@@ -6,6 +6,16 @@ anticommutes with some generator (outcome random, generators updated in
 place) or is determined (the generator subset reproducing its
 symplectic part is solved over GF(2) and the phases compared).
 
+A state checks its generators at product cost, after each one's length
+and Hermiticity.  With X and Z the n × n matrices whose row i is the x
+or z part of generator i, entry (i, j) of X·Zᵀ is |x_i ∧ z_j| mod 2, so
+(X·Zᵀ)[i, j] + (X·Zᵀ)[j, i] is the symplectic product of generators i
+and j: X·Zᵀ is symmetric exactly when the generators commute pairwise
+(Aaronson & Gottesman 2004).  Independence is checked by adding each
+generator's symplectic row x | z << n to one `RowReducer`.  A failure
+names the first anticommuting pair (j, i), j < i, in the order i then j,
+or the first generator dependent on the ones before it.
+
 The oracle works on dense state vectors (budgeted at 12 qubits) and
 applies projectors (1 + μP)/2 branch by branch.  All amplitudes stay in
 Z[i] scaled by powers of two, so branch probabilities are exact dyadic
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError
-from .gf2 import Gf2Matrix, kernel_basis, rank, solve_left
+from .gf2 import Gf2Matrix, RowReducer, kernel_complement, solve_left
 from .pauli import MeasurementPlan, PauliOp
 
 ORACLE_QUBIT_BUDGET = 12
@@ -34,23 +44,28 @@ class StabilizerState:
             raise ValueError("need at least one generator")
         n = gens[0].n
         if len(gens) != n:
-            raise ValueError("a pure state needs exactly n generators")
+            raise ValueError(f"a pure state on {n} qubits needs {n} generators, "
+                             f"not {len(gens)}")
         for i, g in enumerate(gens):
             if g.n != n:
-                raise ValueError("generator length mismatch")
+                raise ValueError(f"generator {i} acts on {g.n} qubits, not {n}")
             if not g.is_hermitian():
                 raise ValueError(f"generator {i} is not Hermitian")
-            for h in gens[:i]:
-                if not g.commutes_with(h):
-                    raise ValueError("generators do not commute")
+        xzt = Gf2Matrix([g.x for g in gens], n).mul_transpose(
+            Gf2Matrix([g.z for g in gens], n))
+        # row i of X·Zᵀ + (X·Zᵀ)ᵀ holds i's symplectic products
+        for i, (a, b) in enumerate(zip(xzt.bits, xzt.transpose().bits)):
+            earlier = (a ^ b) & ((1 << i) - 1)
+            if earlier:
+                j = (earlier & -earlier).bit_length() - 1
+                raise ValueError(f"generators {j} and {i} do not commute")
+        reducer = RowReducer()
+        for i, g in enumerate(gens):
+            if not reducer.add(g.x | (g.z << n)):
+                raise ValueError(f"generator {i} is dependent on the "
+                                 "generators before it")
         self.n = n
         self.gens = list(gens)
-        if self._symplectic_rank() != n:
-            raise ValueError("generators are dependent")
-
-    def _symplectic_rank(self) -> int:
-        rows = [g.x | (g.z << self.n) for g in self.gens]
-        return rank(Gf2Matrix(rows, 2 * self.n))
 
     @staticmethod
     def zero_state(n: int) -> "StabilizerState":
@@ -116,7 +131,17 @@ class StabilizerState:
 
     def apply_pauli(self, p: PauliOp) -> None:
         """Conjugate by a Pauli unitary (phase flips on anticommuters)."""
-        self.gens = [g if g.commutes_with(p) else g.negate() for g in self.gens]
+        gens = self.gens
+        for i in self._anticommuting(p):
+            gens[i] = gens[i].negate()
+
+    def _anticommuting(self, op: PauliOp) -> list[int]:
+        """Indices of the generators that anticommute with op."""
+        if op.n != self.n:
+            raise ValueError("operator length mismatch")
+        x, z = op.x, op.z
+        return [i for i, g in enumerate(self.gens)
+                if ((g.x & z).bit_count() ^ (g.z & x).bit_count()) & 1]
 
     # -- measurement ----------------------------------------------------
 
@@ -129,7 +154,7 @@ class StabilizerState:
         """
         if not op.is_hermitian():
             raise ValueError("measured operator must be Hermitian")
-        anti = [i for i, g in enumerate(self.gens) if not g.commutes_with(op)]
+        anti = self._anticommuting(op)
         if anti:
             pivot = anti[0]
             gp = self.gens[pivot]
@@ -148,13 +173,8 @@ class StabilizerState:
         combo = solve_left(Gf2Matrix(rows, 2 * self.n), target)
         if combo is None:
             raise InternalError("determined operator outside the group (bug)")
-        prod = PauliOp.identity(self.n)
-        sel = combo.bits[0]
-        while sel:
-            low = sel & -sel
-            prod = prod.mul(self.gens[low.bit_length() - 1])
-            sel ^= low
-        diff = (op.phase - prod.phase) % 4
+        phase, _, _ = _product(self.gens, combo.bits[0])
+        diff = (op.phase - phase) % 4
         if diff not in (0, 2):
             raise InternalError("phase mismatch by ±i (bug)")
         outcome = 1 if diff == 0 else -1
@@ -290,25 +310,32 @@ def memory_factor(state: StabilizerState, mem_qubits: int) -> StabilizerState:
     """
     n = state.n
     anc = n - mem_qubits
-    anc_mask = ((1 << n) - 1) ^ ((1 << mem_qubits) - 1)
-    rows = [((g.x & anc_mask) >> mem_qubits)
-            | (((g.z & anc_mask) >> mem_qubits) << anc)
+    rows = [(g.x >> mem_qubits) | ((g.z >> mem_qubits) << anc)
             for g in state.gens]
-    combos = kernel_basis(Gf2Matrix(rows, 2 * anc).transpose())
+    ancilla_parts = Gf2Matrix(rows, 2 * anc).transpose()
+    combos = kernel_complement(ancilla_parts, Gf2Matrix.zeros(0, n))
+    if combos.rows != mem_qubits:
+        raise ValueError("memory is entangled with the ancillas")
+    mask = (1 << mem_qubits) - 1
     gens = []
     for sel in combos.bits:
-        prod = PauliOp.identity(n)
-        s = sel
-        while s:
-            low = s & -s
-            prod = prod.mul(state.gens[low.bit_length() - 1])
-            s ^= low
-        gens.append(PauliOp(mem_qubits, prod.phase,
-                            prod.x & ((1 << mem_qubits) - 1),
-                            prod.z & ((1 << mem_qubits) - 1)))
-    if len(gens) != mem_qubits:
-        raise ValueError("memory is entangled with the ancillas")
+        phase, x, z = _product(state.gens, sel)
+        gens.append(PauliOp(mem_qubits, phase, x & mask, z & mask))
     return StabilizerState(gens)
+
+
+def _product(gens: list[PauliOp], sel: int) -> tuple[int, int, int]:
+    """(phase, x, z) of the product of the gens selected by the bits of
+    sel, multiplied in ascending index order as `PauliOp.mul` would."""
+    phase = x = z = 0
+    while sel:
+        low = sel & -sel
+        g = gens[low.bit_length() - 1]
+        phase += g.phase + 2 * ((z & g.x).bit_count() & 1)
+        x ^= g.x
+        z ^= g.z
+        sel ^= low
+    return phase % 4, x, z
 
 
 def _finish_plan(plan: MeasurementPlan, state: StabilizerState,
@@ -362,8 +389,7 @@ def enumerate_plan_branches(plan: MeasurementPlan,
             results.append(_finish_plan(plan, state, outcomes, flags))
             return
         op = seq[depth]
-        is_random = any(not g.commutes_with(op) for g in state.gens)
-        if is_random:
+        if state._anticommuting(op):
             for mu in (1, -1):
                 fork = state.copy()
                 fork.measure(op, forced=mu)

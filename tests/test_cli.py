@@ -127,3 +127,20 @@ def test_sampler_failure_is_internal_error(tmp_path, capsys, monkeypatch):
     rc = run_cli(["glue", "--code", "desk", "--q", "2", "--out", str(tmp_path)])
     assert rc == 3
     assert "internal error: failed to draw" in capsys.readouterr().err
+
+
+def test_simulate_memory_factor_failure_is_internal_error(tmp_path, capsys,
+                                                         monkeypatch):
+    # after a finished plan every ancilla is read out, so a memory that does
+    # not factor is a broken invariant, not bad input
+    from qsticker import cli
+
+    def entangled(state, mem_qubits):
+        raise ValueError("memory is entangled with the ancillas")
+
+    monkeypatch.setattr(cli, "memory_factor", entangled)
+    rc = run_cli(["simulate", "--theta", "+X1Z2", "--n", "2", "--memory", "0+",
+                  "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "internal error: after round 1: memory is entangled" in err

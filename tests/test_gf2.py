@@ -319,6 +319,26 @@ def test_solve_left_round_trip_and_unsolvable_exactly_outside_span(pair):
     assert {r for r in range(1 << a.cols) if reducer.reduce(r) == 0} == inside
 
 
+def reduce_then_insert(reducer, row):
+    """The reference `RowReducer.add`: reduce the row, then insert it."""
+    red = reducer.reduce(row)
+    if red == 0:
+        return False
+    reducer.pivots[red.bit_length() - 1] = red
+    return True
+
+
+@PROPERTY
+@given(matrices(max_rows=12))
+@example(Gf2Matrix([0b110, 0b011, 0b101, 0, 0b110], 3))
+def test_row_reducer_add_matches_reduce_then_insert(m):
+    reducer, oracle = RowReducer(), RowReducer()
+    for row in m.bits:
+        assert reducer.add(row) == reduce_then_insert(oracle, row)
+        assert reducer.pivots == oracle.pivots
+    assert RowReducer(m.bits).pivots == oracle.pivots
+
+
 @PROPERTY
 @given(matrices())
 @example(Gf2Matrix.zeros(0, 4))

@@ -9,7 +9,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qsticker import gf2, tableau
+from qsticker.gf2 import Gf2Matrix, rank
 from qsticker.pauli import PauliOp, build_measurement_plan, parse_pauli
 from qsticker.tableau import (
     StabilizerState,
@@ -17,6 +20,7 @@ from qsticker.tableau import (
     dense_from_state,
     dense_stabilized_by,
     enumerate_plan_branches,
+    memory_factor,
     plan_initial_state,
     plan_measurement_sequence,
     projector_oracle,
@@ -267,3 +271,107 @@ def test_plan_matches_oracle_seeded_regular_sets():
         check_plan_against_oracle(theta, memory)
         cases += 1
     assert cases == 10
+
+
+# -- invalid generator sets ------------------------------------------------
+
+
+def ops(n, *texts):
+    return [parse_pauli(t, n) for t in texts]
+
+
+@pytest.mark.parametrize("gens, message", [
+    (ops(2, "Z1"), "a pure state on 2 qubits needs 2 generators, not 1"),
+    (ops(2, "Z1") + ops(3, "Z2"), "generator 1 acts on 3 qubits, not 2"),
+    (ops(2, "Z1", "+iZ2"), "generator 1 is not Hermitian"),
+    # (0, 3) and (1, 2) anticommute; the pair with the lower later index wins
+    (ops(4, "X1", "X2", "Z2", "Z1"), "generators 1 and 2 do not commute"),
+    (ops(3, "Z1Z2", "Z2", "-Z1"),
+     "generator 2 is dependent on the generators before it"),
+    # every generator's length and Hermiticity is checked before any pair
+    (ops(3, "X1", "Z1", "+iZ3"), "generator 2 is not Hermitian"),
+    (ops(3, "X1", "Z1") + ops(4, "Z3"), "generator 2 acts on 4 qubits, not 3"),
+    # commutation is checked before independence
+    (ops(3, "Z1", "Z1", "X1"), "generators 0 and 2 do not commute"),
+])
+def test_invalid_generators_are_rejected_with_a_witness(gens, message):
+    with pytest.raises(ValueError) as exc:
+        StabilizerState(gens)
+    assert str(exc.value) == message
+
+
+def oracle_verdict(gens):
+    """The error StabilizerState must raise, or None: the pairwise
+    `commutes_with` loop and a Gauss–Jordan rank per prefix."""
+    n = gens[0].n
+    if len(gens) != n:
+        return f"a pure state on {n} qubits needs {n} generators, not {len(gens)}"
+    for i, g in enumerate(gens):
+        if g.n != n:
+            return f"generator {i} acts on {g.n} qubits, not {n}"
+        if not g.is_hermitian():
+            return f"generator {i} is not Hermitian"
+    for i, g in enumerate(gens):
+        for j, h in enumerate(gens[:i]):
+            if not g.commutes_with(h):
+                return f"generators {j} and {i} do not commute"
+    rows = [g.x | (g.z << n) for g in gens]
+    for i in range(n):
+        if rank(Gf2Matrix(rows[:i + 1], 2 * n)) <= i:
+            return f"generator {i} is dependent on the generators before it"
+    return None
+
+
+@st.composite
+def clifford_generator_sets(draw):
+    """Generators of a random Clifford state, maybe corrupted once: one
+    flipped x or z bit (phase kept Hermitian), a generator replaced by a
+    product of two others, or a phase shifted by i."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    gens = list(random_clifford_state(rng, n, depth=draw(st.integers(0, 20)))[0].gens)
+    kind = draw(st.sampled_from(["none", "x", "z", "product", "phase"]))
+    i = draw(st.integers(0, n - 1))
+    g = gens[i]
+    if kind in ("x", "z"):
+        bit = 1 << draw(st.integers(0, n - 1))
+        x, z = (g.x ^ bit, g.z) if kind == "x" else (g.x, g.z ^ bit)
+        # keep it Hermitian, so the flip reaches the commutation check
+        gens[i] = PauliOp(n, (x & z).bit_count() + 2 * (g.phase // 2), x, z)
+    elif kind == "product" and n >= 3:
+        j, k = draw(st.lists(st.integers(0, n - 1).filter(lambda v: v != i),
+                             min_size=2, max_size=2, unique=True))
+        gens[i] = gens[j].mul(gens[k])
+    elif kind == "phase":
+        gens[i] = PauliOp(n, g.phase + 1, g.x, g.z)
+    return gens
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(clifford_generator_sets())
+def test_validity_verdict_matches_pairwise_oracle(gens):
+    want = oracle_verdict(gens)
+    if want is None:
+        assert StabilizerState(gens).gens == gens
+    else:
+        with pytest.raises(ValueError) as exc:
+            StabilizerState(gens)
+        assert str(exc.value) == want
+
+
+def test_state_and_memory_factor_make_no_gauss_jordan_calls(monkeypatch):
+    theta = [parse_pauli("X1", 3), parse_pauli("Z2Z3", 3)]
+    plan = build_measurement_plan(theta)
+    initial = plan_initial_state(plan, StabilizerState.product_state("0+y"))
+    final = simulate_plan(plan, initial, outcome_seed=3).final
+    calls = []
+    for name in ("rank", "rref", "kernel_basis"):
+        def counted(*args, _name=name, _inner=getattr(gf2, name)):
+            calls.append(_name)
+            return _inner(*args)
+        for mod in (gf2, tableau):
+            monkeypatch.setattr(mod, name, counted, raising=False)
+    StabilizerState(list(final.gens))
+    memory = memory_factor(final, plan.memory_qubits)
+    assert memory.n == 3
+    assert calls == []
