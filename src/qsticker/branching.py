@@ -7,16 +7,21 @@ level's open boundary, and once every path carries a single operator a
 measurement sticker is pasted on its final open boundary.
 
 Assembly is sequential (each paste turns the deformed code into the new
-memory).  Cost estimation avoids full assembly: a transferred
-representative on an open boundary is the parent glue codeword
-restricted to the support, and the X-checks adjacent to the boundary
-block are exactly the parent glue checks, so sticker sizes follow from
-a recursion on induced subgraphs of check matrices.
+memory).  Cost estimation avoids full assembly and walks the same plan
+tree: a node's sticker is sized by the naked glue of the memory's H_X
+on S, the union of the supports of the node's operators.  That is
+exact.  A transferred representative on an open boundary is the parent
+glue codeword restricted to the parent's support, and the X-checks
+adjacent to the boundary block are exactly the parent glue checks, so
+each paste sees the induced subgraph of its parent's glue.  For
+S' ⊆ S every check meeting S' also meets S, so the induced subgraph of
+the induced subgraph on S is the induced subgraph of H_X on S'.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .codes import OperatorSet, SubsystemCode, support_union
@@ -24,7 +29,6 @@ from .errors import InternalError
 from .gf2 import Gf2Matrix, solve_left
 from .glue import GlueError, finely_devised_glue, naked_glue, split_logicals
 from .stickers import DeformedCode, paste_branch, paste_measurement, sticker_qubits
-from .tanner import induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -185,29 +189,13 @@ class CostReport:
         }
 
 
-def _bfb_sizes(h: Gf2Matrix, reps: tuple[int, ...], level: int, d_meas: int,
-               per_level: dict[int, int]) -> int:
-    """Recursive brute-force-branching cost on induced glue graphs."""
+def _glue_shape(c: SubsystemCode, sigma: OperatorSet,
+                node: BranchNode) -> tuple[int, int]:
+    """(n_G, r_G) of the naked glue of H_X on the node's support."""
     support = 0
-    for r in reps:
-        support |= r
-    induced, cols, rows = induced_subgraph(h, support)
-    n_g, r_g = len(cols), len(rows)
-    branch_qubits = sticker_qubits(n_g, r_g, 2, "branch")
-    per_level[level] = per_level.get(level, 0) + branch_qubits
-    total = branch_qubits
-    if len(reps) >= 2:
-        restricted = Gf2Matrix(reps, h.cols).take_cols(cols).bits
-        half = (len(reps) + 1) // 2
-        for part in (restricted[:half], restricted[half:]):
-            total += _bfb_sizes(induced, part, level + 1, d_meas, per_level)
-    else:
-        # leaf measurement sticker on this node's open boundary: the
-        # transferred codeword covers the whole induced glue graph
-        meas = sticker_qubits(n_g, r_g, d_meas, "measurement")
-        per_level[level + 1] = per_level.get(level + 1, 0) + meas
-        total += meas
-    return total
+    for i in node.ops:
+        support |= sigma.vectors.bits[i]
+    return support.bit_count(), sum(1 for row in c.hx.bits if row & support)
 
 
 def _logical_support_sizes(c: SubsystemCode, sigma: OperatorSet) -> list[int]:
@@ -223,9 +211,12 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
     """Sticker-qubit totals for devised sticking or brute-force branching.
 
     ds: one measurement sticker from the fine glue with repetition
-    length d_r (= memory distance by default).  bfb: branch stickers at
-    d_R = 2 plus one measurement sticker per separated operator, sizes
-    from naked glue codes per the cost-model accounting.
+    length d_r (= memory distance by default).  bfb: the branch sticker
+    of each `plan_branching` node at the node's d_R, plus a measurement
+    sticker of length d_r on each singleton node, one level below it.
+    Each sticker is sized by the naked glue of the memory's H_X on the
+    node's support, which is what `assemble_plan` pastes there (see the
+    module docstring for why that is exact).
     """
     if scheme not in ("ds", "bfb"):
         raise ValueError("scheme must be 'ds' or 'bfb'")
@@ -250,15 +241,17 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
         return CostReport(scheme="ds", q=q, thickness=t, d_r=d_r,
                           measured_total=measured, per_level=[measured],
                           bounds=bounds)
-    if q < 2:
-        raise GlueError("bfb cost needs q >= 2")
+    tree = plan_branching(c, sigma)
     l_max = max(_logical_support_sizes(c, sigma), default=0)
-    per_level: dict[int, int] = {}
-    reps = sigma.vectors.bits
-    half = (q + 1) // 2
-    total = 0
-    for part in (reps[:half], reps[half:]):
-        total += _bfb_sizes(c.hx, part, 1, d_r, per_level)
+    per_level: Counter[int] = Counter()
+    for node in tree.nodes:
+        n_g, r_g = _glue_shape(c, sigma, node)
+        per_level[node.level] += sticker_qubits(n_g, r_g, node.d_r, "branch")
+        if len(node.ops) == 1:
+            # the leaf measurement sticker covers the node's whole glue
+            per_level[node.level + 1] += sticker_qubits(n_g, r_g, d_r,
+                                                        "measurement")
+    total = sum(per_level.values())
     log_q = max(math.ceil(math.log2(q)), 1)
     bound_value = max(l_max, 1) * d_r * q * (d_r + log_q)
     bounds = {
@@ -268,8 +261,7 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
         "bound_value": bound_value,
         "measured_over_bound": total / max(bound_value, 1),
     }
-    levels = sorted(per_level)
     return CostReport(scheme="bfb", q=q, thickness=t, d_r=d_r,
                       measured_total=total,
-                      per_level=[per_level[l] for l in levels],
+                      per_level=[per_level[l] for l in sorted(per_level)],
                       bounds=bounds)

@@ -38,7 +38,6 @@ from .gf2 import (
     Gf2Matrix,
     complete_basis,
     kernel_basis,
-    rank,
     row_basis,
     solve_left,
     standard_form,
@@ -64,8 +63,6 @@ class LogicalSplit:
     jxa: Gf2Matrix
     jxc: Gf2Matrix
     jbar: Gf2Matrix  # change-of-basis on the Z side, k x k, invertible
-    pi2: tuple[int, ...]
-    p_block: Gf2Matrix  # the P of (E_q | P), q x (k-q)
 
     @property
     def q(self) -> int:
@@ -90,9 +87,10 @@ def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
     if not c.hx.mul_transpose(sigma.vectors).is_zero():
         raise GlueError("sigma rows are not Z logical representatives")
     x = sigma.vectors.mul_transpose(c.jx)
-    if rank(x) < q:
-        raise GlueError("sigma rows are dependent modulo stabiliser+gauge")
-    r, pi2, xs = standard_form(x)
+    try:
+        r, pi2, xs = standard_form(x)
+    except ValueError as exc:
+        raise GlueError("sigma rows are dependent modulo stabiliser+gauge") from exc
     jza = r.mul(sigma.vectors)
     p_block = xs.take_cols(range(q, k))
     jbar_rows = list(r.mul(x).bits) + [1 << pi2[i] for i in range(q, k)]
@@ -100,7 +98,7 @@ def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
     jzc = c.jz.take_rows(pi2[q:])
     jxa = c.jx.take_rows(pi2[:q])
     jxc = c.jx.take_rows(pi2[q:]).add(p_block.transpose().mul(jxa))
-    split = LogicalSplit(jza, jzc, jxa, jxc, jbar, pi2, p_block)
+    split = LogicalSplit(jza, jzc, jxa, jxc, jbar)
     _check_split(split, k)
     return split
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .codes import OperatorSet, SubsystemCode
 from .errors import InternalError
-from .gf2 import Gf2Matrix, rank
+from .gf2 import Gf2Matrix, RowReducer
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,19 @@ class SigmaSampler:
         rng = random.Random(self.seed * 1_000_003 + trial)
         pools = self.cell_pools()
         picks: list[tuple[int, ...]] = []
-        cell_rows: dict[int, list[int]] = {}
         for i in range(self.max_q):
-            cell = i // self.thickness
+            cell, pos = divmod(i, self.thickness)
             pool = pools[cell]
             limit = min(self.l_max, len(pool))
-            rows = cell_rows.setdefault(cell, [])
+            if pos == 0:
+                span = RowReducer()  # the draws of this cell so far
             for _ in range(200):
                 size = rng.randint(1, limit)
                 idxs = tuple(sorted(rng.sample(pool, size)))
                 mask = 0
                 for t in idxs:
                     mask |= 1 << t
-                trial_rows = rows + [mask]
-                if rank(Gf2Matrix(trial_rows, self.code.k)) == len(trial_rows):
-                    rows.append(mask)
+                if span.add(mask):
                     picks.append(idxs)
                     break
             else:

@@ -150,10 +150,13 @@ class StabilizerState:
         """Measure a Hermitian Pauli; returns (outcome, was_random).
 
         Random outcomes come from `forced` when given, else from rng.
-        A forced value on a determined measurement must match it.
+        A forced value must be 1 or -1, and on a determined measurement
+        it must match the outcome.
         """
         if not op.is_hermitian():
             raise ValueError("measured operator must be Hermitian")
+        if forced not in (None, 1, -1):
+            raise ValueError(f"forced outcome must be 1 or -1, got {forced!r}")
         anti = self._anticommuting(op)
         if anti:
             pivot = anti[0]

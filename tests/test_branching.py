@@ -1,8 +1,11 @@
 """Branch-tree planning, sequential assembly, and qubit-cost reports."""
 
+import hashlib
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsticker.codes import (
     OperatorSet,
@@ -14,10 +17,15 @@ from qsticker.codes import (
 from qsticker.gf2 import Gf2Matrix, solve_left
 from qsticker.glue import GlueError
 from qsticker.branching import (
+    _glue_shape,
     assemble_plan,
     estimate_qubit_cost,
     plan_branching,
 )
+from qsticker.io import desk_code
+from qsticker.sampling import SigmaSampler
+from qsticker.stickers import sticker_qubits
+from qsticker.tanner import induced_subgraph
 
 
 def blocks(count, distance=2):
@@ -208,3 +216,131 @@ def test_cost_pair_solves_at_most_twice(monkeypatch):
     estimate_qubit_cost(code, sigma, "ds", d_r=6)
     estimate_qubit_cost(code, sigma, "bfb", d_r=6)
     assert 0 < len(calls) <= 2
+
+
+# -- bfb pricing by the plan tree against the induced-subgraph recursion ----
+
+
+def bfb_sizes_by_recursion(h, reps, level, d_meas, per_level):
+    """Brute-force-branching cost by recursion on induced glue graphs.
+
+    Each node's operators are restricted to its glue bits and split again
+    on the induced matrix, so every level re-derives its own subgraph.
+    """
+    support = 0
+    for r in reps:
+        support |= r
+    induced, cols, rows = induced_subgraph(h, support)
+    n_g, r_g = len(cols), len(rows)
+    branch_qubits = sticker_qubits(n_g, r_g, 2, "branch")
+    per_level[level] = per_level.get(level, 0) + branch_qubits
+    total = branch_qubits
+    if len(reps) >= 2:
+        restricted = Gf2Matrix(reps, h.cols).take_cols(cols).bits
+        half = (len(reps) + 1) // 2
+        for part in (restricted[:half], restricted[half:]):
+            total += bfb_sizes_by_recursion(induced, part, level + 1, d_meas,
+                                            per_level)
+    else:
+        meas = sticker_qubits(n_g, r_g, d_meas, "measurement")
+        per_level[level + 1] = per_level.get(level + 1, 0) + meas
+        total += meas
+    return total
+
+
+def bfb_report_by_recursion(code, sigma, d_r):
+    """The bfb report with its total and levels from the recursion."""
+    rep = estimate_qubit_cost(code, sigma, "bfb", d_r=d_r).to_report()
+    reps = sigma.vectors.bits
+    half = (len(reps) + 1) // 2
+    per_level = {}
+    total = sum(bfb_sizes_by_recursion(code.hx, part, 1, d_r, per_level)
+                for part in (reps[:half], reps[half:]))
+    rep["measured_total"] = total
+    rep["per_level"] = [per_level[level] for level in sorted(per_level)]
+    rep["bounds"]["measured_over_bound"] = total / max(
+        rep["bounds"]["bound_value"], 1)
+    return rep
+
+
+@lru_cache(maxsize=None)
+def small_code(name):
+    if name.startswith("blocks"):
+        return blocks(int(name[6:]))
+    seed, n1 = map(int, name[4:].split(","))
+    return desk_code(seed, n1)
+
+
+@st.composite
+def bfb_cases(draw):
+    """A small memory and 2..8 Z logicals, some dressed by stabilisers."""
+    code = small_code(draw(st.sampled_from(
+        ["blocks3", "blocks5", "desk5,8", "desk3,12", "desk7,16"])))
+    rows = []
+    for _ in range(draw(st.integers(2, min(code.k, 8)))):
+        idxs = draw(st.sets(st.integers(0, code.k - 1), min_size=1, max_size=4))
+        row = 0
+        for i in idxs:
+            row ^= code.jz.bits[i]
+        for i in draw(st.sets(st.integers(0, code.hz.rows - 1), max_size=3)):
+            row ^= code.hz.bits[i]
+        rows.append(row)
+    return code, OperatorSet("Z", Gf2Matrix(rows, code.n)), draw(st.integers(2, 6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bfb_cases())
+def test_bfb_tree_walk_matches_the_recursion(case):
+    code, sigma, d_r = case
+    rep = estimate_qubit_cost(code, sigma, "bfb", d_r=d_r).to_report()
+    assert rep == bfb_report_by_recursion(code, sigma, d_r)
+
+
+def test_bfb_report_golden_digest():
+    """SHA-256 of bfb reports over a sampler sweep on desk_code(7).
+
+    Recorded while the cost model still priced branching by recursion on
+    induced subgraphs.
+    """
+    code = desk_code(7)
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        for t in (1, 2, 8):
+            sampler = SigmaSampler(code=code, l_max=5, thickness=t, max_q=8,
+                                   seed=seed)
+            for trial in range(2):
+                for q in range(2, 9):
+                    rep = estimate_qubit_cost(code, sampler.sample(q, trial),
+                                              "bfb", thickness=t,
+                                              d_r=3 + 3 * trial)
+                    digest.update(repr(rep.to_report()).encode())
+    assert digest.hexdigest() == (
+        "753064fbcf5d22b9f97cb15f24165e9f06b7d4c3a664f3e81e58ee08f2184659")
+
+
+def _assembly_cases():
+    c = blocks(3)
+    yield c, sigma_from_indices(c, (0,), (1,), (0, 2))
+    c = blocks(4)
+    yield c, sigma_from_indices(c, (0, 1), (1,), (2, 3), (3,))
+    for name in ("desk5,8", "desk7,8", "desk3,12"):
+        code = small_code(name)
+        for t in (1, 2):
+            sampler = SigmaSampler(code=code, l_max=3, thickness=t, max_q=5,
+                                   seed=t)
+            for q in (2, 3, 5):
+                yield code, sampler.sample(q, 0)
+
+
+def test_bfb_prices_each_branch_paste_of_the_assembly():
+    nodes = 0
+    for code, sigma in _assembly_cases():
+        tree = plan_branching(code, sigma)
+        plan = assemble_plan(code, sigma, tree)
+        for node, dc in zip(tree.nodes, plan.pastes):
+            assert dc.kind == "branch"
+            price = sticker_qubits(*_glue_shape(code, sigma, node), node.d_r,
+                                   "branch")
+            assert dc.n - dc.mem_qubits == price
+            nodes += 1
+    assert nodes >= 50

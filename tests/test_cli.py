@@ -120,10 +120,14 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_sampler_failure_is_internal_error(tmp_path, capsys, monkeypatch):
-    # a rank that calls every draw dependent exhausts the sampler's redraws
+    # a row reducer that calls every draw dependent exhausts the redraws
     from qsticker import sampling
 
-    monkeypatch.setattr(sampling, "rank", lambda m: 0)
+    class Dependent:
+        def add(self, row):
+            return False
+
+    monkeypatch.setattr(sampling, "RowReducer", Dependent)
     rc = run_cli(["glue", "--code", "desk", "--q", "2", "--out", str(tmp_path)])
     assert rc == 3
     assert "internal error: failed to draw" in capsys.readouterr().err

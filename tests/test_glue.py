@@ -81,7 +81,7 @@ def test_split_q_equals_k():
 def test_split_rejects_dependent_rows():
     c = two_blocks()
     s = sigma_from_indices(c, (0,), (0,))
-    with pytest.raises(GlueError):
+    with pytest.raises(GlueError, match="dependent modulo stabiliser"):
         split_logicals(c, s)
 
 

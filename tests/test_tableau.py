@@ -146,6 +146,20 @@ def test_forced_contradiction_raises():
         state.measure(parse_pauli("Z1", 1), forced=-1)
 
 
+@pytest.mark.parametrize("forced", [0, 2, -2, "1"])
+def test_forced_outcome_must_be_plus_or_minus_one(forced):
+    # X1 on |0> is random, so an unchecked forced value becomes the outcome
+    state = StabilizerState.zero_state(1)
+    before = list(state.gens)
+    with pytest.raises(ValueError, match="forced outcome must be 1 or -1"):
+        state.measure(parse_pauli("X1", 1), forced=forced)
+    assert state.gens == before
+    plan = build_measurement_plan([parse_pauli("X1", 1)])
+    initial = plan_initial_state(plan, StabilizerState.product_state("+"))
+    with pytest.raises(ValueError, match="forced outcome must be 1 or -1"):
+        simulate_plan(plan, initial, outcome_seed=0, forced=[forced])
+
+
 def test_projector_oracle_simple_cases():
     # X measurement on |0>: two branches, probability 1/2 each
     state = StabilizerState.zero_state(1)
