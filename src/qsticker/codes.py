@@ -13,7 +13,7 @@ The distance is d = min{d(H_X,J_X), d(H_Z,J_Z)} with d(H,J) the minimum
 Hamming weight over ker H outside the stabiliser (J e^T ≠ 0).
 
 Logical generators are produced in mutually standard form: after a
-column permutation into blocks (shared pivots | H_X pivots | H_Z+F_Z
+column permutation into blocks (the rest | H_X pivots | H_Z+F_Z
 pivots) they read J_Z = (E_k | · | 0) and J_X = (E_k | 0 | ·).  Every
 J_X row then has at most one nonzero inside the support of any Z
 logical operator, which the glue-code weight bounds rely on.
@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 
 from .gf2 import (
     Gf2Matrix,
-    _free_vectors,
+    RowReducer,
+    _back_substitute,
+    _lowest_pivot_echelon,
     inverse,
     kernel_basis,
     kernel_complement,
@@ -111,26 +113,22 @@ def standard_logicals(hx: Gf2Matrix, hz_like: Gf2Matrix) -> tuple[Gf2Matrix, Gf2
     hz_like must span everything a bare X logical has to commute with
     (H_Z for a stabiliser code, (H_Z; F_Z) for a subsystem code).
     Returns (jx, jz) with jx @ jz^T = E_k, jz ⊆ ker hx, jx ⊆ ker hz_like.
+
+    Per column f outside the RREF pivots px of H_X and pz of hz_like
+    masked off px, the rows are the RREF free vectors on {f} ∪ px in
+    ker H_X and on {f} ∪ pz in ker hz_like.  The mask loses rank only
+    if hx and hz_like fail to commute.
     """
     n = hx.cols
-    rx, px = rref(hx)
-    px_set = set(px)
-    # Pivot H_Z on the non-H_X-pivot columns first; full rank there is
-    # guaranteed because a combination vanishing off the H_X pivots is zero.
-    # Row i of the permuted RREF is then the unique row-space vector with
-    # a lone 1 at column col_order[pz_local[i]] among the H_Z pivots.
-    other = [c for c in range(n) if c not in px_set]
-    col_order = other + sorted(px_set)
-    rz, pz_local = rref(hz_like.permute_cols(col_order))
-    if pz_local and pz_local[-1] >= len(other):
+    px = _lowest_pivot_echelon(hx.bits)
+    off_px = sum(1 << c for c in range(n) if c not in px)
+    pz = _lowest_pivot_echelon(r & off_px for r in hz_like.bits)
+    if len(pz) < len(RowReducer(hz_like.bits).pivots):
         raise ValueError("hz reduction lost rank; hx and hz are incompatible")
-    pz_set = {col_order[c] for c in pz_local}
-    rest = [c for c in range(n) if c not in px_set and c not in pz_set]
-    jz = Gf2Matrix(_free_vectors(rx.bits, px, rest), n)
-    # J_X is read in the permuted columns, then put back in place
-    position = {c: i for i, c in enumerate(col_order)}
-    jx = Gf2Matrix(_free_vectors(rz.bits, pz_local, [position[c] for c in rest]), n)
-    return jx.permute_cols([position[c] for c in range(n)]), jz
+    rest = [c for c in range(n) if c not in px and c not in pz]
+    jz = _back_substitute(rest, sorted(px.items(), reverse=True), n)
+    jx = _back_substitute(rest, sorted(pz.items(), reverse=True), n)
+    return jx, jz
 
 
 def derive_css_logicals(hx: Gf2Matrix, hz: Gf2Matrix) -> tuple[Gf2Matrix, Gf2Matrix]:
@@ -321,11 +319,7 @@ def _species_distance(h: Gf2Matrix, j: Gf2Matrix, cap: int, budget: int):
     Returns (weight or None, vectors enumerated, exhausted_up_to).
     """
     n = h.cols
-    hcols = [0] * n
-    jcols = [0] * n
-    for c in range(n):
-        hcols[c] = sum(((h.bits[i] >> c) & 1) << i for i in range(h.rows))
-        jcols[c] = sum(((j.bits[i] >> c) & 1) << i for i in range(j.rows))
+    hcols, jcols = h.transpose().bits, j.transpose().bits
     seen = 0
     for w in range(1, cap + 1):
         for combo in itertools.combinations(range(n), w):

@@ -2,21 +2,22 @@
 
 Matrices are stored row-major with each row bit-packed into a Python
 integer (bit j = column j), so row operations are word-parallel XORs.
-Zero-row and zero-column matrices are representable.  Every elimination
-(rref, rank, bases, solve_left, subspace_intersect, standard_form) goes
-through the one Gauss–Jordan routine `_eliminate`, so every wrapper
-shares its tie-breaking: leftmost pivot column, lowest row index.  All
-basis outputs are in reduced row-echelon form, so identical inputs give
-bit-identical outputs.  Span membership goes through `RowReducer`, which
-factors the span once, pivoting on each row's highest column, and
-reduces each candidate row; `solve_left` is for callers that read the
-coefficients.  `kernel_complement` reads `RowReducer`'s echelon directly
-and back-substitutes, so it builds only the kernel rows it returns,
-never a kernel basis.  `complete_basis` stays beside it for callers that
-already hold the kernel basis they complete into: `glue.dressing_matrix`
-builds ker H_N anyway for (ker H_N) S, and completing into that basis is
-several times faster than `kernel_complement`, which would factor H_N
-again for the same rows.
+Zero-row and zero-column matrices are representable.  Three routines
+eliminate; each caller takes the cheapest whose output it reads.
+
+* Gauss–Jordan (`_eliminate`), where an RREF or coefficients are read.
+  Ties go to the leftmost pivot column, lowest row index, and bases
+  come out in RREF, so identical inputs give bit-identical outputs.
+* `RowReducer`'s highest-pivot echelon, for span membership and
+  `kernel_complement`: the RREF pivots of ker h are the free columns of
+  h's highest-pivot echelon.
+* The lowest-pivot echelon, for `codes.standard_logicals`: its pivots
+  are the RREF pivots, which the golden digests pin for H_X.
+
+Both echelons share one back-substitution, visiting their pivots in
+opposite orders.  `complete_basis` stays beside `kernel_complement`
+for callers that already hold the kernel basis they complete into:
+`glue.dressing_matrix` builds ker H_N anyway for (ker H_N) S.
 """
 
 from __future__ import annotations
@@ -326,24 +327,6 @@ def row_basis(m: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix(red.bits[: len(piv)], m.cols)
 
 
-def _free_vectors(red: Sequence[int], pivots: Sequence[int],
-                  free: Iterable[int]) -> list[int]:
-    """e_f + Σ e_p over the pivots p whose reduced row holds f, per f in free.
-
-    `red` is in RREF with pivot columns `pivots`; each row is walked
-    once over its set bits in `free`.
-    """
-    vec = {f: 1 << f for f in free}
-    keep = sum(vec.values())
-    for row, p in zip(red, pivots):
-        row &= keep
-        while row:
-            j = row.bit_length() - 1
-            vec[j] |= 1 << p
-            row ^= 1 << j
-    return list(vec.values())
-
-
 def kernel_basis(m: Gf2Matrix) -> Gf2Matrix:
     """RREF basis of {v : m @ v^T = 0}, one basis vector per row.
 
@@ -352,9 +335,15 @@ def kernel_basis(m: Gf2Matrix) -> Gf2Matrix:
     rows, then the basis is reduced to RREF.
     """
     red, pivots = rref(m)
-    free = sorted(set(range(m.cols)).difference(pivots))
-    basis = Gf2Matrix(_free_vectors(red.bits, pivots, free), m.cols)
-    red2, piv2 = rref(basis)
+    vec = {f: 1 << f for f in sorted(set(range(m.cols)).difference(pivots))}
+    keep = sum(vec.values())
+    for row, p in zip(red.bits, pivots):
+        row &= keep
+        while row:
+            j = row.bit_length() - 1
+            vec[j] |= 1 << p
+            row ^= 1 << j
+    red2, piv2 = rref(Gf2Matrix._of(list(vec.values()), m.cols))
     return Gf2Matrix(red2.bits[: len(piv2)], m.cols)
 
 
@@ -492,8 +481,7 @@ def kernel_complement(h: Gf2Matrix, span: Gf2Matrix) -> Gf2Matrix:
     pivot f, and the RREF pivots of ker h are the free columns.
     `complete_basis` skips the row with pivot f exactly when some span
     vector has f as its highest free column; reducing the span rows
-    masked to the free columns finds those columns as its pivots.  Each
-    kept row is built by back-substitution through h's echelon.
+    masked to the free columns finds those columns as its pivots.
     """
     if h.cols != span.cols:
         raise ValueError("kernel_complement: column mismatch")
@@ -502,15 +490,33 @@ def kernel_complement(h: Gf2Matrix, span: Gf2Matrix) -> Gf2Matrix:
     free = [c for c in range(n) if c not in echelon]
     free_mask = sum(1 << c for c in free)
     covered = RowReducer(r & free_mask for r in span.bits).pivots
-    # ascending, so each pivot bit is set after every bit below it
-    order = sorted(echelon.items())
+    return _back_substitute([f for f in free if f not in covered],
+                            sorted(echelon.items()), n)
+
+
+def _lowest_pivot_echelon(rows: Iterable[int]) -> dict[int, int]:
+    """`RowReducer`'s echelon mirrored: pivot -> row, no row bit below its pivot."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = (row & -row).bit_length() - 1
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+    return pivots
+
+
+def _back_substitute(free: Iterable[int], order: Sequence[tuple[int, int]],
+                     cols: int) -> Gf2Matrix:
+    """Per f in free, the one vector on {f} ∪ pivots orthogonal to the echelon.
+    `order` lists (pivot, row) so that every other pivot a row holds comes
+    first: ascending for highest-pivot echelons, descending for lowest."""
     out = []
     for f in free:
-        if f in covered:
-            continue
         x = 1 << f
         for p, row in order:
             if (row & x).bit_count() & 1:
                 x |= 1 << p
         out.append(x)
-    return Gf2Matrix._of(out, n)
+    return Gf2Matrix._of(out, cols)

@@ -36,9 +36,9 @@ from .codes import OperatorSet, SubsystemCode
 from .errors import InternalError
 from .gf2 import (
     Gf2Matrix,
+    RowReducer,
     complete_basis,
     kernel_basis,
-    row_basis,
     solve_left,
     standard_form,
 )
@@ -208,9 +208,9 @@ def dressing_matrix(c: SubsystemCode, split: LogicalSplit,
     hn, s_n = naked.hg, naked.s
     ker_hn = kernel_basis(hn)
     ker_s = ker_hn.mul(s_n)  # ⊆ ker H_X by compatibility
-    # the stabiliser+gauge part of rs ker_s: zero J_X signature
+    # the stabiliser+gauge part of rs ker_s (independent rows): zero J_X signature
     sig = ker_s.mul_transpose(c.jx)
-    u_basis = row_basis(kernel_basis(sig.transpose()).mul(ker_s))
+    u_basis = kernel_basis(sig.transpose()).mul(ker_s)
     g0 = u_basis.mul(s_n.transpose())
     g1 = split.jza.mul(s_n.transpose())
     w0 = complete_basis(g0.vstack(g1), ker_hn)
@@ -304,9 +304,11 @@ def classify_devisedness(g: GlueSpec, c: SubsystemCode,
     if not check_compatibility(c, g):
         raise GlueError("glue code is not compatible with the memory")
     ks = kernel_basis(g.hg).mul(g.s)
-    if solve_left(ks, sigma.vectors) is None:
+    reducer = RowReducer(ks.bits)
+    if any(reducer.reduce(r) for r in sigma.vectors.bits):
         return "none"
-    if solve_left(sigma.vectors.mul_transpose(c.jx), ks.mul_transpose(c.jx)) is None:
+    reducer = RowReducer(sigma.vectors.mul_transpose(c.jx).bits)
+    if any(reducer.reduce(r) for r in ks.mul_transpose(c.jx).bits):
         return "coarse"
     return "fine"
 

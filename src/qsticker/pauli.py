@@ -57,10 +57,6 @@ class PauliOp:
             return PauliOp(n, 1, 1 << qubit, 1 << qubit)
         raise ValueError("kind must be X, Y or Z")
 
-    @property
-    def nu(self) -> complex:
-        return (1j) ** self.phase
-
     def is_hermitian(self) -> bool:
         return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
 

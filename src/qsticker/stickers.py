@@ -85,7 +85,7 @@ class DeformedCode:
     mem_qubits: int
     ob_range: tuple[int, int] | None  # open boundary block, branch only
     gamma: Gf2Matrix | None  # solves J_{X,C} S^T = gamma H_G, measurement only
-    j_g: Gf2Matrix  # glue codewords with J_G S = J_{Z,A}
+    j_g: Gf2Matrix | None  # glue codewords with J_G S = J_{Z,A}, branch only
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -141,7 +141,8 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
         code=code, kind=kind, memory=c, split=split, glue=glue,
         d_r=d_r, d_t=c.distance if c.distance is not None else d_r,
         mem_qubits=n, ob_range=(ob_lo, ob_lo + n_g) if kind == "branch" else None,
-        gamma=gamma, j_g=glue_codewords_for(glue, split.jza),
+        gamma=gamma,
+        j_g=glue_codewords_for(glue, split.jza) if kind == "branch" else None,
         provenance={"memory": c.name, "sticker": kind,
                     "q": split.q, "d_r": d_r},
     )

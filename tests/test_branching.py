@@ -192,12 +192,12 @@ def test_cost_bfb_first_level_is_naked_glue_of_each_half():
             assert rep.per_level[0] == want
 
 
-def test_cost_pair_solves_at_most_twice(monkeypatch):
-    # logical classes are J_X signatures: only the fine glue's two
-    # classification solves remain in a ds + bfb cost pair
+def test_cost_pair_makes_no_solves(monkeypatch):
+    # logical classes are J_X signatures and the glue classification is
+    # two span-membership tests, so a ds + bfb cost pair solves nothing
     import sys
 
-    from qsticker import gf2
+    from qsticker import gf2, glue
     from qsticker.io import desk_code
     from qsticker.sampling import SigmaSampler
 
@@ -215,7 +215,11 @@ def test_cost_pair_solves_at_most_twice(monkeypatch):
     sigma = SigmaSampler(code=code, l_max=5, thickness=4, max_q=4, seed=1).sample(4)
     estimate_qubit_cost(code, sigma, "ds", d_r=6)
     estimate_qubit_cost(code, sigma, "bfb", d_r=6)
-    assert 0 < len(calls) <= 2
+    assert len(calls) == 0
+    # the counter is live: the J_G solve of a branch paste is counted
+    naked = glue.naked_glue(code, sigma)
+    glue.glue_codewords_for(naked, sigma.vectors)
+    assert len(calls) == 1
 
 
 # -- bfb pricing by the plan tree against the induced-subgraph recursion ----

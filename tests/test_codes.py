@@ -8,6 +8,7 @@ than by the implementation under test.
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qsticker.codes import (
     OperatorSet,
@@ -187,12 +188,15 @@ def test_standard_form_logicals_have_unit_weight_on_z_supports():
 
 
 def standard_logicals_per_pivot(hx, hz_like):
-    """The per-(free column, pivot) loops `standard_logicals` replaced."""
+    """The RREF construction `standard_logicals` replaced: both RREFs, the
+    second in permuted columns, read by per-(free column, pivot) loops."""
     n = hx.cols
     rx, px = rref(hx)
     other = [c for c in range(n) if c not in px]
     col_order = other + sorted(px)
     rz, pz_local = rref(hz_like.permute_cols(col_order))
+    if pz_local and pz_local[-1] >= len(other):
+        raise ValueError("hz reduction lost rank; hx and hz are incompatible")
     pz = [col_order[c] for c in pz_local]
     jx_rows, jz_rows = [], []
     for c in (c for c in other if c not in pz):
@@ -224,6 +228,76 @@ def test_standard_logicals_match_per_pivot_loops():
             assert (standard_logicals(c.hx, hz_like)
                     == standard_logicals_per_pivot(c.hx, hz_like))
     assert gauged >= 5
+
+
+@st.composite
+def logical_pairs(draw):
+    """(hx, hz_like) with repeated hx rows allowed.  hz_like rows are
+    combinations of ker hx rows, with repeats and zero rows, so it may
+    span more than a stabiliser group as a gauged (H_Z; F_Z) does; or,
+    half the time, random rows join them and may break compatibility."""
+    cols = draw(st.integers(0, 12))
+    row = st.integers(0, (1 << cols) - 1)
+    hx_rows = draw(st.lists(row, max_size=6))
+    hx_rows += draw(st.lists(st.sampled_from(hx_rows), max_size=2)) if hx_rows else []
+    hx = Gf2Matrix(hx_rows, cols)
+    kern = kernel_basis(hx).bits
+    rows = []
+    for pick in draw(st.lists(st.integers(0, (1 << len(kern)) - 1),
+                              max_size=len(kern) + 2)):
+        rows.append(0)
+        for i, r in enumerate(kern):
+            if pick >> i & 1:
+                rows[-1] ^= r
+    if draw(st.booleans()):
+        rows += draw(st.lists(row, max_size=3))
+    return hx, Gf2Matrix(rows, cols)
+
+
+def _gauged_pair():
+    c = direct_sum(hgp(repetition_check(3), repetition_check(2)),
+                   hgp(repetition_check(2), repetition_check(3)))
+    sub = subsystem_code(c.hx, c.hz, c.jx.take_rows([0]), c.jz.take_rows([0]))
+    return c.hx, sub.z_stabilizer_span()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(logical_pairs())
+@example((Gf2Matrix.zeros(0, 5), Gf2Matrix([0b00011, 0b00011, 0b10100], 5)))
+@example((Gf2Matrix.zeros(0, 3), Gf2Matrix.zeros(0, 3)))
+@example((Gf2Matrix([0b01], 2), Gf2Matrix([0b01], 2)))  # incompatible
+@example(_gauged_pair())
+def test_standard_logicals_match_per_pivot_oracle(pair):
+    hx, hz_like = pair
+    try:
+        want = standard_logicals_per_pivot(hx, hz_like)
+    except ValueError as exc:
+        assert "incompatible" in str(exc)
+        with pytest.raises(ValueError, match="incompatible"):
+            standard_logicals(hx, hz_like)
+        return
+    assert standard_logicals(hx, hz_like) == want
+
+
+def test_building_a_code_makes_no_gauss_jordan_elimination(monkeypatch):
+    # the logicals come from echelons and back-substitution
+    from qsticker import gf2
+    from qsticker.io import desk_code
+
+    c = random_css(random.Random(5), 12, 4, 4)
+    calls = []
+    real = gf2._eliminate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gf2, "_eliminate", counting)
+    desk_code(7)
+    assert css_code(c.hx, c.hz) == c
+    assert calls == []
+    rref(c.hx)  # the counter is live
+    assert len(calls) == 1
 
 
 # -- validation --------------------------------------------------------
