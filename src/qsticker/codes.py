@@ -443,8 +443,8 @@ def redundancy_number(c: SubsystemCode, sigma: OperatorSet) -> int:
     """rn(Σ) = k_N − q for a set of Z-species logical representatives."""
     if sigma.species != "Z":
         raise ValueError("redundancy_number expects a Z-species operator set")
-    for i in range(sigma.vectors.rows):
-        if c.hx.mul_vec(sigma.vectors.bits[i]) != 0:
+    for i, syndrome in enumerate(sigma.vectors.mul_transpose(c.hx).bits):
+        if syndrome:
             raise ValueError(f"sigma row {i} is not in ker hx")
     q = rank(sigma.vectors.mul_transpose(c.jx))
     k_n = contained_logical_count(c, support_union(sigma))

@@ -2,7 +2,9 @@
 
 Matrices are stored row-major with each row bit-packed into a Python
 integer (bit j = column j), so row operations are word-parallel XORs.
-Zero-row and zero-column matrices are representable.  Three routines
+Zero-row and zero-column matrices are representable.  A matrix is
+immutable and caches its transpose for its lifetime; equality ignores
+the cache.  `mul_transpose` walks the cheaper operand.  Three routines
 eliminate; each caller takes the cheapest whose output it reads.
 
 * Gauss–Jordan (`_eliminate`), where an RREF or coefficients are read.
@@ -28,7 +30,7 @@ from typing import Iterable, Sequence
 class Gf2Matrix:
     """Immutable dense matrix over GF(2) with bit-packed rows."""
 
-    __slots__ = ("rows", "cols", "bits")
+    __slots__ = ("rows", "cols", "bits", "_t")
 
     def __init__(self, bits: Sequence[int], cols: int):
         if cols < 0:
@@ -40,6 +42,7 @@ class Gf2Matrix:
         object.__setattr__(self, "rows", len(bits))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "bits", tuple(bits))
+        object.__setattr__(self, "_t", None)
 
     @classmethod
     def _of(cls, bits: Sequence[int], cols: int) -> "Gf2Matrix":
@@ -48,6 +51,7 @@ class Gf2Matrix:
         object.__setattr__(m, "rows", len(bits))
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "bits", tuple(bits))
+        object.__setattr__(m, "_t", None)
         return m
 
     def __setattr__(self, name, value):
@@ -140,13 +144,7 @@ class Gf2Matrix:
         return max((r.bit_count() for r in self.bits), default=0)
 
     def max_col_weight(self) -> int:
-        counts = [0] * self.cols
-        for r in self.bits:
-            while r:
-                j = r.bit_length() - 1
-                counts[j] += 1
-                r ^= 1 << j
-        return max(counts, default=0)
+        return self.transpose().max_row_weight()
 
     def wmax(self) -> int:
         """Maximum nonzero count over all rows and columns."""
@@ -155,6 +153,13 @@ class Gf2Matrix:
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "Gf2Matrix":
+        """Cached on self; the transpose holds no reference back (no cycle)."""
+        if self._t is None:
+            object.__setattr__(self, "_t", self._flip())
+        return self._t
+
+    def _flip(self) -> "Gf2Matrix":
+        """The transpose, uncached."""
         out = [0] * self.cols
         for i, r in enumerate(self.bits):
             bit = 1 << i
@@ -187,12 +192,24 @@ class Gf2Matrix:
         return Gf2Matrix._of(out, other.cols)
 
     def mul_transpose(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        """self @ other^T, as `mul` against the transpose of other."""
+        """self @ other^T by A·Bᵀ = (B·Aᵀ)ᵀ: walk the side whose partner's
+        transpose is cached, else the side with fewer set bits (self on a
+        tie).  A flipped product keeps B·Aᵀ as its cached transpose."""
         if self.cols != other.cols:
             raise ValueError(
                 f"shape mismatch in mul_transpose: {self.shape} vs {other.shape}"
             )
-        return self.mul(other.transpose())
+        if (self._t is None) == (other._t is None):
+            walk_self = (sum(r.bit_count() for r in self.bits)
+                         <= sum(r.bit_count() for r in other.bits))
+        else:
+            walk_self = other._t is not None
+        if walk_self:
+            return self.mul(other.transpose())
+        p = other.mul(self.transpose())
+        out = p._flip()
+        object.__setattr__(out, "_t", p)
+        return out
 
     def mul_vec(self, v: int) -> int:
         """self @ v^T for a bit-packed vector v; returns a bit-packed vector."""
@@ -222,8 +239,8 @@ class Gf2Matrix:
         """Columns idx of self, in that order; repeats are allowed.
 
         A prefix range(n) is a mask on each row; any other index list
-        picks rows of the transpose.  Either way the cost follows the
-        set bits, not rows × columns.
+        picks rows of self's cached transpose.  Either way the cost
+        follows the set bits, not rows × columns.
         """
         if len(idx) and (min(idx) < 0 or max(idx) >= self.cols):
             raise IndexError("column index out of range")

@@ -64,4 +64,4 @@ def induced_subgraph(h: Gf2Matrix, support: int
         cols.append(low.bit_length() - 1)
         m ^= low
     rows = tuple(i for i, r in enumerate(h.bits) if r & support)
-    return h.take_rows(rows).take_cols(cols), tuple(cols), rows
+    return h.take_cols(cols).take_rows(rows), tuple(cols), rows

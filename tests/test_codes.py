@@ -558,6 +558,14 @@ def test_redundancy_rejects_non_codeword():
         redundancy_number(c, bad)
 
 
+def test_redundancy_names_the_first_row_outside_ker_hx():
+    c = hgp(repetition_check(3), repetition_check(3))
+    bad = OperatorSet("Z", Gf2Matrix([c.jz.bits[0], 1, 2], c.n))
+    assert c.hx.mul_vec(1) and c.hx.mul_vec(2)
+    with pytest.raises(ValueError, match=r"^sigma row 1 is not in ker hx$"):
+        redundancy_number(c, bad)
+
+
 def test_redundancy_matches_oracle_on_seeded_small_codes():
     rng = random.Random(2024)
     trials = 0

@@ -393,6 +393,16 @@ def mul_transpose_per_pair(a, b):
     return Gf2Matrix(out, b.rows)
 
 
+def max_col_weight_per_bit(m):
+    counts = [0] * m.cols
+    for r in m.bits:
+        while r:
+            j = r.bit_length() - 1
+            counts[j] += 1
+            r ^= 1 << j
+    return max(counts, default=0)
+
+
 def kernel_basis_per_free_column(m):
     red, pivots = rref(m)
     rows = []
@@ -437,13 +447,39 @@ def test_permute_cols_matches_per_bit_loop(pair):
 
 
 @st.composite
+def sparse_matrices(draw, cols=None):
+    """A matrix of random shape, 0 rows or 0 columns included, whose
+    bits are set at a random density from empty to full."""
+    if cols is None:
+        cols = draw(st.integers(0, 30))
+    rows = draw(st.integers(0, 10))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0]))
+    return random_matrix(random.Random(draw(st.integers(0, 2**32))),
+                         rows, cols, density)
+
+
+@st.composite
 def transpose_pairs(draw):
-    """(a, b) of equal width, random or dense kernel-basis rows."""
-    a = draw(matrices(max_cols=30))
-    b = draw(matrices(cols=a.cols))
+    """(a, b) of equal width: uniform, dense kernel-basis, or rows of
+    separately drawn densities."""
+    a = draw(st.one_of(matrices(max_cols=30), sparse_matrices()))
+    b = draw(st.one_of(matrices(cols=a.cols), sparse_matrices(cols=a.cols)))
     if draw(st.booleans()):
         a, b = kernel_basis(b), kernel_basis(a)
     return a, b
+
+
+def fresh(m):
+    """An equal matrix with no transpose cached."""
+    return Gf2Matrix(m.bits, m.cols)
+
+
+def assert_no_cycle(m):
+    seen = set()
+    while m is not None:
+        assert id(m) not in seen, "a _t chain leads back to a matrix on it"
+        seen.add(id(m))
+        m = m._t
 
 
 def transpose_lowest_bit_first(m):
@@ -457,14 +493,19 @@ def transpose_lowest_bit_first(m):
 
 
 @PROPERTY
-@given(matrices(max_cols=40))
+@given(st.one_of(matrices(max_cols=40), sparse_matrices()))
 @example(Gf2Matrix.zeros(0, 4))
 @example(Gf2Matrix.zeros(3, 0))
 @example(Gf2Matrix.zeros(0, 0))
 def test_transpose_matches_lowest_bit_walk(m):
+    plain = fresh(m)
     t = m.transpose()
     assert t == transpose_lowest_bit_first(m)
     assert t.shape == (m.cols, m.rows)
+    # cached for m's lifetime, invisible to == and hash, and no cycle
+    assert m.transpose() is t and t.transpose() == m
+    assert m == plain and hash(m) == hash(plain) and len({m, plain}) == 1
+    assert_no_cycle(m)
 
 
 @PROPERTY
@@ -472,9 +513,23 @@ def test_transpose_matches_lowest_bit_walk(m):
 @example((Gf2Matrix.zeros(0, 3), Gf2Matrix([0b101], 3)))
 @example((Gf2Matrix([0b11], 2), Gf2Matrix.zeros(0, 2)))
 @example((Gf2Matrix.zeros(2, 0), Gf2Matrix.zeros(3, 0)))
+@example((Gf2Matrix([0b111] * 4, 3), Gf2Matrix([0b001], 3)))
+@example((Gf2Matrix([0b001], 3), Gf2Matrix([0b111] * 4, 3)))
 def test_mul_transpose_matches_per_row_pair_loop(pair):
-    a, b = pair
-    assert a.mul_transpose(b) == mul_transpose_per_pair(a, b)
+    want = mul_transpose_per_pair(*pair)
+    # every cache state: neither, either or both operands transposed first
+    for cache_a, cache_b in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        a, b = fresh(pair[0]), fresh(pair[1])
+        if cache_a:
+            a.transpose()
+        if cache_b:
+            b.transpose()
+        got = a.mul_transpose(b)
+        assert got == want
+        if got._t is not None:
+            assert got._t == transpose_lowest_bit_first(want)
+        for m in (a, b, got):
+            assert_no_cycle(m)
 
 
 @PROPERTY
@@ -555,3 +610,12 @@ def test_permute_cols_rejects_non_permutations():
     for perm in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3], [-1, 0, 1]):
         with pytest.raises(ValueError):
             m.permute_cols(perm)
+
+
+@PROPERTY
+@given(sparse_matrices())
+@example(Gf2Matrix.zeros(0, 4))
+@example(Gf2Matrix.zeros(3, 0))
+@example(Gf2Matrix.zeros(0, 0))
+def test_max_col_weight_matches_per_bit_count(m):
+    assert m.max_col_weight() == max_col_weight_per_bit(m)

@@ -62,3 +62,14 @@ def test_unchecked_constructor_stays_inside_gf2():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "_of"]
     assert not calls, "Gf2Matrix._of used outside gf2.py: " + ", ".join(calls)
+
+
+def test_transpose_cache_stays_inside_gf2():
+    # Gf2Matrix._t is read back as the transpose unchecked, so only gf2,
+    # which builds it, may read or write it
+    uses = [f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "gf2.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Attribute) and node.attr == "_t")
+            or (isinstance(node, ast.Constant) and node.value == "_t")]
+    assert not uses, "Gf2Matrix._t used outside gf2.py: " + ", ".join(uses)

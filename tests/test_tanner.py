@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsticker.codes import hgp, repetition_check
 from qsticker.gf2 import Gf2Matrix, kernel_basis
-from qsticker.tanner import bit_duplication, check_duplication
+from qsticker.tanner import bit_duplication, check_duplication, induced_subgraph
 
 
 def codeword_set(m):
@@ -166,3 +167,24 @@ def test_degrees_never_increase_for_targets():
         assert g2.col_weight(u) <= h.col_weight(u) + 1 - len(cu) + 0
         # the target's degree after: kept checks + the fresh pairing check
         assert g2.col_weight(u) == h.col_weight(u) - len(cu) + 1
+
+
+@st.composite
+def supports(draw):
+    """(h, support, cache): a random check matrix, a bit support, and
+    whether h's transpose is cached beforehand."""
+    n = draw(st.integers(0, 14))
+    h = Gf2Matrix(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10)), n)
+    return h, draw(st.integers(0, (1 << n) - 1)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(supports())
+def test_induced_subgraph_matches_rows_then_columns(case):
+    h, support, cache = case
+    if cache:
+        h.transpose()
+    induced, cols, rows = induced_subgraph(h, support)
+    assert cols == tuple(u for u in range(h.cols) if support >> u & 1)
+    assert rows == tuple(a for a, r in enumerate(h.bits) if r & support)
+    assert induced == h.take_rows(rows).take_cols(cols)
