@@ -50,7 +50,11 @@ def _resolve_sigma(args, code) -> OperatorSet:
         for part in args.logicals.split("|"):
             acc = 0
             for tok in part.split(","):
-                acc ^= code.jz.bits[int(tok)]
+                i = int(tok)
+                if not 0 <= i < code.k:
+                    raise ValueError(f"--logicals index {tok} is out of range "
+                                     f"for k = {code.k}")
+                acc ^= code.jz.bits[i]
             rows.append(acc)
         return OperatorSet("Z", Gf2Matrix(rows, code.n))
     if args.q:

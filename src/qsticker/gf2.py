@@ -17,9 +17,7 @@ eliminate; each caller takes the cheapest whose output it reads.
   are the RREF pivots, which the golden digests pin for H_X.
 
 Both echelons share one back-substitution, visiting their pivots in
-opposite orders.  `complete_basis` stays beside `kernel_complement`
-for callers that already hold the kernel basis they complete into:
-`glue.dressing_matrix` builds ker H_N anyway for (ker H_N) S.
+opposite orders.
 """
 
 from __future__ import annotations
@@ -474,20 +472,9 @@ class RowReducer:
         return False
 
 
-def complete_basis(span_rows: Gf2Matrix, inside: Gf2Matrix) -> Gf2Matrix:
-    """Extend rs(span_rows) to rs(inside) with rows of `inside`.
-
-    Picks completion rows in `inside`'s row order (lexicographic
-    echelon choice when `inside` is an RREF kernel basis).  Requires
-    rs(span_rows) ⊆ rs(inside).
-    """
-    reducer = RowReducer(span_rows.bits)
-    picked = [row for row in inside.bits if reducer.add(row)]
-    return Gf2Matrix(picked, span_rows.cols)
-
-
 def kernel_complement(h: Gf2Matrix, span: Gf2Matrix) -> Gf2Matrix:
-    """complete_basis(span, kernel_basis(h)), without the kernel basis.
+    """The rows of `kernel_basis(h)` independent of rs(span) and of the
+    kept rows before them, without building that basis.
 
     Requires rs(span) ⊆ ker h.  Exact by the echelon of h: a `RowReducer`
     over the rows of h pivots on their highest columns, and each echelon
@@ -495,10 +482,10 @@ def kernel_complement(h: Gf2Matrix, span: Gf2Matrix) -> Gf2Matrix:
     are free: a kernel vector is fixed by its free bits, each pivot bit
     following from the bits below it.  The one whose only free bit is f
     sets pivot bits above f alone, so it is the RREF kernel row with
-    pivot f, and the RREF pivots of ker h are the free columns.
-    `complete_basis` skips the row with pivot f exactly when some span
-    vector has f as its highest free column; reducing the span rows
-    masked to the free columns finds those columns as its pivots.
+    pivot f, and the RREF pivots of ker h are the free columns.  The row
+    with pivot f is dropped exactly when some span vector has f as its
+    highest free column; reducing the span rows masked to the free
+    columns finds those columns as its pivots.
     """
     if h.cols != span.cols:
         raise ValueError("kernel_complement: column mismatch")

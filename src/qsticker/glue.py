@@ -12,9 +12,10 @@ Three constructions are provided:
   support union B_N; always compatible and coarsely devised.
 * dressing matrix D — extra checks that cancel the k_N − q unwanted
   logical classes living inside B_N; stacking (H_N; D) is finely
-  devised.  D is normalized so that its rows are rows of J_{X,C}
-  restricted to B_N, which caps its weight at (k_N − q)(q + 1) when the
-  measured generators are brought to the (E_q | P) form.
+  devised.  D is the rows of J_{X,C} restricted to B_N at the RREF
+  pivot columns of (ker H_N) S J_{X,C}^T, which caps its weight at
+  (k_N − q)(q + 1) when the measured generators are brought to the
+  (E_q | P) form.
 * finely devised LDPC glue — bit/check duplications flatten the
   dressing rows until every vertex degree is at most
   max{w_max(H_X) + 1, 3}, preserving the projected codeword space.
@@ -24,8 +25,8 @@ Three constructions are provided:
 The logical class of a Z operator v ∈ ker H_X is read off its J_X
 signature v J_X^T, never by eliminating the stack (J_Z; H_Z; F_Z).
 
-All choices (pivoting, basis completion, duplication order) are
-deterministic, so reruns are bit-identical.
+All choices (pivoting, duplication order) are deterministic, so reruns
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .errors import InternalError
 from .gf2 import (
     Gf2Matrix,
     RowReducer,
-    complete_basis,
     kernel_basis,
+    rref,
     solve_left,
     standard_form,
 )
@@ -62,7 +63,6 @@ class LogicalSplit:
     jzc: Gf2Matrix
     jxa: Gf2Matrix
     jxc: Gf2Matrix
-    jbar: Gf2Matrix  # change-of-basis on the Z side, k x k, invertible
 
     @property
     def q(self) -> int:
@@ -93,12 +93,10 @@ def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
         raise GlueError("sigma rows are dependent modulo stabiliser+gauge") from exc
     jza = r.mul(sigma.vectors)
     p_block = xs.take_cols(range(q, k))
-    jbar_rows = list(r.mul(x).bits) + [1 << pi2[i] for i in range(q, k)]
-    jbar = Gf2Matrix(jbar_rows, k)
     jzc = c.jz.take_rows(pi2[q:])
     jxa = c.jx.take_rows(pi2[:q])
     jxc = c.jx.take_rows(pi2[q:]).add(p_block.transpose().mul(jxa))
-    split = LogicalSplit(jza, jzc, jxa, jxc, jbar)
+    split = LogicalSplit(jza, jzc, jxa, jxc)
     _check_split(split, k)
     return split
 
@@ -196,40 +194,32 @@ def _induced_glue(c: SubsystemCode, sigma: OperatorSet) -> GlueSpec:
                     meta={"kind": "naked", "n_n": len(b_n)})
 
 
-def dressing_matrix(c: SubsystemCode, split: LogicalSplit,
-                    naked: GlueSpec) -> Gf2Matrix:
-    """Dressing matrix D with D G0^T = 0, D G1^T = 0, D G2^T = E.
+def dressing_matrix(split: LogicalSplit, naked: GlueSpec) -> Gf2Matrix:
+    """Dressing matrix D: J_{X,C} on B_N at the RREF pivot columns of
+    M = (ker H_N) S J_{X,C}^T.
 
-    G0 spans the stabiliser+gauge part of ker H_N, G1 = J_{Z,A} S^T the
-    measured part, and G2 a completion whose images under S lie in
-    rs J_{Z,C} ⊕ rs H_Z ⊕ rs F_Z.  Rows of D are rows of J_{X,C}
-    restricted to B_N, selected through the standard form of U.
+    D cancels the k_N − q unwanted logical classes inside B_N.  For
+    v ∈ ker H_N, D v^T is v's row of M read at the pivots.  Split
+    ker H_N = G0 ⊕ G1 ⊕ W0, with G0 the vectors whose S-images lie in
+    rs H_Z ⊕ rs F_Z (zero J_X signature), G1 = J_{Z,A} S^T and W0 a
+    completion.  G0 maps to 0 in M by its signature and G1 by the
+    split's cross pairing, so D G0^T = 0, D G1^T = 0 and rs M = rs U
+    with U = (W0 S) J_{X,C}^T.  U has full row rank: if w ∈ span W0 has
+    wS J_{X,C}^T = 0, then wS + α J_{Z,A} has zero J_X signature for
+    α = wS J_{X,A}^T, so w + α G1 ∈ G0 (v ↦ vS is injective on
+    F_2^{B_N}) and w = 0.  RREF pivots depend only on the row space, so
+    D has r_N = k_N − q rows, its pivots are U's standard-form pivots,
+    and D G2^T = E for the completion G2 whose rows of M are the
+    nonzero rows of M's RREF.
+
+    D G1^T = 0 is checked: it needs supp J_{Z,A} ⊆ B_N, that is, a
+    split of the Σ the naked glue was built for.
     """
-    hn, s_n = naked.hg, naked.s
-    ker_hn = kernel_basis(hn)
-    ker_s = ker_hn.mul(s_n)  # ⊆ ker H_X by compatibility
-    # the stabiliser+gauge part of rs ker_s (independent rows): zero J_X signature
-    sig = ker_s.mul_transpose(c.jx)
-    u_basis = kernel_basis(sig.transpose()).mul(ker_s)
-    g0 = u_basis.mul(s_n.transpose())
-    g1 = split.jza.mul(s_n.transpose())
-    w0 = complete_basis(g0.vstack(g1), ker_hn)
-    w0_s = w0.mul(s_n)
-    alpha = w0_s.mul_transpose(split.jxa)  # J_{Z,A} coefficients of w0 S
-    w = w0.add(alpha.mul(g1))
-    # w S = w0 S + α J_{Z,A} as supp J_{Z,A} ⊆ B_N: U is w0 S's J_{Z,C} block
-    u_mat = w0_s.mul_transpose(split.jxc)
-    try:
-        r3, pi3, _ = standard_form(u_mat)
-    except ValueError as exc:
-        raise GlueError("U is row-rank-deficient (violated precondition)") from exc
-    g2 = r3.mul(w)
-    jxc_restricted = split.jxc.mul(s_n.transpose())
-    d = jxc_restricted.take_rows(pi3[: g2.rows])
-    if not d.mul_transpose(g0).is_zero() or not d.mul_transpose(g1).is_zero():
-        raise InternalError("dressing products D G0^T / D G1^T are nonzero (bug)")
-    if d.mul_transpose(g2) != Gf2Matrix.identity(d.rows):
-        raise InternalError("dressing product D G2^T != E (bug)")
+    jxc_n = split.jxc.mul(naked.s.transpose())
+    _, piv = rref(kernel_basis(naked.hg).mul_transpose(jxc_n))
+    d = jxc_n.take_rows(piv)
+    if not split.jza.mul(naked.s.transpose()).mul_transpose(d).is_zero():
+        raise InternalError("dressing product D G1^T is nonzero (bug)")
     return d
 
 
@@ -252,7 +242,7 @@ def finely_devised_glue(c: SubsystemCode, sigma: OperatorSet,
     if split is None:
         split = split_logicals(c, sigma)
     naked = _induced_glue(c, sigma)
-    d = dressing_matrix(c, split, naked)
+    d = dressing_matrix(split, naked)
     rn = d.rows
     q = split.q
     wmax_hx = c.hx.wmax()

@@ -108,6 +108,18 @@ def test_sigma_file_input(tmp_path):
     assert rc == 0
 
 
+def test_logicals_index_out_of_range_is_input_error(tmp_path, capsys):
+    # hgp:3,3 has k = 1: index 5 used to raise a raw IndexError (exit 1)
+    # and -1 used to measure the last logical
+    for spec in ("--logicals=5", "--logicals=-1"):
+        rc = run_cli(["glue", "--code", "hgp:3,3", spec, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--logicals index " + spec.split("=")[1] in err
+        assert "k = 1" in err
+    assert not (tmp_path / "glue.json").exists()
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     # a classifier that loses coarseness trips naked_glue's invariant
     from qsticker import glue

@@ -12,7 +12,6 @@ from qsticker.gf2 import (
     Canvas,
     Gf2Matrix,
     RowReducer,
-    complete_basis,
     inverse,
     kernel_basis,
     kernel_complement,
@@ -23,6 +22,17 @@ from qsticker.gf2 import (
     standard_form,
     subspace_intersect,
 )
+
+
+def complete_basis(span_rows, inside):
+    """Extend rs(span_rows) to rs(inside) with rows of `inside`, in order.
+
+    The oracle for `kernel_complement` and for the dressing matrix's old
+    completion construction.  Requires rs(span_rows) ⊆ rs(inside).
+    """
+    reducer = RowReducer(span_rows.bits)
+    return Gf2Matrix([row for row in inside.bits if reducer.add(row)],
+                     span_rows.cols)
 
 
 def random_matrix(rng, rows, cols, density=0.5):

@@ -13,6 +13,7 @@ from qsticker.codes import (
     repetition_check,
     support_union,
 )
+from qsticker.errors import InternalError
 from qsticker.gf2 import Gf2Matrix, kernel_basis, rank, solve_left
 from qsticker.glue import (
     GlueError,
@@ -89,7 +90,6 @@ def test_split_span_and_jbar():
     c = two_blocks()
     s = sigma_from_indices(c, (0, 1))
     split = split_logicals(c, s)
-    assert rank(split.jbar) == c.k
     both = split.jza.vstack(split.jzc)
     assert rank(both.vstack(c.jz)) == c.k  # rs(jza)+rs(jzc) = rs(jz)
     assert rank(both) == c.k
@@ -160,7 +160,7 @@ def test_dressing_zero_rows_when_rn_zero():
     s = sigma_from_indices(c, (0,))
     split = split_logicals(c, s)
     g = naked_glue(c, s)
-    d = dressing_matrix(c, split, g)
+    d = dressing_matrix(split, g)
     assert d.rows == 0
     assert redundancy_number(c, s) == 0
 
@@ -172,7 +172,7 @@ def test_dressing_two_disjoint_logicals_single_pair_pattern():
     s = sigma_from_indices(c, (0, 1))
     split = split_logicals(c, s)
     g = naked_glue(c, s)
-    d = dressing_matrix(c, split, g)
+    d = dressing_matrix(split, g)
     assert d.rows == 1
     supp0 = set(support_union(sigma_from_indices(c, (0,))))
     supp1 = set(support_union(sigma_from_indices(c, (1,))))
@@ -189,9 +189,9 @@ def test_dressing_products_on_k4_code():
     assert redundancy_number(c, s) >= 1
     split = split_logicals(c, s)
     g = naked_glue(c, s)
-    d = dressing_matrix(c, split, g)
+    d = dressing_matrix(split, g)
     assert d.rows == redundancy_number(c, s)
-    # the defining products are asserted inside dressing_matrix; recheck G1
+    # dressing_matrix checks D G1^T = 0 itself; recheck it here
     g1 = split.jza.mul(g.s.transpose())
     assert d.mul_transpose(g1).is_zero()
 
@@ -255,7 +255,7 @@ def test_fine_glue_kernel_projection_preserved():
     fine = finely_devised_glue(c, s)
     nk = naked_glue(c, s)
     split = split_logicals(c, s)
-    d = dressing_matrix(c, split, nk)
+    d = dressing_matrix(split, nk)
     hd = nk.hg.vstack(d)
     lhs = kernel_basis(fine.hg).mul(fine.s)
     rhs = kernel_basis(hd).mul(nk.s)
@@ -379,7 +379,7 @@ def test_glue_pipeline_golden_digest():
     for code, sigma in _glue_pipeline_cases():
         split = split_logicals(code, sigma)
         naked = naked_glue(code, sigma)
-        d = dressing_matrix(code, split, naked)
+        d = dressing_matrix(split, naked)
         g = finely_devised_glue(code, sigma, split=split)
         rn_zero += d.rows == 0
         digest.update(repr((naked.devisedness, d.bits, d.cols, g.hg.bits,
@@ -410,8 +410,23 @@ def test_fine_glue_classifies_once_and_dressing_solves_once(monkeypatch):
     split = split_logicals(c, s)
     naked = naked_glue(c, s)
     solves = _counting(monkeypatch, glue, "solve_left")
-    assert dressing_matrix(c, split, naked).rows == 1
-    assert len(solves) == 0  # α and U are J_X signatures
+    forms = _counting(monkeypatch, glue, "standard_form")
+    kernels = _counting(monkeypatch, glue, "kernel_basis")
+    assert dressing_matrix(split, naked).rows == 1
+    assert len(solves) == 0 and len(forms) == 0
+    assert len(kernels) == 1  # D is read off one RREF of one pairing
+    kernels.clear()
     classifications = _counting(monkeypatch, glue, "classify_devisedness")
     assert finely_devised_glue(c, s, split=split).devisedness == "fine"
     assert len(classifications) == 1
+    assert len(kernels) == 2  # the dressing and the final classification
+
+
+def test_dressing_rejects_a_split_of_another_sigma():
+    # the naked glue covers Z1's block only; the split of Z1 Z2 pairs
+    # J_{X,C} = X1 + X2 with J_{Z,A} = Z1 Z2, so D = X1 on B_N cuts J_{Z,A}
+    c = two_blocks()
+    naked = naked_glue(c, sigma_from_indices(c, (0,)))
+    split = split_logicals(c, sigma_from_indices(c, (0, 1)))
+    with pytest.raises(InternalError, match="D G1"):
+        dressing_matrix(split, naked)

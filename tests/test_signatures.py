@@ -9,6 +9,7 @@ dressed and undressed Σ.
 """
 
 from hypothesis import given, settings, strategies as st
+from test_gf2 import complete_basis
 
 from qsticker.codes import (
     OperatorSet,
@@ -22,11 +23,11 @@ from qsticker.codes import (
 from qsticker.gf2 import (
     Gf2Matrix,
     RowReducer,
-    complete_basis,
     kernel_basis,
     rank,
     row_basis,
     solve_left,
+    standard_form,
     subspace_intersect,
 )
 from qsticker.glue import (
@@ -146,8 +147,8 @@ def test_split_coefficients_are_signatures(case):
     x = sigma.vectors.mul_transpose(c.jx)
     assert class_by_elimination(c, sigma.vectors) == x
     split = split_logicals(c, sigma)
-    # jbar's first q rows are the J_Z coefficients of jza = r Σ
-    assert split.jbar.take_rows(range(split.q)) == class_by_elimination(c, split.jza)
+    # the J_Z coefficients of jza = r Σ are its J_X signatures
+    assert split.jza.mul_transpose(c.jx) == class_by_elimination(c, split.jza)
 
 
 @PROPERTY
@@ -162,7 +163,10 @@ def test_dressing_signatures_match_elimination(case):
     w0_s = w0.mul(naked.s)
     assert w0_s.mul_transpose(split.jxa) == alpha
     assert w0_s.mul_transpose(split.jxc) == u_mat
-    assert dressing_matrix(c, split, naked).rows == w0.rows
+    # D as the completion built it: J_{X,C} on B_N at U's standard-form pivots
+    _, pi3, _ = standard_form(u_mat)
+    jxc_n = split.jxc.mul(naked.s.transpose())
+    assert dressing_matrix(split, naked) == jxc_n.take_rows(pi3[: w0.rows])
 
 
 @PROPERTY

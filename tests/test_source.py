@@ -73,3 +73,24 @@ def test_transpose_cache_stays_inside_gf2():
             if (isinstance(node, ast.Attribute) and node.attr == "_t")
             or (isinstance(node, ast.Constant) and node.value == "_t")]
     assert not uses, "Gf2Matrix._t used outside gf2.py: " + ", ".join(uses)
+
+
+# perfbench/spans.py traces it by name, so it stays until that target goes
+UNREAD_GF2_ALLOWED = {"subspace_intersect"}
+
+
+def test_every_gf2_definition_is_read_in_the_package():
+    # a gf2 routine only the tests call belongs in the tests; a re-export
+    # from __init__ is an import, not a read
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    reads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for d in trees["gf2.py"].body:
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+            own = {id(node) for node in ast.walk(d)}
+            if (d.name not in UNREAD_GF2_ALLOWED
+                    and all(n.id != d.name or id(n) in own for n in reads)):
+                unread.append(f"gf2.py:{d.lineno} {d.name}")
+    assert not unread, "gf2 definitions nothing in the package reads: " + ", ".join(unread)

@@ -283,7 +283,7 @@ def test_dressed_stack_is_finely_devised():
     s = sigma_from_indices(c, (0, 1))
     split = split_logicals(c, s)
     nk = naked_glue(c, s)
-    d = dressing_matrix(c, split, nk)
+    d = dressing_matrix(split, nk)
     assert d.rows == 1
     hd = nk.hg.vstack(d)
     t_d = nk.t.hstack(Gf2Matrix.zeros(c.hx.rows, d.rows))
