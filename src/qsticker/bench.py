@@ -12,7 +12,7 @@ import json
 import statistics
 from dataclasses import dataclass, field
 
-from .branching import estimate_qubit_cost
+from .branching import _measurement_d_r, estimate_qubit_cost
 from .codes import OperatorSet, SubsystemCode, crowd_numbers, redundancy_number
 from .sampling import SigmaSampler
 
@@ -86,10 +86,7 @@ def bench_cost(code: SubsystemCode, q_values: list[int], thickness: int,
 
     bfb needs at least two operators; q = 1 rows record ds only.
     """
-    if d_r is None:
-        d_r = code.distance
-    if d_r is None:
-        raise ValueError("d_r is required when the memory distance is unknown")
+    d_r = _measurement_d_r(code, d_r)
     max_q = max(q_values)
     sampler = SigmaSampler(code=code, l_max=l_max, thickness=thickness,
                            max_q=max_q, seed=seed)

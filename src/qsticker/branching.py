@@ -3,26 +3,33 @@
 Branching separates q overlapping logical operators through
 ceil(log2 q) levels of branch stickers: a subset of size >= 2 splits
 into two halves, each half gets a branch sticker pasted on the previous
-level's open boundary, and once every path carries a single operator a
-measurement sticker is pasted on its final open boundary.
+level's open boundary.  Then every operator gets a measurement sticker
+on its final open boundary at level ceil(log2 q) + 1, also one whose
+singleton formed early and rode along unsplit: the paper's time
+argument is one final measurement round for all q operators, so a plan
+takes ceil(log2 q) + 1 sequential sticker rounds for any q.
 
-Assembly is sequential (each paste turns the deformed code into the new
-memory).  Cost estimation avoids full assembly and walks the same plan
-tree: a node's sticker is sized by the naked glue of the memory's H_X
-on S, the union of the supports of the node's operators.  That is
+The plan tree is the paste schedule, one node per sticker.  Assembly
+pastes the nodes in order (each paste turns the deformed code into the
+new memory); cost estimation prices them without assembling, sizing a
+node's sticker by the naked glue of the memory's H_X on S, the union of
+the supports of the node's operators.  For a branch sticker that is
 exact.  A transferred representative on an open boundary is the parent
 glue codeword restricted to the parent's support, and the X-checks
 adjacent to the boundary block are exactly the parent glue checks, so
 each paste sees the induced subgraph of its parent's glue.  For
 S' ⊆ S every check meeting S' also meets S, so the induced subgraph of
-the induced subgraph on S is the induced subgraph of H_X on S'.
+the induced subgraph on S is the induced subgraph of H_X on S'.  A
+measurement sticker's price is a lower bound: assembly pastes a finely
+devised glue, which stacks dressing checks on that naked glue when the
+support holds other logicals and only adds vertices after.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .codes import OperatorSet, SubsystemCode, support_union
 from .errors import InternalError
@@ -31,43 +38,48 @@ from .glue import GlueError, finely_devised_glue, naked_glue, split_logicals
 from .stickers import DeformedCode, paste_branch, paste_measurement, sticker_qubits
 
 
-@dataclass(frozen=True)
-class BranchNode:
+class BranchNode(NamedTuple):
     node_id: int
     level: int
     parent: int | None  # None = pasted on the memory itself
     ops: tuple[int, ...]
-    d_r: int = 2
+    kind: str  # "branch" | "measurement"
+    d_r: int
 
 
 @dataclass(frozen=True)
 class BranchTree:
     q: int
-    levels: int
-    nodes: tuple[BranchNode, ...]  # level order, then id order
-    measure_d_r: int
+    levels: int  # branch levels; measurements go at levels + 1
+    nodes: tuple[BranchNode, ...]  # paste order: level order, then id order
 
-    def leaf_nodes(self) -> list[BranchNode]:
-        """The singleton nodes where measurement stickers attach."""
-        return [n for n in self.nodes if len(n.ops) == 1]
+
+def _measurement_d_r(c: SubsystemCode, d_r: int | None) -> int:
+    """The measurement sticker length: d_r, else the memory distance."""
+    if d_r is None:
+        d_r = c.distance
+    if d_r is None:
+        raise ValueError("d_r is required when the memory distance is unknown")
+    if d_r < 2:
+        raise ValueError(f"d_r must be at least 2, got {d_r}")
+    return d_r
 
 
 def plan_branching(c: SubsystemCode, sigma: OperatorSet,
-                   measure_d_r: int | None = None) -> BranchTree:
-    """Binary split tree over the operator indices (branch d_r fixed to 2).
+                   d_r: int | None = None) -> BranchTree:
+    """The paste schedule: a binary split tree, then one measurement each.
 
     Subsets of size >= 2 split ceil/floor at the next level; both
-    children get branch stickers even when singleton.  Already-singleton
-    subsets ride along unsplit.  Leaf measurement stickers use the
-    memory distance when known.
+    children get branch stickers (d_R = 2) even when singleton.
+    Already-singleton subsets ride along unsplit.  Operator i's
+    measurement node hangs off its singleton node at level levels + 1,
+    with d_R from d_r or else the memory distance.
     """
     q = sigma.size
     if q < 2:
         raise GlueError("branching needs q >= 2; use devised sticking directly")
-    if measure_d_r is None:
-        measure_d_r = c.distance if c.distance is not None else 2
+    d_r = _measurement_d_r(c, d_r)
     nodes: list[BranchNode] = []
-    next_id = 0
     frontier: list[tuple[int | None, tuple[int, ...]]] = [(None, tuple(range(q)))]
     level = 0
     while any(len(ops) >= 2 for (_, ops) in frontier):
@@ -79,28 +91,25 @@ def plan_branching(c: SubsystemCode, sigma: OperatorSet,
                 continue
             half = (len(ops) + 1) // 2
             for part in (ops[:half], ops[half:]):
-                node = BranchNode(node_id=next_id, level=level,
-                                  parent=parent, ops=part)
-                nodes.append(node)
-                next_id += 1
-                new_frontier.append((node.node_id, part))
+                new_frontier.append((len(nodes), part))
+                nodes.append(BranchNode(len(nodes), level, parent, part,
+                                        "branch", 2))
         frontier = new_frontier
-    tree = BranchTree(q=q, levels=level, nodes=tuple(nodes),
-                      measure_d_r=measure_d_r)
-    if tree.levels != math.ceil(math.log2(q)):
-        raise InternalError(f"branch tree has {tree.levels} levels for q={q} (bug)")
-    if len(tree.leaf_nodes()) != q:
-        raise InternalError(f"branch tree has {len(tree.leaf_nodes())} leaves "
-                            f"for q={q} (bug)")
-    return tree
+    if level != math.ceil(math.log2(q)):
+        raise InternalError(f"branch tree has {level} levels for q={q} (bug)")
+    if [ops for (_, ops) in frontier] != [(i,) for i in range(q)]:
+        raise InternalError(f"branch tree leaves {frontier} for q={q} (bug)")
+    for parent, ops in frontier:
+        nodes.append(BranchNode(len(nodes), level + 1, parent, ops,
+                                "measurement", d_r))
+    return BranchTree(q=q, levels=level, nodes=tuple(nodes))
 
 
 @dataclass
 class AssembledPlan:
     final: DeformedCode
-    pastes: list[DeformedCode]
+    pastes: list[DeformedCode]  # one per plan node, in node order
     incidence: dict[int, int]  # level -> max stickers touching one qubit
-    leaf_level: int
 
     @property
     def final_code(self) -> SubsystemCode:
@@ -108,15 +117,14 @@ class AssembledPlan:
 
 
 def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
-                  tree: BranchTree | None = None) -> AssembledPlan:
-    """Paste the whole tree sequentially and then measure every leaf.
+                  d_r: int | None = None) -> AssembledPlan:
+    """Paste every node of `plan_branching(c, sigma, d_r)` sequentially.
 
     Tracks a representative of each operator through the transfers
     (padded old representative plus the glue codeword on the open
     boundary differs from it by a deformed-code stabiliser).
     """
-    if tree is None:
-        tree = plan_branching(c, sigma)
+    tree = plan_branching(c, sigma, d_r)
     current = c
     reps: dict[int, int] = {i: sigma.vectors.bits[i] for i in range(sigma.size)}
     pastes: list[DeformedCode] = []
@@ -126,29 +134,23 @@ def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
         rows = Gf2Matrix([reps[i] for i in node.ops], current.n)
         node_sigma = OperatorSet("Z", rows)
         split = split_logicals(current, node_sigma)
-        glue = naked_glue(current, node_sigma)
+        if node.kind == "measurement":
+            glue = finely_devised_glue(current, node_sigma, split=split)
+            dc = paste_measurement(current, split, glue, node.d_r)
+        else:
+            glue = naked_glue(current, node_sigma)
+            dc = paste_branch(current, split, glue, node.d_r)
+            # per-operator transfer: sigma = coeff @ jza exactly, so the new
+            # representative is the matching combination of glue codewords
+            coeff = solve_left(split.jza, rows)
+            if coeff is None:
+                raise InternalError("representative lost jza span (bug)")
+            transferred = coeff.mul(dc.j_g)
+            lo, _ = dc.ob_range
+            for pos, i in enumerate(node.ops):
+                reps[i] = transferred.bits[pos] << lo
+            # representatives of other operators keep their (padded) indices
         incidence_sets.setdefault(node.level, []).append(glue.b_n)
-        dc = paste_branch(current, split, glue, node.d_r)
-        pastes.append(dc)
-        # per-operator transfer: sigma = coeff @ jza exactly, so the new
-        # representative is the matching combination of glue codewords
-        coeff = solve_left(split.jza, rows)
-        if coeff is None:
-            raise InternalError("representative lost jza span (bug)")
-        transferred = coeff.mul(dc.j_g)
-        lo, _ = dc.ob_range
-        for pos, i in enumerate(node.ops):
-            reps[i] = transferred.bits[pos] << lo
-        current = dc.code
-        # representatives of other operators keep their (padded) indices
-    leaf_level = tree.levels + 1
-    for i in range(sigma.size):
-        rows = Gf2Matrix([reps[i]], current.n)
-        leaf_sigma = OperatorSet("Z", rows)
-        split = split_logicals(current, leaf_sigma)
-        glue = finely_devised_glue(current, leaf_sigma, split=split)
-        incidence_sets.setdefault(leaf_level, []).append(glue.b_n)
-        dc = paste_measurement(current, split, glue, tree.measure_d_r)
         pastes.append(dc)
         current = dc.code
 
@@ -159,8 +161,7 @@ def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
             for qubit in b_n:
                 counts[qubit] = counts.get(qubit, 0) + 1
         incidence[level] = max(counts.values(), default=0)
-    return AssembledPlan(final=pastes[-1], pastes=pastes,
-                         incidence=incidence, leaf_level=leaf_level)
+    return AssembledPlan(final=pastes[-1], pastes=pastes, incidence=incidence)
 
 
 # -- qubit-cost accounting ---------------------------------------------
@@ -211,19 +212,17 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
     """Sticker-qubit totals for devised sticking or brute-force branching.
 
     ds: one measurement sticker from the fine glue with repetition
-    length d_r (= memory distance by default).  bfb: the branch sticker
-    of each `plan_branching` node at the node's d_R, plus a measurement
-    sticker of length d_r on each singleton node, one level below it.
-    Each sticker is sized by the naked glue of the memory's H_X on the
-    node's support, which is what `assemble_plan` pastes there (see the
-    module docstring for why that is exact).
+    length d_r (= memory distance by default).  bfb: one sticker per
+    node of `plan_branching(c, sigma, d_r)`, of the node's kind and d_R,
+    sized by the naked glue of the memory's H_X on the node's support; a
+    measurement node reuses its singleton parent's glue.  Branch stickers
+    are priced exactly; measurement stickers at their naked glue, a lower
+    bound on the finely devised glue `assemble_plan` pastes (see the
+    module docstring).
     """
     if scheme not in ("ds", "bfb"):
         raise ValueError("scheme must be 'ds' or 'bfb'")
-    if d_r is None:
-        d_r = c.distance
-    if d_r is None:
-        raise ValueError("d_r is required when the memory distance is unknown")
+    d_r = _measurement_d_r(c, d_r)
     q = sigma.size
     t = thickness if thickness is not None else q
     n_n = len(support_union(sigma))
@@ -241,17 +240,17 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
         return CostReport(scheme="ds", q=q, thickness=t, d_r=d_r,
                           measured_total=measured, per_level=[measured],
                           bounds=bounds)
-    tree = plan_branching(c, sigma)
+    tree = plan_branching(c, sigma, d_r)
     l_max = max(_logical_support_sizes(c, sigma), default=0)
-    per_level: Counter[int] = Counter()
+    shapes: dict[int, tuple[int, int]] = {}
+    per_level = [0] * tree.nodes[-1].level  # nodes are in level order
     for node in tree.nodes:
-        n_g, r_g = _glue_shape(c, sigma, node)
-        per_level[node.level] += sticker_qubits(n_g, r_g, node.d_r, "branch")
-        if len(node.ops) == 1:
-            # the leaf measurement sticker covers the node's whole glue
-            per_level[node.level + 1] += sticker_qubits(n_g, r_g, d_r,
-                                                        "measurement")
-    total = sum(per_level.values())
+        if node.kind == "branch":
+            shape = shapes[node.node_id] = _glue_shape(c, sigma, node)
+        else:
+            shape = shapes[node.parent]
+        per_level[node.level - 1] += sticker_qubits(*shape, node.d_r, node.kind)
+    total = sum(per_level)
     log_q = max(math.ceil(math.log2(q)), 1)
     bound_value = max(l_max, 1) * d_r * q * (d_r + log_q)
     bounds = {
@@ -262,6 +261,5 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
         "measured_over_bound": total / max(bound_value, 1),
     }
     return CostReport(scheme="bfb", q=q, thickness=t, d_r=d_r,
-                      measured_total=total,
-                      per_level=[per_level[l] for l in sorted(per_level)],
+                      measured_total=total, per_level=per_level,
                       bounds=bounds)

@@ -161,24 +161,24 @@ def cmd_verify(args) -> int:
 def cmd_plan(args) -> int:
     code = load_code(args.code, args.format)
     sigma = _resolve_sigma(args, code)
-    tree = plan_branching(code, sigma, measure_d_r=args.dr)
+    tree = plan_branching(code, sigma, args.dr)
     payload = {
         "schema": 1,
         "code": code.name,
         "q": tree.q,
         "levels": tree.levels,
-        "measure_d_r": tree.measure_d_r,
         "nodes": [{"id": n.node_id, "level": n.level, "parent": n.parent,
-                   "ops": list(n.ops), "d_r": n.d_r} for n in tree.nodes],
+                   "ops": list(n.ops), "kind": n.kind, "d_r": n.d_r}
+                  for n in tree.nodes],
         "costs": {
             "ds": estimate_qubit_cost(code, sigma, "ds",
-                                      d_r=args.dr or code.distance).to_report(),
+                                      d_r=args.dr).to_report(),
             "bfb": estimate_qubit_cost(code, sigma, "bfb",
-                                       d_r=args.dr or code.distance).to_report(),
+                                       d_r=args.dr).to_report(),
         },
     }
     if args.assemble:
-        plan = assemble_plan(code, sigma, tree)
+        plan = assemble_plan(code, sigma, args.dr)
         payload["assembled"] = {
             "final_n": plan.final_code.n,
             "final_k": plan.final_code.k,
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("plan", help="plan (and optionally assemble) branching")
     common(sp)
     sigma_opts(sp)
-    sp.add_argument("--dr", type=int, help="leaf measurement sticker length")
+    sp.add_argument("--dr", type=int, help="measurement sticker length")
     sp.add_argument("--assemble", action="store_true",
                     help="paste the whole tree (toy scale)")
     sp.set_defaults(func=cmd_plan)

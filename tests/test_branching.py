@@ -1,6 +1,7 @@
 """Branch-tree planning, sequential assembly, and qubit-cost reports."""
 
 import hashlib
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -51,23 +52,30 @@ def test_tree_arithmetic_q4():
     s = sigma_from_indices(c, (0,), (1,), (2,), (3,))
     tree = plan_branching(c, s)
     assert tree.levels == 2
-    assert len(tree.nodes) == 6  # S1..S6
-    assert len(tree.leaf_nodes()) == 4
-    assert len([n for n in tree.nodes if n.level == 1]) == 2
-    assert len([n for n in tree.nodes if n.level == 2]) == 4
+    assert len(tree.nodes) == 6 + 4  # S1..S6, then one measurement each
+    assert [n.kind for n in tree.nodes] == ["branch"] * 6 + ["measurement"] * 4
+    assert [len([n for n in tree.nodes if n.level == level])
+            for level in (1, 2, 3)] == [2, 4, 4]
+    leaves = tree.nodes[6:]
+    assert [n.ops for n in leaves] == [(0,), (1,), (2,), (3,)]
+    assert all(tree.nodes[n.parent].ops == n.ops and n.d_r == c.distance
+               for n in leaves)
 
 
 def test_tree_arithmetic_q2_and_q5():
     c2 = blocks(2)
     t2 = plan_branching(c2, sigma_from_indices(c2, (0,), (1,)))
-    assert t2.levels == 1 and len(t2.nodes) == 2
+    assert t2.levels == 1 and len(t2.nodes) == 2 + 2
 
     c5 = blocks(5)
     t5 = plan_branching(c5, sigma_from_indices(c5, (0,), (1,), (2,), (3,), (4,)))
     assert t5.levels == 3
-    assert len(t5.leaf_nodes()) == 5
-    # {3} becomes a singleton at level 2 and rides along unsplit
-    assert any(len(n.ops) == 1 and n.level == 2 for n in t5.nodes)
+    leaves = [n for n in t5.nodes if n.kind == "measurement"]
+    assert [n.ops for n in leaves] == [(i,) for i in range(5)]
+    # {2}, {3} and {4} become singletons at level 2 and ride along
+    # unsplit, yet every measurement goes at level 4
+    assert [t5.nodes[n.parent].level for n in leaves] == [3, 3, 2, 2, 2]
+    assert all(n.level == 4 for n in leaves)
 
 
 def test_tree_rejects_single_operator():
@@ -105,7 +113,7 @@ def test_assemble_leaf_level_incidence_is_one():
     c = blocks(2)
     s = sigma_from_indices(c, (0,), (1,))
     plan = assemble_plan(c, s)
-    assert plan.incidence[plan.leaf_level] <= 1
+    assert plan.incidence[plan_branching(c, s).levels + 1] <= 1
 
 
 def test_assemble_q3_multi_level_with_passthrough():
@@ -118,7 +126,7 @@ def test_assemble_q3_multi_level_with_passthrough():
     assert validate_code(final).ok
     padded = s.vectors.hstack(Gf2Matrix.zeros(3, final.n - c.n))
     assert solve_left(final.hz, padded) is not None
-    assert plan.incidence[plan.leaf_level] <= 1
+    assert plan.incidence[3] <= 1  # two branch levels, then measurement
     assert len(plan.pastes) == 4 + 3  # 4 branch nodes + 3 leaves
 
 
@@ -225,11 +233,12 @@ def test_cost_pair_makes_no_solves(monkeypatch):
 # -- bfb pricing by the plan tree against the induced-subgraph recursion ----
 
 
-def bfb_sizes_by_recursion(h, reps, level, d_meas, per_level):
+def bfb_sizes_by_recursion(h, reps, level, d_meas, per_level, leaf_level):
     """Brute-force-branching cost by recursion on induced glue graphs.
 
     Each node's operators are restricted to its glue bits and split again
     on the induced matrix, so every level re-derives its own subgraph.
+    Every singleton's measurement sticker is charged at `leaf_level`.
     """
     support = 0
     for r in reps:
@@ -244,10 +253,10 @@ def bfb_sizes_by_recursion(h, reps, level, d_meas, per_level):
         half = (len(reps) + 1) // 2
         for part in (restricted[:half], restricted[half:]):
             total += bfb_sizes_by_recursion(induced, part, level + 1, d_meas,
-                                            per_level)
+                                            per_level, leaf_level)
     else:
         meas = sticker_qubits(n_g, r_g, d_meas, "measurement")
-        per_level[level + 1] = per_level.get(level + 1, 0) + meas
+        per_level[leaf_level] = per_level.get(leaf_level, 0) + meas
         total += meas
     return total
 
@@ -258,7 +267,9 @@ def bfb_report_by_recursion(code, sigma, d_r):
     reps = sigma.vectors.bits
     half = (len(reps) + 1) // 2
     per_level = {}
-    total = sum(bfb_sizes_by_recursion(code.hx, part, 1, d_r, per_level)
+    leaf_level = math.ceil(math.log2(len(reps))) + 1
+    total = sum(bfb_sizes_by_recursion(code.hx, part, 1, d_r, per_level,
+                                       leaf_level)
                 for part in (reps[:half], reps[half:]))
     rep["measured_total"] = total
     rep["per_level"] = [per_level[level] for level in sorted(per_level)]
@@ -303,11 +314,14 @@ def test_bfb_tree_walk_matches_the_recursion(case):
 def test_bfb_report_golden_digest():
     """SHA-256 of bfb reports over a sampler sweep on desk_code(7).
 
-    Recorded while the cost model still priced branching by recursion on
-    induced subgraphs.
+    The full reports were recorded with every measurement sticker at
+    level ceil(log2 q) + 1.  The reports without `per_level` digest as
+    they did when a ride-along singleton's measurement was charged at its
+    own level + 1: moving it changed only the split by level.
     """
     code = desk_code(7)
     digest = hashlib.sha256()
+    without_levels = hashlib.sha256()
     for seed in (1, 2):
         for t in (1, 2, 8):
             sampler = SigmaSampler(code=code, l_max=5, thickness=t, max_q=8,
@@ -317,9 +331,14 @@ def test_bfb_report_golden_digest():
                     rep = estimate_qubit_cost(code, sampler.sample(q, trial),
                                               "bfb", thickness=t,
                                               d_r=3 + 3 * trial)
-                    digest.update(repr(rep.to_report()).encode())
+                    report = rep.to_report()
+                    digest.update(repr(report).encode())
+                    del report["per_level"]
+                    without_levels.update(repr(report).encode())
     assert digest.hexdigest() == (
-        "753064fbcf5d22b9f97cb15f24165e9f06b7d4c3a664f3e81e58ee08f2184659")
+        "4cd21cdbfb7c9e25a1609d3e0cac9746b92231fdbf6500ebbe5a5cce188c3ffa")
+    assert without_levels.hexdigest() == (
+        "a593be7e60e865234d9448fc1c7966b42f8150e7e230cbee3a1e334f8aa19f4d")
 
 
 def _assembly_cases():
@@ -337,14 +356,69 @@ def _assembly_cases():
 
 
 def test_bfb_prices_each_branch_paste_of_the_assembly():
+    """The assembly pastes one sticker per plan node, of the node's kind
+    and d_R.  Branch prices are exact, so every branch level of
+    `per_level` is what the assembly adds there; the measurement level is
+    a lower bound (leaves are priced at their naked glue)."""
+    c5 = blocks(5)
+    cases = [*_assembly_cases(),
+             (c5, sigma_from_indices(c5, *[(i,) for i in range(5)]))]
     nodes = 0
-    for code, sigma in _assembly_cases():
-        tree = plan_branching(code, sigma)
-        plan = assemble_plan(code, sigma, tree)
+    for code, sigma in cases:
+        tree = plan_branching(code, sigma, 2)
+        plan = assemble_plan(code, sigma, 2)
+        assert len(plan.pastes) == len(tree.nodes)
+        added = [0] * (tree.levels + 1)
         for node, dc in zip(tree.nodes, plan.pastes):
-            assert dc.kind == "branch"
-            price = sticker_qubits(*_glue_shape(code, sigma, node), node.d_r,
-                                   "branch")
-            assert dc.n - dc.mem_qubits == price
+            assert (dc.kind, dc.d_r) == (node.kind, node.d_r)
+            added[node.level - 1] += dc.n - dc.mem_qubits
+            if node.kind == "branch":
+                price = sticker_qubits(*_glue_shape(code, sigma, node),
+                                       node.d_r, "branch")
+                assert dc.n - dc.mem_qubits == price
             nodes += 1
-    assert nodes >= 50
+        per_level = estimate_qubit_cost(code, sigma, "bfb", d_r=2).per_level
+        assert len(per_level) == tree.levels + 1
+        assert per_level[:-1] == added[:-1]
+        assert per_level[-1] <= added[-1]
+    assert nodes >= 150
+
+
+def test_bfb_measures_ride_along_leaves_in_the_last_round():
+    # five [[5,1]] blocks, one operator each: {2}, {3} and {4} form at
+    # level 2, and all five measurement stickers go at level 4
+    c = blocks(5)
+    rep = estimate_qubit_cost(c, sigma_from_indices(c, *[(i,) for i in range(5)]),
+                              "bfb")
+    assert rep.per_level == [15, 15, 6, 20]
+    assert rep.measured_total == 56
+
+
+def test_bfb_prices_each_support_once(monkeypatch):
+    from qsticker import branching
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _glue_shape(*args)
+
+    monkeypatch.setattr(branching, "_glue_shape", counting)
+    code = small_code("desk5,8")
+    sampler = SigmaSampler(code=code, l_max=3, thickness=2, max_q=5, seed=2)
+    for q in (2, 3, 5):
+        sigma = sampler.sample(q, 0)
+        calls.clear()
+        estimate_qubit_cost(code, sigma, "bfb", d_r=3)
+        tree = plan_branching(code, sigma, 3)
+        assert len(calls) == sum(n.kind == "branch" for n in tree.nodes)
+        assert len(calls) < len(tree.nodes)
+
+
+def test_cost_rejects_dr_below_two():
+    c = blocks(2)
+    s = sigma_from_indices(c, (0,), (1,))
+    for scheme in ("ds", "bfb"):
+        for d_r in (1, 0):
+            with pytest.raises(ValueError, match="at least 2"):
+                estimate_qubit_cost(c, s, scheme, d_r=d_r)

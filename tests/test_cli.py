@@ -61,8 +61,21 @@ def test_plan_command(tmp_path):
                   "--dr", "6", "--out", str(tmp_path)])
     assert rc == 0
     rep = json.loads(read(tmp_path / "plan.json"))
-    assert rep["levels"] == 2 and len(rep["nodes"]) == 6
+    assert rep["levels"] == 2 and len(rep["nodes"]) == 10
+    assert [n["kind"] for n in rep["nodes"]] == ["branch"] * 6 + ["measurement"] * 4
+    assert all(n["level"] == 3 and n["d_r"] == 6
+               for n in rep["nodes"] if n["kind"] == "measurement")
+    assert "measure_d_r" not in rep
     assert rep["costs"]["ds"]["measured_total"] > 0
+
+
+def test_dr_below_two_is_input_error(tmp_path, capsys):
+    for args in (["bench-cost", "--code", "hgp:3,3", "--q", "1", "--trials", "1"],
+                 ["plan", "--code", "desk", "--q", "3", "--seed", "2"]):
+        for dr in ("1", "0"):
+            rc = run_cli(args + ["--dr", dr, "--out", str(tmp_path)])
+            assert rc == 2
+            assert "d_r must be at least 2" in capsys.readouterr().err
 
 
 def test_simulate_command_deterministic(tmp_path):
