@@ -55,6 +55,8 @@ def bench_overlap(code: SubsystemCode, q_values: list[int], trials: int,
                   seed: int, l_max: int = 5,
                   thickness: int | None = None) -> BenchRun:
     """Median maximum crowd number and redundancy number per q."""
+    if trials < 1:  # every median would read None
+        raise ValueError(f"need trials >= 1, got {trials}")
     max_q = max(q_values)
     t = thickness if thickness is not None else max_q
     sampler = SigmaSampler(code=code, l_max=l_max, thickness=t,
@@ -86,6 +88,8 @@ def bench_cost(code: SubsystemCode, q_values: list[int], thickness: int,
 
     bfb needs at least two operators; q = 1 rows record ds only.
     """
+    if trials < 1:  # every median would read None
+        raise ValueError(f"need trials >= 1, got {trials}")
     d_r = _measurement_d_r(code, d_r)
     max_q = max(q_values)
     sampler = SigmaSampler(code=code, l_max=l_max, thickness=thickness,

@@ -14,8 +14,9 @@ pastes the nodes in order (each paste turns the deformed code into the
 new memory); cost estimation prices them without assembling, sizing a
 node's sticker by the naked glue of the memory's H_X on S, the union of
 the supports of the node's operators.  For a branch sticker that is
-exact.  A transferred representative on an open boundary is the parent
-glue codeword restricted to the parent's support, and the X-checks
+exact.  A branch paste's glue codewords are J_{Z,A} on its support
+B_N, so a transferred representative on an open boundary is the parent
+representative restricted to the parent's support, and the X-checks
 adjacent to the boundary block are exactly the parent glue checks, so
 each paste sees the induced subgraph of its parent's glue.  For
 S' ⊆ S every check meeting S' also meets S, so the induced subgraph of
@@ -33,6 +34,7 @@ from typing import NamedTuple
 
 from .codes import OperatorSet, SubsystemCode, support_union
 from .errors import InternalError
+# solve_left is unused here; perfbench's tracer test patches this binding
 from .gf2 import Gf2Matrix, solve_left
 from .glue import GlueError, finely_devised_glue, naked_glue, split_logicals
 from .stickers import DeformedCode, paste_branch, paste_measurement, sticker_qubits
@@ -120,9 +122,10 @@ def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
                   d_r: int | None = None) -> AssembledPlan:
     """Paste every node of `plan_branching(c, sigma, d_r)` sequentially.
 
-    Tracks a representative of each operator through the transfers
-    (padded old representative plus the glue codeword on the open
-    boundary differs from it by a deformed-code stabiliser).
+    Tracks a representative of each operator through the transfers: a
+    branch paste moves it to its restriction to B_N on the open boundary,
+    its glue codeword as J_G = J_{Z,A} on B_N, which differs from the
+    padded old representative by a deformed-code stabiliser.
     """
     tree = plan_branching(c, sigma, d_r)
     current = c
@@ -140,12 +143,7 @@ def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
         else:
             glue = naked_glue(current, node_sigma)
             dc = paste_branch(current, split, glue, node.d_r)
-            # per-operator transfer: sigma = coeff @ jza exactly, so the new
-            # representative is the matching combination of glue codewords
-            coeff = solve_left(split.jza, rows)
-            if coeff is None:
-                raise InternalError("representative lost jza span (bug)")
-            transferred = coeff.mul(dc.j_g)
+            transferred = rows.take_cols(glue.b_n)
             lo, _ = dc.ob_range
             for pos, i in enumerate(node.ops):
                 reps[i] = transferred.bits[pos] << lo

@@ -57,9 +57,9 @@ def _resolve_sigma(args, code) -> OperatorSet:
                 acc ^= code.jz.bits[i]
             rows.append(acc)
         return OperatorSet("Z", Gf2Matrix(rows, code.n))
-    if args.q:
+    if args.q is not None:
         sampler = SigmaSampler(code=code, l_max=args.L,
-                               thickness=args.t if args.t else args.q,
+                               thickness=args.t if args.t is not None else args.q,
                                max_q=args.q, seed=args.seed)
         return sampler.sample(args.q, trial=0)
     raise ValueError("provide --sigma FILE, --logicals SPEC, or --q N")
@@ -207,7 +207,7 @@ def cmd_bench_overlap(args) -> int:
 
 def cmd_bench_cost(args) -> int:
     code = load_code(args.code, args.format)
-    t = args.t if args.t else max(_parse_q_range(args.q_range))
+    t = args.t if args.t is not None else max(_parse_q_range(args.q_range))
     run = bench_cost(code, _parse_q_range(args.q_range), t, args.trials,
                      args.seed, l_max=args.L, d_r=args.dr)
     with open(_out_path(args, "cost.csv"), "w", encoding="utf-8") as fh:

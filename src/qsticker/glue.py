@@ -40,7 +40,7 @@ from .gf2 import (
     RowReducer,
     kernel_basis,
     rref,
-    solve_left,
+    solve_left,  # unused here; perfbench's tracer test patches this binding
     standard_form,
 )
 from .tanner import bit_duplication, check_duplication, induced_subgraph
@@ -302,15 +302,3 @@ def classify_devisedness(g: GlueSpec, c: SubsystemCode,
         return "coarse"
     return "fine"
 
-
-def glue_codewords_for(g: GlueSpec, vectors: Gf2Matrix) -> Gf2Matrix:
-    """J_G with J_G S = vectors and rs J_G ⊆ ker H_G.
-
-    Exists whenever the glue code is (at least coarsely) devised for
-    the given rows.
-    """
-    kern = kernel_basis(g.hg)
-    coeff = solve_left(kern.mul(g.s), vectors)
-    if coeff is None:
-        raise GlueError("vectors are not transferred by this glue code")
-    return coeff.mul(kern)

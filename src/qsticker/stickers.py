@@ -34,7 +34,7 @@ from .codes import (
     subsystem_code,
 )
 from .gf2 import Canvas, Gf2Matrix, RowReducer, solve_left
-from .glue import GlueError, GlueSpec, LogicalSplit, glue_codewords_for
+from .glue import GlueError, GlueSpec, LogicalSplit
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ class DeformedCode:
     d_t: int  # lattice-surgery schedule metadata, no simulation attached
     mem_qubits: int
     ob_range: tuple[int, int] | None  # open boundary block, branch only
-    gamma: Gf2Matrix | None  # solves J_{X,C} S^T = gamma H_G, measurement only
-    j_g: Gf2Matrix | None  # glue codewords with J_G S = J_{Z,A}, branch only
+    j_g: Gf2Matrix | None  # J_{Z,A} on B_N, so J_G S = J_{Z,A}; branch only
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -103,7 +102,7 @@ class DeformedCode:
 
 def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
            kind: str, jx_mem: Gf2Matrix, jz_mem: Gf2Matrix,
-           gamma: Gf2Matrix | None) -> DeformedCode:
+           gamma: Gf2Matrix | None, j_g: Gf2Matrix | None) -> DeformedCode:
     """The memory and its sticker side by side, with their logicals.
 
     Only T (memory X-checks to the v_1 block) and S (memory qubits into
@@ -141,8 +140,7 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
         code=code, kind=kind, memory=c, split=split, glue=glue,
         d_r=d_r, d_t=c.distance if c.distance is not None else d_r,
         mem_qubits=n, ob_range=(ob_lo, ob_lo + n_g) if kind == "branch" else None,
-        gamma=gamma,
-        j_g=glue_codewords_for(glue, split.jza) if kind == "branch" else None,
+        j_g=j_g,
         provenance={"memory": c.name, "sticker": kind,
                     "q": split.q, "d_r": d_r},
     )
@@ -164,18 +162,29 @@ def paste_measurement(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
         raise GlueError("glue is labelled fine but gamma has no solution: "
                         "J_{X,C} S^T is not in the row space of H_G")
     return _paste(c, split, glue, d_r, "measurement", split.jxc, split.jzc,
-                  gamma)
+                  gamma, None)
 
 
 def paste_branch(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
                  d_r: int) -> DeformedCode:
-    """Deformed code transferring ⟨Σ⟩ to the open boundary: k is preserved."""
+    """Deformed code transferring ⟨Σ⟩ to the open boundary: k is preserved.
+
+    S must embed the glue bits at B_N, as the naked glue's does (a fine
+    glue with rn > 0 does not).  Then J_G = J_{Z,A} on B_N is the one
+    solution of J_G S = J_{Z,A}, valid when J_{Z,A} lies inside B_N and
+    J_G inside ker H_G.
+    """
     if d_r < 2:
         raise ValueError("d_r must be at least 2")
     if glue.devisedness not in ("coarse", "fine"):
         raise GlueError("branch paste needs an at least coarsely devised glue code")
+    if glue.s != Gf2Matrix([1 << j for j in glue.b_n], c.n):
+        raise GlueError("branch paste needs a glue whose S embeds its bits at B_N")
+    j_g = split.jza.take_cols(glue.b_n)
+    if j_g.mul(glue.s) != split.jza or not glue.hg.mul_transpose(j_g).is_zero():
+        raise GlueError("vectors are not transferred by this glue code")
     return _paste(c, split, glue, d_r, "branch", split.jxa.vstack(split.jxc),
-                  split.jza.vstack(split.jzc), None)
+                  split.jza.vstack(split.jzc), None, j_g)
 
 
 # -- generalized-lattice-surgery statement suite ------------------------

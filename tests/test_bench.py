@@ -117,6 +117,14 @@ def test_bench_cost_q1_has_no_bfb(desk):
     assert run.medians["1"]["ds"] is not None
 
 
+def test_bench_runs_need_a_trial(desk):
+    # with no rows every median would read None
+    with pytest.raises(ValueError, match="trials >= 1"):
+        bench_cost(desk, [2], thickness=2, trials=0, seed=3, d_r=6)
+    with pytest.raises(ValueError, match="trials >= 1"):
+        bench_overlap(desk, [2], trials=0, seed=3)
+
+
 def test_bench_cost_thickness_tightens_ds(desk):
     thin = bench_cost(desk, [4], thickness=1, trials=5, seed=12, d_r=6)
     thick = bench_cost(desk, [4], thickness=4, trials=5, seed=12, d_r=6)

@@ -25,7 +25,7 @@ from qsticker.branching import (
 )
 from qsticker.io import desk_code
 from qsticker.sampling import SigmaSampler
-from qsticker.stickers import sticker_qubits
+from qsticker.stickers import paste_measurement, sticker_qubits
 from qsticker.tanner import induced_subgraph
 
 
@@ -224,10 +224,11 @@ def test_cost_pair_makes_no_solves(monkeypatch):
     estimate_qubit_cost(code, sigma, "ds", d_r=6)
     estimate_qubit_cost(code, sigma, "bfb", d_r=6)
     assert len(calls) == 0
-    # the counter is live: the J_G solve of a branch paste is counted
-    naked = glue.naked_glue(code, sigma)
-    glue.glue_codewords_for(naked, sigma.vectors)
-    assert len(calls) == 1
+    # the counter is live: a measurement paste solves for γ
+    split = glue.split_logicals(code, sigma)
+    fine = glue.finely_devised_glue(code, sigma, split=split)
+    paste_measurement(code, split, fine, 2)
+    assert calls[0][0] == fine.hg
 
 
 # -- bfb pricing by the plan tree against the induced-subgraph recursion ----
@@ -382,6 +383,29 @@ def test_bfb_prices_each_branch_paste_of_the_assembly():
         assert per_level[:-1] == added[:-1]
         assert per_level[-1] <= added[-1]
     assert nodes >= 150
+
+
+def test_assembly_golden_digest():
+    """SHA-256 of every paste's six matrices and J_G over the assembly
+    cases and five [[5,1]] blocks.
+
+    The value was recorded while each branch paste still solved for its
+    glue codewords over a kernel basis of H_G and the assembly solved
+    again for every branch node's representatives.
+    """
+    c5 = blocks(5)
+    cases = [*_assembly_cases(),
+             (c5, sigma_from_indices(c5, *[(i,) for i in range(5)]))]
+    digest = hashlib.sha256()
+    for code, sigma in cases:
+        for dc in assemble_plan(code, sigma, 2).pastes:
+            m = dc.code
+            digest.update(repr((
+                dc.n, m.hx.bits, m.hz.bits, m.jx.bits, m.jz.bits, m.fx.bits,
+                m.fz.bits, dc.j_g.bits if dc.j_g is not None else None,
+            )).encode())
+    assert digest.hexdigest() == (
+        "28551655542529fdd12e1f7d84f849fa4056db6c3371923e48c1b0a6acf665f9")
 
 
 def test_bfb_measures_ride_along_leaves_in_the_last_round():

@@ -110,6 +110,29 @@ def test_bench_cost_outputs(tmp_path):
     assert rep["medians"]["2"]["ds"] <= rep["medians"]["2"]["bfb"]
 
 
+def test_zero_thickness_or_q_is_input_error(tmp_path, capsys):
+    # 0 is a value, not "not given": the sampler's range check rejects it
+    for args, msg in (
+            (["bench-cost", "--code", "desk", "--q", "2", "--trials", "1",
+              "--dr", "6", "--t", "0"], "need 1 <= thickness <= max_q"),
+            (["glue", "--code", "desk", "--q", "2", "--t", "0"],
+             "need 1 <= thickness <= max_q"),
+            (["glue", "--code", "desk", "--q", "0"], "need 1 <= max_q <= k=16")):
+        rc = run_cli(args + ["--out", str(tmp_path)])
+        assert rc == 2
+        assert msg in capsys.readouterr().err
+    assert not (tmp_path / "cost.json").exists()
+    assert not (tmp_path / "glue.json").exists()
+
+
+def test_zero_trials_is_input_error(tmp_path, capsys):
+    rc = run_cli(["bench-cost", "--code", "desk", "--q", "2", "--trials", "0",
+                  "--dr", "6", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "need trials >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "cost.json").exists()
+
+
 def test_sigma_file_input(tmp_path):
     from qsticker.io import load_code, save_check_matrix
 

@@ -21,10 +21,10 @@ from qsticker.glue import (
     classify_devisedness,
     dressing_matrix,
     finely_devised_glue,
-    glue_codewords_for,
     naked_glue,
     split_logicals,
 )
+from qsticker.stickers import paste_branch
 
 
 def sigma_from_indices(code, *index_sets):
@@ -305,11 +305,13 @@ def test_gamma_solvable_for_fine_glue():
 
 
 def test_glue_codewords_transfer_sigma():
+    # a branch paste's J_G is J_{Z,A} on B_N: glue codewords whose
+    # S-images are J_{Z,A}
     c = two_blocks()
     s = sigma_from_indices(c, (0, 1))
     nk = naked_glue(c, s)
     split = split_logicals(c, s)
-    jg = glue_codewords_for(nk, split.jza)
+    jg = paste_branch(c, split, nk, 2).j_g
     assert jg.mul(nk.s) == split.jza
     for row in jg.bits:
         assert nk.hg.mul_vec(row) == 0

@@ -18,6 +18,7 @@ from qsticker.codes import (
 from qsticker.gf2 import Gf2Matrix, rank, solve_left
 from qsticker.glue import (
     GlueError,
+    classify_devisedness,
     finely_devised_glue,
     naked_glue,
     split_logicals,
@@ -537,10 +538,9 @@ def test_verify_never_solves(monkeypatch):
     assert counts == [0, 0]
 
 
-def test_paste_builds_one_kernel_basis(monkeypatch):
+def test_paste_builds_no_kernel_basis(monkeypatch):
     # the gauge completion reads its rows off one echelon per check
-    # matrix; the only kernel basis left is the glue's, for the J_G that
-    # only a branch paste carries
+    # matrix, and a branch paste's J_G is J_{Z,A} on B_N
     import sys
 
     from qsticker import gf2
@@ -565,8 +565,37 @@ def test_paste_builds_one_kernel_basis(monkeypatch):
         calls.clear()
         paste(c, split, glue, 2)
         counts.append(len(calls))
-    assert counts == [0, 1]
+    assert counts == [0, 0]
+    # the counter is live: the glue classification builds ker H_G
+    classify_devisedness(nk, c, s)
     assert calls == [(nk.hg,)]
+
+
+def test_branch_paste_needs_s_to_embed_the_glue_bits():
+    # Z1 Z2 leaves one unwanted class inside B_N, so its fine glue adds a
+    # dressing bit that S sends to zero
+    c = two_blocks()
+    s = sigma_from_indices(c, (0, 1))
+    split = split_logicals(c, s)
+    fine = finely_devised_glue(c, s, split=split)
+    assert fine.meta["rn"] == 1
+    with pytest.raises(GlueError, match="S embeds its bits at B_N"):
+        paste_branch(c, split, fine, 2)
+
+
+def test_branch_paste_rejects_sigma_its_glue_does_not_transfer():
+    c = two_blocks()
+    s = sigma_from_indices(c, (0,))
+    nk = naked_glue(c, s)
+    # a split of Z1 Z2 has J_{Z,A} outside Z1's block B_N
+    with pytest.raises(GlueError, match="not transferred"):
+        paste_branch(c, split_logicals(c, sigma_from_indices(c, (0, 1))), nk, 2)
+    # a hand-built extra check meeting J_{Z,A} on one bit cuts it from ker H_G
+    split = split_logicals(c, s)
+    jg_row = split.jza.take_cols(nk.b_n).bits[0]
+    cut = replace(nk, hg=nk.hg.vstack(Gf2Matrix([jg_row & -jg_row], nk.n_g)))
+    with pytest.raises(GlueError, match="not transferred"):
+        paste_branch(c, split, cut, 2)
 
 
 # -- iv' by row reduction against the solve it replaced -------------------
