@@ -46,74 +46,81 @@ class BenchRun:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _median_of(rows, q, key):
-    vals = [r[key] for r in rows if r["q"] == q and r.get(key) is not None]
-    return statistics.median(vals) if vals else None
+def _figure_run(kind: str, code: SubsystemCode, q_values: list[int],
+                trials: int, seed: int, l_max: int, thickness: int | None,
+                setup) -> BenchRun:
+    """One row per (q, trial) from the q-operator prefix of each trial's Σ.
+
+    The q list must be nonempty, with distinct q >= 1, and the thickness
+    defaults to the largest q.  `setup()` runs after the trials check and
+    before the q list is checked; it returns the function from Σ to a
+    row's values (keyed by the columns after q and trial) and the config
+    entries of its own.
+    """
+    if trials < 1:  # every median would read None
+        raise ValueError(f"need trials >= 1, got {trials}")
+    values, own_config = setup()
+    qs = sorted(q_values)
+    if not qs or qs[0] < 1 or len(set(qs)) < len(qs):
+        raise ValueError("need a nonempty list of distinct q >= 1, "
+                         f"got {list(q_values)}")
+    max_q = qs[-1]
+    sampler = SigmaSampler(
+        code=code, l_max=l_max, max_q=max_q, seed=seed,
+        thickness=thickness if thickness is not None else max_q)
+    rows = []
+    for trial in range(trials):
+        full = sampler.sample(max_q, trial)
+        for q in qs:
+            sigma = OperatorSet("Z", full.vectors.take_rows(range(q)))
+            rows.append({"q": q, "trial": trial, **values(sigma)})
+    rows.sort(key=lambda r: (r["q"], r["trial"]))
+    config = {
+        "code": code.name, "n": code.n, "k": code.k, "q_values": qs,
+        "trials": trials, "seed": seed, "sampler": sampler.describe(),
+        **own_config,
+    }
+    run = BenchRun(kind=kind, config=config, rows=rows)
+    for q in qs:
+        at_q = [r for r in rows if r["q"] == q]
+        med = {}
+        for col in run.columns()[2:]:
+            vals = [r[col] for r in at_q if r[col] is not None]
+            med[col] = statistics.median(vals) if vals else None
+        run.medians[str(q)] = med
+    return run
 
 
 def bench_overlap(code: SubsystemCode, q_values: list[int], trials: int,
                   seed: int, l_max: int = 5,
                   thickness: int | None = None) -> BenchRun:
     """Median maximum crowd number and redundancy number per q."""
-    if trials < 1:  # every median would read None
-        raise ValueError(f"need trials >= 1, got {trials}")
-    max_q = max(q_values)
-    t = thickness if thickness is not None else max_q
-    sampler = SigmaSampler(code=code, l_max=l_max, thickness=t,
-                           max_q=max_q, seed=seed)
-    rows = []
-    for trial in range(trials):
-        full = sampler.sample(max_q, trial)
-        for q in sorted(q_values):
-            sigma = OperatorSet("Z", full.vectors.take_rows(range(q)))
-            _, mcn = crowd_numbers(sigma)
-            rn = redundancy_number(code, sigma)
-            rows.append({"q": q, "trial": trial, "mcn": mcn, "rn": rn})
-    rows.sort(key=lambda r: (r["q"], r["trial"]))
-    medians = {str(q): {"mcn": _median_of(rows, q, "mcn"),
-                        "rn": _median_of(rows, q, "rn")}
-               for q in sorted(q_values)}
-    config = {
-        "code": code.name, "n": code.n, "k": code.k,
-        "q_values": sorted(q_values), "trials": trials, "seed": seed,
-        "sampler": sampler.describe(),
-    }
-    return BenchRun(kind="overlap", config=config, rows=rows, medians=medians)
+    def values(sigma):
+        _, mcn = crowd_numbers(sigma)
+        return {"mcn": mcn, "rn": redundancy_number(code, sigma)}
+
+    return _figure_run("overlap", code, q_values, trials, seed, l_max,
+                       thickness, lambda: (values, {}))
 
 
-def bench_cost(code: SubsystemCode, q_values: list[int], thickness: int,
-               trials: int, seed: int, l_max: int = 5,
+def bench_cost(code: SubsystemCode, q_values: list[int], trials: int,
+               seed: int, l_max: int = 5, thickness: int | None = None,
                d_r: int | None = None) -> BenchRun:
     """Median devised-sticking vs brute-force-branching qubit totals.
 
     bfb needs at least two operators; q = 1 rows record ds only.
     """
-    if trials < 1:  # every median would read None
-        raise ValueError(f"need trials >= 1, got {trials}")
-    d_r = _measurement_d_r(code, d_r)
-    max_q = max(q_values)
-    sampler = SigmaSampler(code=code, l_max=l_max, thickness=thickness,
-                           max_q=max_q, seed=seed)
-    rows = []
-    for trial in range(trials):
-        full = sampler.sample(max_q, trial)
-        for q in sorted(q_values):
-            sigma = OperatorSet("Z", full.vectors.take_rows(range(q)))
-            ds = estimate_qubit_cost(code, sigma, "ds",
-                                     thickness=min(thickness, q), d_r=d_r)
-            row = {"q": q, "trial": trial, "ds": ds.measured_total, "bfb": None}
-            if q >= 2:
-                bfb = estimate_qubit_cost(code, sigma, "bfb",
-                                          thickness=min(thickness, q), d_r=d_r)
-                row["bfb"] = bfb.measured_total
-            rows.append(row)
-    rows.sort(key=lambda r: (r["q"], r["trial"]))
-    medians = {str(q): {"ds": _median_of(rows, q, "ds"),
-                        "bfb": _median_of(rows, q, "bfb")}
-               for q in sorted(q_values)}
-    config = {
-        "code": code.name, "n": code.n, "k": code.k,
-        "q_values": sorted(q_values), "trials": trials, "seed": seed,
-        "d_r": d_r, "sampler": sampler.describe(),
-    }
-    return BenchRun(kind="cost", config=config, rows=rows, medians=medians)
+    def setup():
+        d = _measurement_d_r(code, d_r)
+
+        def values(sigma):
+            ds = estimate_qubit_cost(code, sigma, "ds", d_r=d).measured_total
+            if sigma.size < 2:
+                return {"ds": ds, "bfb": None}
+            return {"ds": ds, "bfb": estimate_qubit_cost(
+                code, sigma, "bfb", d_r=d).measured_total}
+
+        return values, {"d_r": d}
+
+    return _figure_run("cost", code, q_values, trials, seed, l_max,
+                       thickness, setup)

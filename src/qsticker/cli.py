@@ -66,10 +66,14 @@ def _resolve_sigma(args, code) -> OperatorSet:
 
 
 def _parse_q_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",")]
+    lo, sep, hi = text.partition(":")
+    try:
+        if sep:
+            return list(range(int(lo), int(hi) + 1))
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--q takes lo:hi or a comma list of integers, "
+                         f"got {text!r}") from None
 
 
 def cmd_validate(args) -> int:
@@ -191,33 +195,28 @@ def cmd_plan(args) -> int:
     return 0
 
 
+def _write_bench(args, run) -> int:
+    for ext, text in (("csv", run.to_csv_text()), ("json", run.to_json_text())):
+        with open(_out_path(args, f"{run.kind}.{ext}"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text)
+    for q, med in run.medians.items():
+        print(f"  q={q}: median " + " ".join(f"{c}={v}" for c, v in med.items()))
+    return 0
+
+
 def cmd_bench_overlap(args) -> int:
     code = load_code(args.code, args.format)
-    run = bench_overlap(code, _parse_q_range(args.q_range), args.trials,
-                        args.seed, l_max=args.L, thickness=args.t)
-    with open(_out_path(args, "overlap.csv"), "w", encoding="utf-8") as fh:
-        fh.write(run.to_csv_text())
-    with open(_out_path(args, "overlap.json"), "w", encoding="utf-8") as fh:
-        fh.write(run.to_json_text())
-    for q in sorted(int(k) for k in run.medians):
-        med = run.medians[str(q)]
-        print(f"  q={q}: median mcn={med['mcn']} rn={med['rn']}")
-    return 0
+    return _write_bench(args, bench_overlap(
+        code, _parse_q_range(args.q_range), args.trials, args.seed,
+        l_max=args.L, thickness=args.t))
 
 
 def cmd_bench_cost(args) -> int:
     code = load_code(args.code, args.format)
-    t = args.t if args.t is not None else max(_parse_q_range(args.q_range))
-    run = bench_cost(code, _parse_q_range(args.q_range), t, args.trials,
-                     args.seed, l_max=args.L, d_r=args.dr)
-    with open(_out_path(args, "cost.csv"), "w", encoding="utf-8") as fh:
-        fh.write(run.to_csv_text())
-    with open(_out_path(args, "cost.json"), "w", encoding="utf-8") as fh:
-        fh.write(run.to_json_text())
-    for q in sorted(int(k) for k in run.medians):
-        med = run.medians[str(q)]
-        print(f"  q={q}: median ds={med['ds']} bfb={med['bfb']}")
-    return 0
+    return _write_bench(args, bench_cost(
+        code, _parse_q_range(args.q_range), args.trials, args.seed,
+        l_max=args.L, thickness=args.t, d_r=args.dr))
 
 
 def cmd_simulate(args) -> int:

@@ -94,9 +94,6 @@ class Gf2Matrix:
             raise IndexError("matrix index out of range")
         return (self.bits[i] >> j) & 1
 
-    def row(self, i: int) -> int:
-        return self.bits[i]
-
     def row_list(self, i: int) -> list[int]:
         r = self.bits[i]
         return [(r >> j) & 1 for j in range(self.cols)]
@@ -267,24 +264,6 @@ class Gf2Matrix:
         if sorted(perm) != list(range(self.cols)):
             raise ValueError("perm is not a permutation of range(cols)")
         return self.take_cols(perm)
-
-
-class Canvas:
-    """Mutable scratch grid for assembling block matrices."""
-
-    def __init__(self, rows: int, cols: int):
-        self.rows = rows
-        self.cols = cols
-        self.bits = [0] * rows
-
-    def put(self, r0: int, c0: int, m: Gf2Matrix) -> None:
-        if r0 < 0 or c0 < 0 or r0 + m.rows > self.rows or c0 + m.cols > self.cols:
-            raise ValueError("block does not fit on the canvas")
-        for i, r in enumerate(m.bits):
-            self.bits[r0 + i] |= r << c0
-
-    def to_matrix(self) -> Gf2Matrix:
-        return Gf2Matrix(self.bits, self.cols)
 
 
 # -- elimination -----------------------------------------------------

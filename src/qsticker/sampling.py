@@ -96,9 +96,6 @@ class SigmaSampler:
             rows.append(acc)
         return OperatorSet("Z", Gf2Matrix(rows, self.code.n))
 
-    def logical_supports(self, q: int, trial: int = 0) -> list[tuple[int, ...]]:
-        return self.stream(trial)[:q]
-
     def describe(self) -> dict:
         return {
             "distribution": "per-operator support size uniform on 1..L, "
@@ -112,15 +109,3 @@ class SigmaSampler:
             "seed": self.seed,
         }
 
-
-def check_sample_invariants(sampler: SigmaSampler, q: int, trial: int = 0) -> None:
-    """Raise unless the L and thickness invariants hold for a sample."""
-    picks = sampler.logical_supports(q, trial)
-    for idxs in picks:
-        if not 1 <= len(idxs) <= sampler.l_max:
-            raise InternalError("operator acts on an out-of-range logical count")
-    t = sampler.thickness
-    for i, a in enumerate(picks):
-        for j, b in enumerate(picks):
-            if i // t != j // t and set(a) & set(b):
-                raise InternalError("logical overlap across thickness cells")

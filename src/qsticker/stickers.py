@@ -33,7 +33,7 @@ from .codes import (
     repetition_check,
     subsystem_code,
 )
-from .gf2 import Canvas, Gf2Matrix, RowReducer, solve_left
+from .gf2 import Gf2Matrix, RowReducer, solve_left
 from .glue import GlueError, GlueSpec, LogicalSplit
 
 
@@ -113,24 +113,23 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
     sticker = build_sticker(glue, d_r, kind)
     n, n_g = c.n, glue.n_g
     total = n + sticker.qubits
-    hx = Canvas(c.hx.rows + sticker.hx_s.rows, total)
-    hx.put(0, 0, c.hx)
-    hx.put(0, n + (d_r - 1) * n_g, glue.t)
-    hx.put(c.hx.rows, n, sticker.hx_s)
-    hz = Canvas(c.hz.rows + sticker.hz_s.rows, total)
-    hz.put(0, 0, c.hz)
-    hz.put(c.hz.rows, 0, glue.s)
-    hz.put(c.hz.rows, n, sticker.hz_s)
-    jx = Canvas(jx_mem.rows, total)
-    jx.put(0, 0, jx_mem)
-    jx_s = jx_mem.mul(glue.s.transpose())
-    for j in range(1, d_r):
-        jx.put(0, n + (j - 1) * n_g, jx_s)
-    if gamma is not None:
-        jx.put(0, n + (d_r - 1) * (n_g + glue.r_g), gamma)
+    hx = [*c.hx.bits, *(r << n for r in sticker.hx_s.bits)]
+    for i, r in enumerate(glue.t.bits):
+        hx[i] |= r << (n + (d_r - 1) * n_g)
+    hz = [*c.hz.bits, *(r << n for r in sticker.hz_s.bits)]
+    for i, r in enumerate(glue.s.bits, c.hz.rows):
+        hz[i] |= r
+    jx_s = jx_mem.mul(glue.s.transpose()).bits
+    jx = list(jx_mem.bits)
+    for i in range(len(jx)):
+        for j in range(1, d_r):
+            jx[i] |= jx_s[i] << (n + (j - 1) * n_g)
+        if gamma is not None:
+            jx[i] |= gamma.bits[i] << (n + (d_r - 1) * (n_g + glue.r_g))
     jz = jz_mem.hstack(Gf2Matrix.zeros(jz_mem.rows, total - n))
     suffix = "meas" if kind == "measurement" else "branch"
-    code = subsystem_code(hx.to_matrix(), hz.to_matrix(), jx.to_matrix(), jz,
+    code = subsystem_code(Gf2Matrix(hx, total), Gf2Matrix(hz, total),
+                          Gf2Matrix(jx, total), jz,
                           name=f"{c.name}+{suffix}")
     # `subsystem_code` already checked hx (hz; jz)^T = 0 and hz jx^T = 0
     if code.jx.mul_transpose(code.jz) != Gf2Matrix.identity(code.k):

@@ -358,20 +358,17 @@ def _finish_plan(plan: MeasurementPlan, state: StabilizerState,
 
 
 def simulate_plan(plan: MeasurementPlan, initial: StabilizerState,
-                  outcome_seed: int | None = None,
-                  forced: list[int] | None = None) -> PlanResult:
+                  outcome_seed: int | None = None) -> PlanResult:
     """Run the plan on a tableau; undetermined outcomes come from the
-    seeded generator (or the forced list, for branch enumeration)."""
+    seeded generator."""
     state = initial.copy()
     if state.n != plan.total_qubits:
         raise ValueError("initial state does not cover memory plus ancillas")
     rng = random.Random(outcome_seed)
     outcomes: list[int] = []
     flags: list[bool] = []
-    forced_iter = iter(forced) if forced is not None else None
     for op in plan_measurement_sequence(plan):
-        force_val = next(forced_iter, None) if forced_iter is not None else None
-        mu, was_random = state.measure(op, rng=rng, forced=force_val)
+        mu, was_random = state.measure(op, rng=rng)
         outcomes.append(mu)
         flags.append(was_random)
     return _finish_plan(plan, state, outcomes, flags)

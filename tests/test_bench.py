@@ -5,13 +5,22 @@ import pytest
 from qsticker.bench import bench_cost, bench_overlap
 from qsticker.io import desk_code
 from qsticker.codes import crowd_numbers
-from qsticker.errors import InternalError
-from qsticker.sampling import SigmaSampler, check_sample_invariants
+from qsticker.sampling import SigmaSampler
 
 
 @pytest.fixture(scope="module")
 def desk():
     return desk_code(7)
+
+
+def check_sample_invariants(sampler, q, trial=0):
+    """Assert the L and thickness invariants of a sample's logical supports."""
+    picks = sampler.stream(trial)[:q]
+    assert all(1 <= len(idxs) <= sampler.l_max for idxs in picks)
+    t = sampler.thickness
+    for i, a in enumerate(picks):
+        for j, b in enumerate(picks):
+            assert i // t == j // t or not set(a) & set(b), (i, j)
 
 
 def test_sampler_single_operator(desk):
@@ -24,7 +33,7 @@ def test_sampler_single_operator(desk):
 
 def test_sampler_thickness_one_gives_disjoint_logicals(desk):
     s = SigmaSampler(code=desk, l_max=3, thickness=1, max_q=4, seed=9)
-    picks = s.logical_supports(4)
+    picks = s.stream(0)[:4]
     for i in range(4):
         for j in range(i + 1, 4):
             assert not set(picks[i]) & set(picks[j])
@@ -37,14 +46,6 @@ def test_sampler_invariants_hold_per_sample(desk):
         check_sample_invariants(s, q)
         sigma = s.sample(q)
         assert sigma.size == q
-
-
-def test_sample_invariant_violation_is_internal_error(desk, monkeypatch):
-    s = SigmaSampler(code=desk, l_max=1, thickness=2, max_q=2, seed=4)
-    monkeypatch.setattr(SigmaSampler, "logical_supports",
-                        lambda self, q, trial=0: [(0, 1), (2,)])
-    with pytest.raises(InternalError, match="out-of-range logical count"):
-        check_sample_invariants(s, 2)
 
 
 def test_sampler_rejects_unhostable_requests(desk):
@@ -125,6 +126,24 @@ def test_bench_runs_need_a_trial(desk):
         bench_overlap(desk, [2], trials=0, seed=3)
 
 
+@pytest.mark.parametrize("q_values", [[0, 1, 2], [2, 2], []])
+def test_bench_runs_reject_a_bad_q_list(desk, q_values):
+    # q = 0 is an empty Σ and a repeated q doubles its rows in the medians
+    match = "need a nonempty list of distinct q >= 1"
+    with pytest.raises(ValueError, match=match):
+        bench_overlap(desk, q_values, trials=1, seed=3)
+    with pytest.raises(ValueError, match=match):
+        bench_cost(desk, q_values, trials=1, seed=3, d_r=6)
+
+
+def test_bench_cost_thickness_defaults_to_largest_q(desk):
+    run = bench_cost(desk, [1, 3], trials=2, seed=4, d_r=6)
+    assert run.config["sampler"]["t"] == 3
+    explicit = bench_cost(desk, [1, 3], trials=2, seed=4, d_r=6, thickness=3)
+    assert run.to_csv_text() == explicit.to_csv_text()
+    assert run.to_json_text() == explicit.to_json_text()
+
+
 def test_bench_cost_thickness_tightens_ds(desk):
     thin = bench_cost(desk, [4], thickness=1, trials=5, seed=12, d_r=6)
     thick = bench_cost(desk, [4], thickness=4, trials=5, seed=12, d_r=6)
@@ -146,3 +165,26 @@ def test_thickness_refined_glue_bound(desk):
             n_n, rn = fine.meta["n_n"], fine.meta["rn"]
             assert fine.n_g <= n_n + 2 * rn * (t + 1)
             assert fine.r_g <= desk.hx.wmax() * n_n + 2 * rn * (t + 1)
+
+
+def test_figure_sweep_golden_digest(desk):
+    # CSV and JSON text of both figure runs on two desk codes, at the
+    # default and explicit thicknesses, l_max < 5 and q = 1 cost rows
+    # (bfb None): any change to a figure output changes the digest
+    import hashlib
+
+    digest = hashlib.sha256()
+    for code in (desk, desk_code(3)):
+        for seed in (0, 1):
+            for run in (
+                    bench_overlap(code, [1, 3, 5], trials=3, seed=seed),
+                    bench_overlap(code, [2, 4], trials=3, seed=seed, l_max=3,
+                                  thickness=2),
+                    bench_cost(code, [1, 2, 4], thickness=4, trials=3,
+                               seed=seed, d_r=6),
+                    bench_cost(code, [1, 3], thickness=2, trials=2, seed=seed,
+                               l_max=2, d_r=6)):
+                digest.update(run.to_csv_text().encode())
+                digest.update(run.to_json_text().encode())
+    assert digest.hexdigest() == (
+        "6b259fc8bffa874618c504cfc77c141225be917d688e5ba056cf5fba85e17d60")

@@ -125,6 +125,22 @@ def test_zero_thickness_or_q_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "glue.json").exists()
 
 
+def test_bad_q_list_is_input_error(tmp_path, capsys):
+    for command in (["bench-overlap"], ["bench-cost", "--dr", "6"]):
+        for q in ("0:2", "2,2", "3:2"):
+            rc = run_cli(command + ["--code", "desk", "--q", q, "--trials", "1",
+                                    "--out", str(tmp_path)])
+            assert rc == 2
+            assert ("need a nonempty list of distinct q >= 1"
+                    in capsys.readouterr().err)
+        rc = run_cli(command + ["--code", "desk", "--q", "x", "--trials", "1",
+                                "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--q" in err and "'x'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_trials_is_input_error(tmp_path, capsys):
     rc = run_cli(["bench-cost", "--code", "desk", "--q", "2", "--trials", "0",
                   "--dr", "6", "--out", str(tmp_path)])

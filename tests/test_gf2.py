@@ -9,7 +9,6 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from qsticker.gf2 import (
-    Canvas,
     Gf2Matrix,
     RowReducer,
     inverse,
@@ -214,18 +213,6 @@ def test_mul_transpose_and_kron_against_dense():
     c = random_matrix(rng, 2, 3)
     d = random_matrix(rng, 3, 2)
     assert np.array_equal(as_array(c.kron(d)), np.kron(as_array(c), as_array(d)) % 2)
-
-
-def test_canvas_assembles_blocks():
-    cv = Canvas(3, 5)
-    cv.put(0, 0, Gf2Matrix.identity(2))
-    cv.put(1, 2, Gf2Matrix([0b111], 3))
-    m = cv.to_matrix()
-    assert m.row_list(0) == [1, 0, 0, 0, 0]
-    assert m.row_list(1) == [0, 1, 1, 1, 1]
-    assert m.row_list(2) == [0, 0, 0, 0, 0]
-    with pytest.raises(ValueError):
-        cv.put(2, 4, Gf2Matrix.identity(2))
 
 
 def test_complete_basis_extends_span():

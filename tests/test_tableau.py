@@ -154,10 +154,6 @@ def test_forced_outcome_must_be_plus_or_minus_one(forced):
     with pytest.raises(ValueError, match="forced outcome must be 1 or -1"):
         state.measure(parse_pauli("X1", 1), forced=forced)
     assert state.gens == before
-    plan = build_measurement_plan([parse_pauli("X1", 1)])
-    initial = plan_initial_state(plan, StabilizerState.product_state("+"))
-    with pytest.raises(ValueError, match="forced outcome must be 1 or -1"):
-        simulate_plan(plan, initial, outcome_seed=0, forced=[forced])
 
 
 def test_projector_oracle_simple_cases():
