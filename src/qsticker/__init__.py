@@ -39,8 +39,8 @@ from .glue import (
 from .stickers import (
     DeformedCode,
     GlsReport,
-    Sticker,
     build_sticker,
+    deform,
     paste_branch,
     paste_measurement,
     sticker_qubits,

@@ -32,12 +32,12 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .codes import OperatorSet, SubsystemCode, support_union
+from .codes import OperatorSet, SubsystemCode, support_union, z_signature
 from .errors import InternalError
 # solve_left is unused here; perfbench's tracer test patches this binding
 from .gf2 import Gf2Matrix, solve_left
-from .glue import GlueError, finely_devised_glue, naked_glue, split_logicals
-from .stickers import DeformedCode, paste_branch, paste_measurement, sticker_qubits
+from .glue import GlueError, finely_devised_glue
+from .stickers import DeformedCode, deform, sticker_qubits
 
 
 class BranchNode(NamedTuple):
@@ -135,20 +135,14 @@ def assemble_plan(c: SubsystemCode, sigma: OperatorSet,
 
     for node in tree.nodes:
         rows = Gf2Matrix([reps[i] for i in node.ops], current.n)
-        node_sigma = OperatorSet("Z", rows)
-        split = split_logicals(current, node_sigma)
-        if node.kind == "measurement":
-            glue = finely_devised_glue(current, node_sigma, split=split)
-            dc = paste_measurement(current, split, glue, node.d_r)
-        else:
-            glue = naked_glue(current, node_sigma)
-            dc = paste_branch(current, split, glue, node.d_r)
-            transferred = rows.take_cols(glue.b_n)
+        dc = deform(current, OperatorSet("Z", rows), node.kind, node.d_r)
+        if node.kind == "branch":
+            transferred = rows.take_cols(dc.glue.b_n)
             lo, _ = dc.ob_range
             for pos, i in enumerate(node.ops):
                 reps[i] = transferred.bits[pos] << lo
             # representatives of other operators keep their (padded) indices
-        incidence_sets.setdefault(node.level, []).append(glue.b_n)
+        incidence_sets.setdefault(node.level, []).append(dc.glue.b_n)
         pastes.append(dc)
         current = dc.code
 
@@ -197,13 +191,6 @@ def _glue_shape(c: SubsystemCode, sigma: OperatorSet,
     return support.bit_count(), sum(1 for row in c.hx.bits if row & support)
 
 
-def _logical_support_sizes(c: SubsystemCode, sigma: OperatorSet) -> list[int]:
-    """Per-operator count of logical qubits acted on (for the L constant)."""
-    if not c.hx.mul_transpose(sigma.vectors).is_zero():
-        raise GlueError("sigma rows are not logical representatives")
-    return [r.bit_count() for r in sigma.vectors.mul_transpose(c.jx).bits]
-
-
 def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
                         thickness: int | None = None,
                         d_r: int | None = None) -> CostReport:
@@ -239,7 +226,8 @@ def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,
                           measured_total=measured, per_level=[measured],
                           bounds=bounds)
     tree = plan_branching(c, sigma, d_r)
-    l_max = max(_logical_support_sizes(c, sigma), default=0)
+    # L: the most logical qubits one operator acts on
+    l_max = max((r.bit_count() for r in z_signature(c, sigma).bits), default=0)
     shapes: dict[int, tuple[int, int]] = {}
     per_level = [0] * tree.nodes[-1].level  # nodes are in level order
     for node in tree.nodes:

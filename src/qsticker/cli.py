@@ -18,11 +18,11 @@ from .branching import assemble_plan, estimate_qubit_cost, plan_branching
 from .codes import OperatorSet, validate_code
 from .errors import InternalError
 from .gf2 import Gf2Matrix
-from .glue import finely_devised_glue, naked_glue, split_logicals
+from .glue import finely_devised_glue, naked_glue
 from .io import load_code, load_sigma, save_check_matrix
 from .pauli import build_measurement_plan, is_regular, parse_pauli, regularise
 from .sampling import SigmaSampler
-from .stickers import paste_branch, paste_measurement, verify_surgery
+from .stickers import deform, verify_surgery
 from .tableau import (
     StabilizerState,
     memory_factor,
@@ -118,19 +118,10 @@ def cmd_glue(args) -> int:
     return 0
 
 
-def _build_deformed(args, code, sigma):
-    split = split_logicals(code, sigma)
-    if args.kind == "measurement":
-        glue = finely_devised_glue(code, sigma, split=split)
-        return paste_measurement(code, split, glue, args.dr)
-    glue = naked_glue(code, sigma)
-    return paste_branch(code, split, glue, args.dr)
-
-
 def cmd_deform(args) -> int:
     code = load_code(args.code, args.format)
     sigma = _resolve_sigma(args, code)
-    dc = _build_deformed(args, code, sigma)
+    dc = deform(code, sigma, args.kind, args.dr)
     payload = {
         "schema": 1,
         "kind": dc.kind,
@@ -153,7 +144,7 @@ def cmd_deform(args) -> int:
 def cmd_verify(args) -> int:
     code = load_code(args.code, args.format)
     sigma = _resolve_sigma(args, code)
-    dc = _build_deformed(args, code, sigma)
+    dc = deform(code, sigma, args.kind, args.dr)
     rep = verify_surgery(dc, distance_qubit_cap=args.budget)
     _write_json(_out_path(args, "verify.json"), rep.to_report())
     for st in rep.statements:
@@ -175,10 +166,9 @@ def cmd_plan(args) -> int:
                    "ops": list(n.ops), "kind": n.kind, "d_r": n.d_r}
                   for n in tree.nodes],
         "costs": {
-            "ds": estimate_qubit_cost(code, sigma, "ds",
-                                      d_r=args.dr).to_report(),
-            "bfb": estimate_qubit_cost(code, sigma, "bfb",
-                                       d_r=args.dr).to_report(),
+            scheme: estimate_qubit_cost(code, sigma, scheme, thickness=args.t,
+                                        d_r=args.dr).to_report()
+            for scheme in ("ds", "bfb")
         },
     }
     if args.assemble:

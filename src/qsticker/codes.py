@@ -439,13 +439,22 @@ def contained_logical_count(c: SubsystemCode, support: tuple[int, ...],
     return rank(kernel_basis(local).mul_transpose(j.take_cols(cols)))
 
 
-def redundancy_number(c: SubsystemCode, sigma: OperatorSet) -> int:
-    """rn(Σ) = k_N − q for a set of Z-species logical representatives."""
+def z_signature(c: SubsystemCode, sigma: OperatorSet) -> Gf2Matrix:
+    """Σ J_X^T for Σ a set of Z logical representatives (rows in ker H_X).
+
+    The precondition of every glue, sticker and overlap routine; a row
+    outside ker H_X is named by its index.
+    """
     if sigma.species != "Z":
-        raise ValueError("redundancy_number expects a Z-species operator set")
+        raise ValueError("sigma must be a Z-species operator set")
     for i, syndrome in enumerate(sigma.vectors.mul_transpose(c.hx).bits):
         if syndrome:
             raise ValueError(f"sigma row {i} is not in ker hx")
-    q = rank(sigma.vectors.mul_transpose(c.jx))
+    return sigma.vectors.mul_transpose(c.jx)
+
+
+def redundancy_number(c: SubsystemCode, sigma: OperatorSet) -> int:
+    """rn(Σ) = k_N − q for a set of Z-species logical representatives."""
+    q = rank(z_signature(c, sigma))
     k_n = contained_logical_count(c, support_union(sigma))
     return k_n - q

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .codes import OperatorSet, SubsystemCode
+from .codes import OperatorSet, SubsystemCode, z_signature
 from .errors import InternalError
 from .gf2 import (
     Gf2Matrix,
@@ -78,15 +78,11 @@ def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
     their supports stay inside Q(Σ).  The code's logicals must be bare
     (J_X F_Z^T = 0): then the J_Z coefficients are Σ J_X^T.
     """
-    if sigma.species != "Z":
-        raise GlueError("split_logicals expects Z-species operators")
     q = sigma.vectors.rows
     k = c.k
     if q == 0 or q > k:
         raise GlueError(f"need 1 <= q <= k, got q={q}, k={k}")
-    if not c.hx.mul_transpose(sigma.vectors).is_zero():
-        raise GlueError("sigma rows are not Z logical representatives")
-    x = sigma.vectors.mul_transpose(c.jx)
+    x = z_signature(c, sigma)
     try:
         r, pi2, xs = standard_form(x)
     except ValueError as exc:
@@ -168,9 +164,11 @@ def naked_glue(c: SubsystemCode, sigma: OperatorSet) -> GlueSpec:
 
     Bits are the support qubits, checks are every memory X-check
     adjacent to them, S embeds the glue bits at their memory positions
-    and T selects the adjacent checks.
+    and T selects the adjacent checks.  Σ rows must lie in ker H_X;
+    then each restricts to a codeword of the glue, so "none" is a bug.
     """
     spec = _induced_glue(c, sigma)
+    z_signature(c, sigma)
     devis = classify_devisedness(spec, c, sigma)
     if devis == "none":
         raise InternalError("naked glue failed to be coarsely devised (bug)")

@@ -27,27 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codes import (
-    DistanceResult,
+    OperatorSet,
     SubsystemCode,
     exact_distance,
     repetition_check,
     subsystem_code,
 )
 from .gf2 import Gf2Matrix, RowReducer, solve_left
-from .glue import GlueError, GlueSpec, LogicalSplit
-
-
-@dataclass(frozen=True)
-class Sticker:
-    kind: str  # "measurement" | "branch"
-    glue: GlueSpec
-    d_r: int
-    hx_s: Gf2Matrix
-    hz_s: Gf2Matrix
-
-    @property
-    def qubits(self) -> int:
-        return self.hx_s.cols
+from .glue import (GlueError, GlueSpec, LogicalSplit, finely_devised_glue,
+                   naked_glue, split_logicals)
 
 
 def sticker_qubits(n_g: int, r_g: int, d_r: int, kind: str) -> int:
@@ -56,8 +44,9 @@ def sticker_qubits(n_g: int, r_g: int, d_r: int, kind: str) -> int:
     return (d_r - 1) * n_g + (d_r if kind == "measurement" else d_r - 1) * r_g
 
 
-def build_sticker(glue: GlueSpec, d_r: int, kind: str) -> Sticker:
-    """Hypergraph-product sticker of the glue code and a repetition code."""
+def build_sticker(glue: GlueSpec, d_r: int,
+                  kind: str) -> tuple[Gf2Matrix, Gf2Matrix]:
+    """(H_X, H_Z) of the glue code's hypergraph product with a repetition code."""
     if d_r < 2:
         raise ValueError("sticker length d_r must be at least 2")
     if kind not in ("measurement", "branch"):
@@ -68,7 +57,7 @@ def build_sticker(glue: GlueSpec, d_r: int, kind: str) -> Sticker:
         lam.kron(Gf2Matrix.identity(glue.r_g)))
     hz = lam.transpose().kron(Gf2Matrix.identity(glue.n_g)).hstack(
         Gf2Matrix.identity(lam.cols).kron(hg.transpose()))
-    return Sticker(kind=kind, glue=glue, d_r=d_r, hx_s=hx, hz_s=hz)
+    return hx, hz
 
 
 @dataclass(frozen=True)
@@ -110,13 +99,13 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
     logical row J carries J S^T on every u block, plus γ on the last v
     block for a measurement sticker; Z logicals stay on the memory.
     """
-    sticker = build_sticker(glue, d_r, kind)
+    hx_s, hz_s = build_sticker(glue, d_r, kind)
     n, n_g = c.n, glue.n_g
-    total = n + sticker.qubits
-    hx = [*c.hx.bits, *(r << n for r in sticker.hx_s.bits)]
+    total = n + hx_s.cols
+    hx = [*c.hx.bits, *(r << n for r in hx_s.bits)]
     for i, r in enumerate(glue.t.bits):
         hx[i] |= r << (n + (d_r - 1) * n_g)
-    hz = [*c.hz.bits, *(r << n for r in sticker.hz_s.bits)]
+    hz = [*c.hz.bits, *(r << n for r in hz_s.bits)]
     for i, r in enumerate(glue.s.bits, c.hz.rows):
         hz[i] |= r
     jx_s = jx_mem.mul(glue.s.transpose()).bits
@@ -186,6 +175,23 @@ def paste_branch(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
                   split.jza.vstack(split.jzc), None, j_g)
 
 
+def deform(c: SubsystemCode, sigma: OperatorSet, kind: str,
+           d_r: int) -> DeformedCode:
+    """The deformed code of a `kind` sticker for Σ on the memory.
+
+    Each kind is pasted with the glue it needs: a measurement sticker
+    with the finely devised glue, so it measures exactly ⟨Σ⟩, and a
+    branch sticker with the naked glue, whose S embeds its bits at B_N.
+    """
+    if kind not in ("measurement", "branch"):
+        raise ValueError("kind must be 'measurement' or 'branch'")
+    split = split_logicals(c, sigma)
+    if kind == "measurement":
+        glue = finely_devised_glue(c, sigma, split=split)
+        return paste_measurement(c, split, glue, d_r)
+    return paste_branch(c, split, naked_glue(c, sigma), d_r)
+
+
 # -- generalized-lattice-surgery statement suite ------------------------
 
 
@@ -204,7 +210,6 @@ class StatementResult:
 class GlsReport:
     kind: str
     statements: list[StatementResult] = field(default_factory=list)
-    distance: DistanceResult | None = None
 
     @property
     def ok(self) -> bool:
@@ -325,7 +330,6 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     if code.n <= distance_qubit_cap:
         cap = min(max(_DISTANCE_WEIGHT_CAP, bound), code.n)
         res = exact_distance(code, cap=cap)
-        rep.distance = res
         if res.value is not None:
             ok = res.value >= bound
             rep.statements.append(StatementResult(

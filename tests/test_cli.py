@@ -69,6 +69,16 @@ def test_plan_command(tmp_path):
     assert rep["costs"]["ds"]["measured_total"] > 0
 
 
+def test_plan_passes_thickness_to_both_cost_reports(tmp_path):
+    rc = run_cli(["plan", "--code", "desk", "--q", "4", "--t", "2", "--seed", "2",
+                  "--dr", "6", "--out", str(tmp_path)])
+    assert rc == 0
+    costs = json.loads(read(tmp_path / "plan.json"))["costs"]
+    assert costs["ds"]["t"] == costs["bfb"]["t"] == 2
+    assert costs["ds"]["bounds"]["thickness_bound_value"] == 564
+    assert costs["ds"]["bounds"]["bound_value"] == 1128
+
+
 def test_dr_below_two_is_input_error(tmp_path, capsys):
     for args in (["bench-cost", "--code", "hgp:3,3", "--q", "1", "--trials", "1"],
                  ["plan", "--code", "desk", "--q", "3", "--seed", "2"]):
@@ -158,6 +168,18 @@ def test_sigma_file_input(tmp_path):
     rc = run_cli(["glue", "--code", "hgp:3,3", "--sigma", str(sigma_path),
                   "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_sigma_row_outside_ker_hx_is_input_error(tmp_path, capsys):
+    # a single Z on qubit 0 of hgp:3,3 meets an X check: bad input, not
+    # a broken invariant of the naked glue
+    sigma_path = tmp_path / "sigma.txt"
+    sigma_path.write_text("1000000000000\n", encoding="utf-8")
+    rc = run_cli(["glue", "--code", "hgp:3,3", "--sigma", str(sigma_path),
+                  "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: sigma row 0 is not in ker hx\n"
+    assert not (tmp_path / "glue.json").exists()
 
 
 def test_logicals_index_out_of_range_is_input_error(tmp_path, capsys):

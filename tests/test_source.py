@@ -98,3 +98,41 @@ def test_every_definition_is_read_in_the_package():
                 if all(n.id != d.name or id(n) in own for n in reads):
                     unread.append(f"{name}:{d.lineno} {d.name}")
     assert not unread, "definitions nothing in the package reads: " + ", ".join(unread)
+
+
+def _top_level_statements():
+    """(module:name, node) for every top-level statement in the package;
+    a statement that defines nothing is named <module>."""
+    return [(f"{path.stem}:{getattr(d, 'name', '<module>')}", d)
+            for path in sorted(SRC.glob("*.py"))
+            for d in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
+def _called_names(node):
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
+def test_pastes_are_called_only_by_deform():
+    # deform is the one place that pairs a sticker kind with its glue
+    callers = {name for name, node in _top_level_statements()
+               if _called_names(node) & {"paste_measurement", "paste_branch"}}
+    assert callers == {"stickers:deform"}
+
+
+def test_one_function_checks_sigma_against_hx():
+    # every routine that needs Σ rows in ker H_X calls the one check
+    holders = [name for name, node in _top_level_statements()
+               if any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                      and "is not in ker hx" in n.value for n in ast.walk(node))]
+    assert len(holders) == 1, holders
+    check = holders[0].split(":")[1]
+    users = {name: node for name, node in _top_level_statements()
+             if name in {"glue:split_logicals", "glue:naked_glue",
+                         "codes:redundancy_number",
+                         "branching:estimate_qubit_cost"}}
+    assert len(users) == 4, sorted(users)
+    missing = [name for name, node in users.items()
+               if check not in _called_names(node)]
+    assert not missing, f"{check} is not called by: {', '.join(missing)}"

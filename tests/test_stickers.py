@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_signatures import codes_and_sigmas
 
+from qsticker.branching import estimate_qubit_cost
 from qsticker.codes import (
     OperatorSet,
     direct_sum,
     exact_distance,
     hgp,
+    redundancy_number,
     repetition_check,
     validate_code,
 )
@@ -27,6 +29,7 @@ from qsticker.stickers import (
     DeformedCode,
     _same_logical_classes,
     build_sticker,
+    deform,
     paste_branch,
     paste_measurement,
     sticker_qubits,
@@ -65,19 +68,19 @@ def toy_glue(n_g=3, r_g=2):
 
 def test_sticker_qubit_counts():
     g = toy_glue()
-    m2 = build_sticker(g, 2, "measurement")
-    assert m2.qubits == 1 * 3 + 2 * 2 == 7
-    b2 = build_sticker(g, 2, "branch")
-    assert b2.qubits == 1 * (3 + 2) == 5
-    m3 = build_sticker(g, 3, "measurement")
-    assert m3.hx_s.rows == 2 * 2  # (d_R-1) r_G X-checks
-    assert m3.hz_s.rows == 3 * 3  # d_R n_G Z-checks
+    m2_hx, _ = build_sticker(g, 2, "measurement")
+    assert m2_hx.cols == 1 * 3 + 2 * 2 == 7
+    b2_hx, _ = build_sticker(g, 2, "branch")
+    assert b2_hx.cols == 1 * (3 + 2) == 5
+    m3_hx, m3_hz = build_sticker(g, 3, "measurement")
+    assert m3_hx.rows == 2 * 2  # (d_R-1) r_G X-checks
+    assert m3_hz.rows == 3 * 3  # d_R n_G Z-checks
     with pytest.raises(ValueError):
         build_sticker(g, 1, "measurement")
     for kind in ("measurement", "branch"):
         for d_r in range(2, 6):
             assert (sticker_qubits(g.n_g, g.r_g, d_r, kind)
-                    == build_sticker(g, d_r, kind).qubits)
+                    == build_sticker(g, d_r, kind)[0].cols)
 
 
 def test_branch_is_measurement_with_deletions():
@@ -86,19 +89,55 @@ def test_branch_is_measurement_with_deletions():
     g = toy_glue()
     n_g, r_g = g.n_g, g.r_g
     for d_r in (2, 3, 4):
-        m = build_sticker(g, d_r, "measurement")
-        b = build_sticker(g, d_r, "branch")
+        m_hx, m_hz = build_sticker(g, d_r, "measurement")
+        b_hx, b_hz = build_sticker(g, d_r, "branch")
         keep = list(range((d_r - 1) * n_g + (d_r - 1) * r_g))
-        assert b.hx_s == m.hx_s.take_cols(keep)
-        assert b.hz_s == m.hz_s.take_rows(range((d_r - 1) * n_g)).take_cols(keep)
+        assert b_hx == m_hx.take_cols(keep)
+        assert b_hz == m_hz.take_rows(range((d_r - 1) * n_g)).take_cols(keep)
 
 
 def test_sticker_checks_commute():
     g = toy_glue()
     for kind in ("measurement", "branch"):
         for d_r in (2, 3, 4):
-            s = build_sticker(g, d_r, kind)
-            assert s.hx_s.mul_transpose(s.hz_s).is_zero()
+            hx, hz = build_sticker(g, d_r, kind)
+            assert hx.mul_transpose(hz).is_zero()
+
+
+def test_deform_pairs_each_kind_with_its_glue():
+    c = two_blocks()
+    s = sigma_from_indices(c, (0,), (1,))
+    split = split_logicals(c, s)
+    fine = finely_devised_glue(c, s, split=split)
+    for d_r in (2, 3):
+        assert (deform(c, s, "measurement", d_r)
+                == paste_measurement(c, split, fine, d_r))
+        assert (deform(c, s, "branch", d_r)
+                == paste_branch(c, split, naked_glue(c, s), d_r))
+    with pytest.raises(ValueError, match="kind must be"):
+        deform(c, s, "transfer", 2)
+
+
+def test_every_sigma_consumer_gives_the_one_precondition_witness():
+    c = two_blocks()
+    assert c.hx.mul_vec(1)
+    consumers = [
+        lambda sigma: split_logicals(c, sigma),
+        lambda sigma: naked_glue(c, sigma),
+        lambda sigma: finely_devised_glue(c, sigma),
+        lambda sigma: redundancy_number(c, sigma),
+        lambda sigma: estimate_qubit_cost(c, sigma, "ds"),
+        lambda sigma: estimate_qubit_cost(c, sigma, "bfb"),
+        lambda sigma: deform(c, sigma, "measurement", 2),
+        lambda sigma: deform(c, sigma, "branch", 2),
+    ]
+    for sigma, message in (
+            (OperatorSet("Z", Gf2Matrix([c.jz.bits[0], 1], c.n)),
+             r"^sigma row 1 is not in ker hx$"),
+            (OperatorSet("X", c.jx), r"^sigma must be a Z-species operator set$")):
+        for consume in consumers:
+            with pytest.raises(ValueError, match=message):
+                consume(sigma)
 
 
 def test_paste_measurement_surface_code():
@@ -251,14 +290,14 @@ def test_paste_blocks_match_standalone_sticker():
                         ("branch", paste_branch)):
         for d_r in (2, 3):
             dc = paste(c, split, fine, d_r)
-            st = build_sticker(fine, d_r, kind)
+            st_hx, st_hz = build_sticker(fine, d_r, kind)
             sticker_cols = list(range(c.n, dc.n))
             hx_block = dc.code.hx.take_rows(
                 range(c.hx.rows, dc.code.hx.rows)).take_cols(sticker_cols)
-            assert hx_block == st.hx_s
+            assert hx_block == st_hx
             hz_block = dc.code.hz.take_rows(
                 range(c.hz.rows, dc.code.hz.rows)).take_cols(sticker_cols)
-            assert hz_block == st.hz_s
+            assert hz_block == st_hz
 
 
 def test_paste_on_trivial_memory():
