@@ -426,17 +426,14 @@ def crowd_numbers(sigma: OperatorSet) -> tuple[list[int], int]:
     return counts, max(counts, default=0)
 
 
-def contained_logical_count(c: SubsystemCode, support: tuple[int, ...],
-                            species: str = "Z") -> int:
-    """k_N: independent logicals with a representative inside `support`.
+def contained_logical_count(c: SubsystemCode, support: tuple[int, ...]) -> int:
+    """k_N: independent Z logicals with a representative inside `support`.
 
-    Cleaning-lemma view (Bravyi & Terhal 2009): k_N = rank(K J[:, A]^T)
-    with K the kernel of the checks restricted to the support A, using
-    (H_X, J_X) for Z species and (H_Z, J_Z) for X species.
+    Cleaning-lemma view (Bravyi & Terhal 2009): k_N = rank(K J_X[:, A]^T)
+    with K the kernel of H_X restricted to the support A.
     """
-    h, j = (c.hx, c.jx) if species == "Z" else (c.hz, c.jz)
-    local, cols, _ = induced_subgraph(h, sum(1 << u for u in set(support)))
-    return rank(kernel_basis(local).mul_transpose(j.take_cols(cols)))
+    local, cols, _ = induced_subgraph(c.hx, sum(1 << u for u in set(support)))
+    return rank(kernel_basis(local).mul_transpose(c.jx.take_cols(cols)))
 
 
 def z_signature(c: SubsystemCode, sigma: OperatorSet) -> Gf2Matrix:

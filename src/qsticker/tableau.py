@@ -17,17 +17,17 @@ names the first anticommuting pair (j, i), j < i, in the order i then j,
 or the first generator dependent on the ones before it.
 
 The oracle works on dense state vectors (budgeted at 12 qubits) and
-applies projectors (1 + μP)/2 branch by branch.  All amplitudes stay in
-Z[i] scaled by powers of two, so branch probabilities are exact dyadic
+applies projectors (1 + μP)/2 branch by branch.  A vector is a list of
+Python `complex`, which is exact here: all amplitudes stay in Z[i]
+scaled by powers of two, so branch probabilities are exact dyadic
 floats and states compare with exact equality.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InternalError
 from .gf2 import Gf2Matrix, RowReducer, kernel_complement, solve_left
@@ -189,26 +189,21 @@ class StabilizerState:
 # -- dense-vector machinery ---------------------------------------------
 
 
-def dense_apply_pauli(vec: np.ndarray, op: PauliOp) -> np.ndarray:
+def dense_apply_pauli(vec: Sequence[complex], op: PauliOp) -> list[complex]:
     """i^p X(x)Z(z) applied to a dense vector (exact for dyadic inputs)."""
-    n = op.n
-    dim = 1 << n
-    if vec.shape != (dim,):
+    dim = 1 << op.n
+    if len(vec) != dim:
         raise ValueError("vector dimension mismatch")
-    idx = np.arange(dim)
-    par = np.zeros(dim, dtype=np.int64)
-    z = op.z
-    while z:
-        low = z & -z
-        par ^= (idx >> (low.bit_length() - 1)) & 1
-        z ^= low
-    signs = 1.0 - 2.0 * par
-    out = np.zeros_like(vec)
-    out[idx ^ op.x] = (1j ** op.phase) * signs * vec
+    phase = 1j ** op.phase
+    signed = (phase, -phase)  # by the parity of the Z part on the index
+    x, z = op.x, op.z
+    out = [0j] * dim
+    for i, a in enumerate(vec):
+        out[i ^ x] = signed[(i & z).bit_count() & 1] * a
     return out
 
 
-def dense_from_state(state: StabilizerState) -> np.ndarray:
+def dense_from_state(state: StabilizerState) -> list[complex]:
     """Unnormalized dense vector stabilized by every generator.
 
     Projects basis vectors until one survives; amplitudes stay dyadic.
@@ -218,29 +213,32 @@ def dense_from_state(state: StabilizerState) -> np.ndarray:
     if n > ORACLE_QUBIT_BUDGET:
         raise ValueError(f"dense oracle budget is {ORACLE_QUBIT_BUDGET} qubits")
     for b in range(dim):
-        vec = np.zeros(dim, dtype=complex)
-        vec[b] = 1.0
-        ok = True
+        vec = [0j] * dim
+        vec[b] = 1 + 0j
         for g in state.gens:
-            vec = (vec + dense_apply_pauli(vec, g)) / 2.0
-            if not vec.any():
-                ok = False
+            vec = [(a + c) / 2.0 for a, c in zip(vec, dense_apply_pauli(vec, g))]
+            if not any(vec):
                 break
-        if ok:
+        else:
             return vec
     raise InternalError("no basis vector survives the projectors (bug)")
 
 
-def dense_stabilized_by(vec: np.ndarray, op: PauliOp) -> bool:
+def dense_stabilized_by(vec: Sequence[complex], op: PauliOp) -> bool:
     """Exact check that op fixes the (unnormalized) vector."""
-    return np.array_equal(dense_apply_pauli(vec, op), vec)
+    return dense_apply_pauli(vec, op) == list(vec)
+
+
+def _norm2(vec: list[complex]) -> float:
+    # re² + im², not abs(a) ** 2, whose hypot can round
+    return sum(a.real * a.real + a.imag * a.imag for a in vec)
 
 
 @dataclass
 class OracleBranch:
     outcomes: tuple[int, ...]
     probability: float
-    state: np.ndarray  # unnormalized; norm² relative to the initial state
+    state: list[complex]  # unnormalized; norm² relative to the initial state
 
 
 def projector_oracle(ops: list[PauliOp], initial: StabilizerState) -> list[OracleBranch]:
@@ -249,21 +247,18 @@ def projector_oracle(ops: list[PauliOp], initial: StabilizerState) -> list[Oracl
     Branch probabilities are exact dyadic floats summing to 1; zero
     branches are pruned.
     """
-    if initial.n > ORACLE_QUBIT_BUDGET:
-        raise ValueError(f"dense oracle budget is {ORACLE_QUBIT_BUDGET} qubits")
     start = dense_from_state(initial)
-    start_norm = float(np.vdot(start, start).real)
+    start_norm = _norm2(start)
     branches: list[OracleBranch] = []
 
-    def walk(vec: np.ndarray, outcomes: tuple[int, ...], depth: int):
+    def walk(vec: list[complex], outcomes: tuple[int, ...], depth: int):
         if depth == len(ops):
-            prob = float(np.vdot(vec, vec).real) / start_norm
-            branches.append(OracleBranch(outcomes, prob, vec))
+            branches.append(OracleBranch(outcomes, _norm2(vec) / start_norm, vec))
             return
         applied = dense_apply_pauli(vec, ops[depth])
         for mu in (1, -1):
-            nxt = (vec + mu * applied) / 2.0
-            if nxt.any():
+            nxt = [(a + mu * b) / 2.0 for a, b in zip(vec, applied)]
+            if any(nxt):
                 walk(nxt, outcomes + (mu,), depth + 1)
 
     walk(start, (), 0)

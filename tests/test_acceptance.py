@@ -452,20 +452,20 @@ def _verify_protocol_instance(theta, memory):
         return False
     by_outcomes = {b.outcomes: b for b in oracle}
     q = len(theta)
-    mem_vec = dense_from_state(memory)
+    mem_vec = np.asarray(dense_from_state(memory))
     for tb in tableau:
         ob = by_outcomes.get(tb.raw_outcomes)
         if ob is None or tb.probability != ob.probability:
             return False
-        vec = ob.state
+        vec = np.asarray(ob.state)
         for j in tb.corrections_applied:
-            vec = dense_apply_pauli(vec, plan.corrections[j])
+            vec = np.asarray(dense_apply_pauli(vec, plan.corrections[j]))
         if not all(dense_stabilized_by(vec, g) for g in tb.final.gens):
             return False
         # memory factor must equal the projected memory state
         proj = mem_vec
         for j in range(q):
-            applied = dense_apply_pauli(proj, theta[j])
+            applied = np.asarray(dense_apply_pauli(proj, theta[j]))
             proj = (proj + tb.op_outcomes[j] * applied) / 2.0
         grid = vec.reshape(1 << q, 1 << plan.memory_qubits)
         nz = [r for r in range(grid.shape[0]) if grid[r].any()]

@@ -8,6 +8,8 @@ codes and gauge-completed subsystem codes, with stabiliser+gauge
 dressed and undressed Σ.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 from test_gf2 import complete_basis
 
@@ -198,7 +200,9 @@ def test_contained_logical_count_matches_column_restriction(case, data):
     c, sigma = case
     mask = data.draw(st.integers(0, (1 << c.n) - 1))
     picked = tuple(u for u in range(c.n) if mask >> u & 1)
+    # the X side is the Z side of the code with X and Z swapped
+    swapped = replace(c, hx=c.hz, hz=c.hx, jx=c.jz, jz=c.jx, fx=c.fz, fz=c.fx)
     for support in (support_union(sigma), picked, (), tuple(range(c.n))):
-        for species in ("Z", "X"):
-            assert (contained_logical_count(c, support, species)
+        for code, species in ((c, "Z"), (swapped, "X")):
+            assert (contained_logical_count(code, support)
                     == contained_by_column_restriction(c, support, species))

@@ -1,7 +1,10 @@
 """Source-level guards on the package itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +33,28 @@ def test_imports_only_at_module_level():
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, "imports inside function bodies: " + ", ".join(found)
+
+
+def test_no_module_imports_numpy():
+    # the dense oracle runs on lists of complex, so qsticker has no
+    # third-party runtime dependency; numpy is for tests and perfbench
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "numpy" for a in node.names))
+             or (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "numpy")]
+    assert not found, "numpy imported in the package: " + ", ".join(found)
+
+
+def test_cli_import_loads_no_numpy():
+    # catches an import through any module the CLI reaches, not only src/
+    probe = "import sys, qsticker.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # perfbench/tests asserts that its tracer patches these module bindings

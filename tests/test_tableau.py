@@ -5,6 +5,7 @@ projectors keep them dyadic, so branch probabilities and stabilizer
 conditions are compared with exact float equality.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -13,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from qsticker import gf2, tableau
 from qsticker.gf2 import Gf2Matrix, rank
-from qsticker.pauli import PauliOp, build_measurement_plan, parse_pauli
+from qsticker.pauli import (
+    PauliOp,
+    build_measurement_plan,
+    is_regular,
+    parse_pauli,
+    regularise,
+)
 from qsticker.tableau import (
     StabilizerState,
     dense_apply_pauli,
@@ -181,20 +188,20 @@ def check_plan_against_oracle(theta, memory):
     by_outcomes = {b.outcomes: b for b in oracle}
     q = len(theta)
     mem_n = plan.memory_qubits
-    mem_vec = dense_from_state(memory)
+    mem_vec = np.asarray(dense_from_state(memory))
     for tb in tableau_branches:
         ob = by_outcomes[tb.raw_outcomes]
         assert tb.probability == ob.probability
         # oracle state + the same corrections = tableau stabilizer state
-        vec = ob.state
+        vec = np.asarray(ob.state)
         for j in tb.corrections_applied:
-            vec = dense_apply_pauli(vec, plan.corrections[j])
+            vec = np.asarray(dense_apply_pauli(vec, plan.corrections[j]))
         for g in tb.final.gens:
             assert dense_stabilized_by(vec, g)
         # memory factor equals the projected memory state
         proj = mem_vec
         for j in range(q):
-            applied = dense_apply_pauli(proj, theta[j])
+            applied = np.asarray(dense_apply_pauli(proj, theta[j]))
             proj = (proj + tb.op_outcomes[j] * applied) / 2.0
         grid = vec.reshape(1 << q, 1 << mem_n)  # rows: ancilla bits
         flat = proj
@@ -281,6 +288,53 @@ def test_plan_matches_oracle_seeded_regular_sets():
         check_plan_against_oracle(theta, memory)
         cases += 1
     assert cases == 10
+
+
+def oracle_digest_instances(rng, count):
+    """(Θ, memory) pairs as criterion 9 draws them: Hermitian Paulis on
+    1–4 memory qubits, 1–3 pairwise commuting, on a random Clifford
+    memory.  A non-regular set gives one instance per regular part."""
+    instances = []
+    while len(instances) < count:
+        n = rng.randrange(1, 5)
+        size = rng.randrange(1, 4)
+        theta = []
+        for _ in range(100):
+            if len(theta) == size:
+                break
+            x, z = rng.getrandbits(n), rng.getrandbits(n)
+            cand = PauliOp(n, (x & z).bit_count() % 2 + 2 * rng.randrange(2), x, z)
+            if (x or z) and all(cand.commutes_with(o) for o in theta):
+                theta.append(cand)
+        memory, _ = random_clifford_state(rng, n)
+        parts = [theta] if is_regular(theta) else [p for p in regularise(theta) if p]
+        instances.extend((part, memory) for part in parts)
+    return instances
+
+
+def test_projector_oracle_golden_digest():
+    # every outcome, probability and amplitude bit of the oracle's
+    # branches, and of dense_from_state; `+ 0.0` folds -0.0 into 0.0
+    def amplitudes(vec):
+        return ",".join(f"{float.hex(a.real + 0.0)}:{float.hex(a.imag + 0.0)}"
+                        for a in vec)
+
+    rng = random.Random(31337)
+    instances = oracle_digest_instances(rng, 60)
+    assert len(instances) >= 60
+    assert any(len(theta) == 3 for theta, _ in instances)
+    digest = hashlib.sha256()
+    for theta, memory in instances:
+        plan = build_measurement_plan(theta)
+        initial = plan_initial_state(plan, memory)
+        for b in projector_oracle(plan_measurement_sequence(plan), initial):
+            digest.update(f"{b.outcomes}|{float.hex(b.probability)}|"
+                          f"{amplitudes(b.state)}\n".encode())
+    for _ in range(20):
+        state, _ = random_clifford_state(rng, rng.randrange(1, 6))
+        digest.update(f"{amplitudes(dense_from_state(state))}\n".encode())
+    assert digest.hexdigest() == (
+        "0fd9013224bf3deeccbb8b0076501b821511d1ea1149c988a4fd88964d9f6e97")
 
 
 # -- invalid generator sets ------------------------------------------------
