@@ -38,6 +38,7 @@ from .errors import InternalError
 from .gf2 import Gf2Matrix, solve_left
 from .glue import GlueError, finely_devised_glue
 from .stickers import DeformedCode, deform, sticker_qubits
+from .tanner import adjacent_checks
 
 
 class BranchNode(NamedTuple):
@@ -188,7 +189,7 @@ def _glue_shape(c: SubsystemCode, sigma: OperatorSet,
     support = 0
     for i in node.ops:
         support |= sigma.vectors.bits[i]
-    return support.bit_count(), sum(1 for row in c.hx.bits if row & support)
+    return support.bit_count(), len(adjacent_checks(c.hx, support))
 
 
 def estimate_qubit_cost(c: SubsystemCode, sigma: OperatorSet, scheme: str,

@@ -35,6 +35,7 @@ from .gf2 import (
     kernel_complement,
     rank,
     rref,
+    set_bits,
     solve_left,  # unused here; perfbench's tracer test patches this binding
 )
 from .tanner import induced_subgraph
@@ -406,23 +407,15 @@ def support_union(sigma: OperatorSet) -> tuple[int, ...]:
     acc = 0
     for r in sigma.vectors.bits:
         acc |= r
-    out = []
-    while acc:
-        low = acc & -acc
-        out.append(low.bit_length() - 1)
-        acc ^= low
-    return tuple(out)
+    return tuple(set_bits(acc))
 
 
 def crowd_numbers(sigma: OperatorSet) -> tuple[list[int], int]:
     """Per-qubit operator counts cn(Σ,u) and their maximum."""
-    n = sigma.vectors.cols
-    counts = [0] * n
+    counts = [0] * sigma.vectors.cols
     for r in sigma.vectors.bits:
-        while r:
-            low = r & -r
-            counts[low.bit_length() - 1] += 1
-            r ^= low
+        for u in set_bits(r):
+            counts[u] += 1
     return counts, max(counts, default=0)
 
 

@@ -25,6 +25,18 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
+def set_bits(x: int) -> list[int]:
+    """Positions of the set bits of a packed row, in ascending order (walked
+    from the top: clearing the highest bit shrinks the int, x & -x does not)."""
+    out = []
+    while x:
+        j = x.bit_length() - 1
+        out.append(j)
+        x ^= 1 << j
+    out.reverse()
+    return out
+
+
 class Gf2Matrix:
     """Immutable dense matrix over GF(2) with bit-packed rows."""
 
@@ -249,13 +261,11 @@ class Gf2Matrix:
         oc, orows = other.cols, other.bits
         out = []
         for a in self.bits:
+            shifts = [j * oc for j in set_bits(a)]
             for b in orows:
                 acc = 0
-                aa = a
-                while aa:
-                    low = aa & -aa
-                    acc |= b << ((low.bit_length() - 1) * oc)
-                    aa ^= low
+                for s in shifts:
+                    acc |= b << s
                 out.append(acc)
         return Gf2Matrix(out, self.cols * other.cols)
 
@@ -332,11 +342,9 @@ def kernel_basis(m: Gf2Matrix) -> Gf2Matrix:
     vec = {f: 1 << f for f in sorted(set(range(m.cols)).difference(pivots))}
     keep = sum(vec.values())
     for row, p in zip(red.bits, pivots):
-        row &= keep
-        while row:
-            j = row.bit_length() - 1
-            vec[j] |= 1 << p
-            row ^= 1 << j
+        bit = 1 << p
+        for j in set_bits(row & keep):
+            vec[j] |= bit
     red2, piv2 = rref(Gf2Matrix._of(list(vec.values()), m.cols))
     return Gf2Matrix(red2.bits[: len(piv2)], m.cols)
 

@@ -40,6 +40,7 @@ from .gf2 import (
     RowReducer,
     kernel_basis,
     rref,
+    set_bits,
     solve_left,  # unused here; perfbench's tracer test patches this binding
     standard_form,
 )
@@ -267,10 +268,7 @@ def finely_devised_glue(c: SubsystemCode, sigma: OperatorSet,
     for a in range(r_n, r_n + rn):
         row = hg.bits[a]
         while row & (row - 1):  # split off its two lowest bits
-            low = row & -row
-            second = (row ^ low) & -(row ^ low)
-            hg = check_duplication(hg, a, (low.bit_length() - 1,
-                                           second.bit_length() - 1))
+            hg = check_duplication(hg, a, set_bits(row)[:2])
             row = hg.bits[a]
     s = naked.s.vstack(Gf2Matrix.zeros(hg.cols - n_n, c.n))
     t = naked.t.hstack(Gf2Matrix.zeros(c.hx.rows, hg.rows - r_n))

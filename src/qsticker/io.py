@@ -23,7 +23,7 @@ import random
 from dataclasses import replace
 
 from .codes import OperatorSet, SubsystemCode, css_code, hgp, repetition_check
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, set_bits
 
 
 class ParseError(ValueError):
@@ -52,44 +52,59 @@ def _read_int_line(path, lines, idx, expect):
 def load_alist(path: str) -> Gf2Matrix:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
+    # blank lines are skipped, so a line that can hold no entry is not read:
+    # `save_alist` leaves it blank (the degrees of an empty side, every
+    # adjacency line of a side whose degrees are all zero)
     lines = [ln for ln in lines if ln.strip() != ""]
     n, r = _read_int_line(path, lines, 0, 2)
     if n < 0 or r < 0:
         raise ParseError(path, 1, 1, "negative dimensions")
     _read_int_line(path, lines, 1, 2)  # max degrees, informational
-    col_deg = _read_int_line(path, lines, 2, n)
-    row_deg = _read_int_line(path, lines, 3, r)
+    col_deg = _read_int_line(path, lines, 2, n) if n else []
+    at = 2 + (n > 0)
+    row_deg = _read_int_line(path, lines, at, r) if r else []
+    row_deg_line = at + 1
+    at += r > 0
     if sum(col_deg) != sum(row_deg):
-        raise ParseError(path, 4, 1, "column/row degree totals disagree")
+        raise ParseError(path, row_deg_line, 1,
+                         "column/row degree totals disagree")
     rows = [0] * r
-    for j in range(n):
-        entries = _read_int_line(path, lines, 4 + j, None)
+    col_lines = n if any(col_deg) else 0
+    for j in range(col_lines):
+        entries = _read_int_line(path, lines, at + j, None)
         live = [e for e in entries if e != 0]
         if len(live) != col_deg[j]:
-            raise ParseError(path, 5 + j, 1,
+            raise ParseError(path, at + j + 1, 1,
                              f"column {j + 1} lists {len(live)} entries, "
                              f"degree says {col_deg[j]}")
         for e in live:
             if not 1 <= e <= r:
-                raise ParseError(path, 5 + j, 1, f"row index {e} out of range")
+                raise ParseError(path, at + j + 1, 1,
+                                 f"row index {e} out of range")
             rows[e - 1] |= 1 << j
-    # row-perspective lines are validated when present
-    base = 4 + n
-    if base + r <= len(lines):
-        for i in range(r):
-            entries = _read_int_line(path, lines, base + i, None)
-            for e in entries:
-                if e and not (rows[i] >> (e - 1)) & 1:
-                    raise ParseError(path, base + i + 1, 1,
-                                     f"row {i + 1} lists column {e} missing "
-                                     "from the column perspective")
+    at += col_lines
+    for i, (row, deg) in enumerate(zip(rows, row_deg)):
+        if row.bit_count() != deg:
+            raise ParseError(path, row_deg_line, 1,
+                             f"row {i + 1} has {row.bit_count()} entries, "
+                             f"degree says {deg}")
+    # row-perspective lines, when present, list exactly each row's columns
+    if at + r <= len(lines):
+        for i, row in enumerate(rows):
+            listed = sorted(e for e in _read_int_line(path, lines, at + i, None)
+                            if e)
+            expected = [j + 1 for j in set_bits(row)]
+            if listed != expected:
+                raise ParseError(path, at + i + 1, 1,
+                                 f"row {i + 1} lists columns {listed}, the "
+                                 f"column perspective has {expected}")
     return Gf2Matrix(rows, n)
 
 
 def save_alist(m: Gf2Matrix, path: str) -> None:
     n, r = m.cols, m.rows
-    cols = [[i + 1 for i in range(r) if (m.bits[i] >> j) & 1] for j in range(n)]
-    rows = [[j + 1 for j in range(n) if (m.bits[i] >> j) & 1] for i in range(r)]
+    cols = [[i + 1 for i in set_bits(c)] for c in m.transpose().bits]
+    rows = [[j + 1 for j in set_bits(row)] for row in m.bits]
     cmax = max((len(c) for c in cols), default=0)
     rmax = max((len(rw) for rw in rows), default=0)
     out = [f"{n} {r}", f"{cmax} {rmax}",

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InternalError
+from .gf2 import set_bits
 
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _STR_PHASE = {"": 0, "+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
@@ -84,13 +85,8 @@ class PauliOp:
         return (self.phase, self.x, self.z)
 
     def __str__(self) -> str:
-        parts = []
-        for j in range(self.n):
-            if (self.x >> j) & 1:
-                parts.append(f"X{j + 1}")
-        for j in range(self.n):
-            if (self.z >> j) & 1:
-                parts.append(f"Z{j + 1}")
+        parts = ([f"X{j + 1}" for j in set_bits(self.x)]
+                 + [f"Z{j + 1}" for j in set_bits(self.z)])
         body = "".join(parts) if parts else "I"
         return _PHASE_STR[self.phase] + body
 

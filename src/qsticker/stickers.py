@@ -38,19 +38,24 @@ from .glue import (GlueError, GlueSpec, LogicalSplit, finely_devised_glue,
                    naked_glue, split_logicals)
 
 
+def _check_sticker(d_r: int, kind: str) -> None:
+    if d_r < 2:
+        raise ValueError("sticker length d_r must be at least 2")
+    if kind not in ("measurement", "branch"):
+        raise ValueError("kind must be 'measurement' or 'branch'")
+
+
 def sticker_qubits(n_g: int, r_g: int, d_r: int, kind: str) -> int:
     """Qubits of a sticker: d_R−1 glue-bit blocks and d_R (measurement)
     or d_R−1 (branch) glue-check blocks."""
+    _check_sticker(d_r, kind)
     return (d_r - 1) * n_g + (d_r if kind == "measurement" else d_r - 1) * r_g
 
 
 def build_sticker(glue: GlueSpec, d_r: int,
                   kind: str) -> tuple[Gf2Matrix, Gf2Matrix]:
     """(H_X, H_Z) of the glue code's hypergraph product with a repetition code."""
-    if d_r < 2:
-        raise ValueError("sticker length d_r must be at least 2")
-    if kind not in ("measurement", "branch"):
-        raise ValueError("kind must be 'measurement' or 'branch'")
+    _check_sticker(d_r, kind)
     hg = glue.hg
     lam = repetition_check(d_r, truncated=kind == "branch")
     hx = Gf2Matrix.identity(d_r - 1).kron(hg).hstack(

@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .gf2 import Gf2Matrix, RowReducer, kernel_complement, solve_left
+from .gf2 import Gf2Matrix, RowReducer, kernel_complement, set_bits, solve_left
 from .pauli import MeasurementPlan, PauliOp
 
 ORACLE_QUBIT_BUDGET = 12
@@ -57,8 +57,8 @@ class StabilizerState:
         for i, (a, b) in enumerate(zip(xzt.bits, xzt.transpose().bits)):
             earlier = (a ^ b) & ((1 << i) - 1)
             if earlier:
-                j = (earlier & -earlier).bit_length() - 1
-                raise ValueError(f"generators {j} and {i} do not commute")
+                raise ValueError(f"generators {set_bits(earlier)[0]} and {i} "
+                                 "do not commute")
         reducer = RowReducer()
         for i, g in enumerate(gens):
             if not reducer.add(g.x | (g.z << n)):
@@ -326,13 +326,11 @@ def _product(gens: list[PauliOp], sel: int) -> tuple[int, int, int]:
     """(phase, x, z) of the product of the gens selected by the bits of
     sel, multiplied in ascending index order as `PauliOp.mul` would."""
     phase = x = z = 0
-    while sel:
-        low = sel & -sel
-        g = gens[low.bit_length() - 1]
+    for i in set_bits(sel):
+        g = gens[i]
         phase += g.phase + 2 * ((z & g.x).bit_count() & 1)
         x ^= g.x
         z ^= g.z
-        sel ^= low
     return phase % 4, x, z
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, set_bits
 
 
 def bit_duplication(h: Gf2Matrix, u: int, cu: Iterable[int]) -> Gf2Matrix:
@@ -49,19 +49,20 @@ def check_duplication(h: Gf2Matrix, a: int, ba: Iterable[int]) -> Gf2Matrix:
     return Gf2Matrix(rows, h.cols + 1)
 
 
+def adjacent_checks(h: Gf2Matrix, support: int) -> tuple[int, ...]:
+    """The rows of h that meet a bit-packed bit support, in ascending order."""
+    # from a list: a tuple grown from a generator, once per bfb node, made
+    # peak RSS climb item by item over a long `bench_cost` loop
+    return tuple([i for i, r in enumerate(h.bits) if r & support])
+
+
 def induced_subgraph(h: Gf2Matrix, support: int
                      ) -> tuple[Gf2Matrix, tuple[int, ...], tuple[int, ...]]:
     """Induced subgraph of a check matrix on a bit-packed bit support.
 
     Returns (induced matrix, bit columns, check rows): the columns are
-    the support bits in ascending order, the rows every check touching
-    them.
+    the support bits in ascending order, the rows `adjacent_checks`.
     """
-    cols = []
-    m = support
-    while m:
-        low = m & -m
-        cols.append(low.bit_length() - 1)
-        m ^= low
-    rows = tuple(i for i, r in enumerate(h.bits) if r & support)
+    cols = set_bits(support)
+    rows = adjacent_checks(h, support)
     return h.take_cols(cols).take_rows(rows), tuple(cols), rows

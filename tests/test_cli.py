@@ -234,3 +234,41 @@ def test_simulate_memory_factor_failure_is_internal_error(tmp_path, capsys,
     assert rc == 3
     err = capsys.readouterr().err
     assert "internal error: after round 1: memory is entangled" in err
+
+
+def test_plan_assemble_reports_the_assembled_plan(tmp_path):
+    from qsticker.branching import assemble_plan
+    from qsticker.io import load_code
+    from qsticker.sampling import SigmaSampler
+
+    rc = run_cli(["plan", "--code", "desk", "--q", "3", "--seed", "2",
+                  "--dr", "2", "--assemble", "--out", str(tmp_path)])
+    assert rc == 0
+    code = load_code("desk")
+    sigma = SigmaSampler(code=code, l_max=5, thickness=3, max_q=3,
+                         seed=2).sample(3, trial=0)
+    plan = assemble_plan(code, sigma, 2)
+    assert json.loads(read(tmp_path / "plan.json"))["assembled"] == {
+        "final_n": plan.final_code.n,
+        "final_k": plan.final_code.k,
+        "pastes": len(plan.pastes),
+        "incidence": {str(k): v for k, v in sorted(plan.incidence.items())},
+    }
+
+
+def test_simulate_memory_of_wrong_length_is_input_error(tmp_path, capsys):
+    rc = run_cli(["simulate", "--theta", "+X1Z2", "--n", "2", "--memory", "0+-",
+                  "--out", str(tmp_path)])
+    assert rc == 2
+    assert (capsys.readouterr().err
+            == "error: memory spec length does not match --n\n")
+    assert not (tmp_path / "simulate.json").exists()
+
+
+def test_missing_sigma_is_input_error(tmp_path, capsys):
+    for command in ("glue", "deform", "verify", "plan"):
+        rc = run_cli([command, "--code", "hgp:3,3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert (capsys.readouterr().err
+                == "error: provide --sigma FILE, --logicals SPEC, or --q N\n")
+    assert list(tmp_path.iterdir()) == []

@@ -168,6 +168,13 @@ def test_derive_css_logicals_pairing_random():
         assert c.jx.mul_transpose(c.jz) == Gf2Matrix.identity(c.k)
 
 
+def test_derive_css_logicals_rejects_noncommuting_checks():
+    hx, hz = Gf2Matrix([0b011], 3), Gf2Matrix([0b110, 0b001], 3)
+    with pytest.raises(ValueError,
+                       match=r"check matrices do not commute: hx @ hz\^T != 0"):
+        derive_css_logicals(hx, hz)
+
+
 def test_standard_logicals_rejects_noncommuting_checks():
     # an H_Z row supported only on H_X pivots cannot commute with H_X
     m = Gf2Matrix([0b01], 2)

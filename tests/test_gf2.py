@@ -17,6 +17,7 @@ from qsticker.gf2 import (
     rank,
     row_basis,
     rref,
+    set_bits,
     solve_left,
     standard_form,
     subspace_intersect,
@@ -616,3 +617,54 @@ def test_permute_cols_rejects_non_permutations():
 @example(Gf2Matrix.zeros(0, 0))
 def test_max_col_weight_matches_per_bit_count(m):
     assert m.max_col_weight() == max_col_weight_per_bit(m)
+
+
+@PROPERTY
+@given(st.integers(0, (1 << 300) - 1))
+@example(0)
+@example(1 << 299)
+def test_set_bits_lists_positions_in_ascending_order(x):
+    assert set_bits(x) == [j for j in range(x.bit_length()) if x >> j & 1]
+
+
+def test_set_bit_walks_golden_digest(tmp_path):
+    """SHA-256 of every output a set-bit walk or position scan writes:
+    alist and dense text, Pauli strings, support unions, crowd numbers,
+    induced subgraphs, Kronecker products and kernel bases of seeded
+    inputs.  Recorded before those walks shared one helper."""
+    import hashlib
+
+    from qsticker.codes import OperatorSet, crowd_numbers, support_union
+    from qsticker.io import save_check_matrix
+    from qsticker.pauli import PauliOp
+    from qsticker.tanner import induced_subgraph
+
+    rng = random.Random(23)
+    digest = hashlib.sha256()
+    # a zero-row, a zero-column and an empty-column matrix, then seeded ones
+    mats = [Gf2Matrix.zeros(0, 5), Gf2Matrix.zeros(4, 0),
+            Gf2Matrix([0b0101, 0b0001, 0b0100], 4)]
+    mats += [random_matrix(rng, rng.randint(1, 12), rng.randint(1, 40),
+                           rng.choice((0.1, 0.3, 0.6))) for _ in range(30)]
+    for i, m in enumerate(mats):
+        for fmt in ("alist", "dense"):
+            path = tmp_path / f"m{i}.{fmt}"
+            save_check_matrix(m, str(path), fmt)
+            digest.update(path.read_bytes())
+        sigma = OperatorSet("Z", m)
+        digest.update(repr((support_union(sigma), crowd_numbers(sigma))).encode())
+        support = rng.getrandbits(m.cols)
+        sub, cols, rows = induced_subgraph(m, support)
+        digest.update(repr((sub.bits, sub.cols, cols, rows)).encode())
+        kb = kernel_basis(m)
+        digest.update(repr((kb.bits, kb.cols)).encode())
+    for a, b in zip(mats, mats[1:] + mats[:1]):
+        if a.cols * b.cols <= 400:
+            k = a.kron(b)
+            digest.update(repr((k.bits, k.cols)).encode())
+    ops = [PauliOp(n, phase, 0, 0) for n in (1, 5) for phase in range(4)]
+    ops += [PauliOp(n, rng.randrange(4), rng.getrandbits(n), rng.getrandbits(n))
+            for n in (1, 2, 3, 7, 12, 30) for _ in range(8)]
+    digest.update("\n".join(map(str, ops)).encode())
+    assert digest.hexdigest() == (
+        "0d33abd30f88e40cba0c572ec983da9d8e7afa509af5222a4319106979ffe169")

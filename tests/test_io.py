@@ -1,6 +1,7 @@
 """File-format round trips, parse errors, and code loading."""
 
 import json
+import random
 
 import pytest
 
@@ -59,6 +60,44 @@ def test_alist_rejects_inconsistent_degrees(tmp_path):
     path.write_text("2 1\n1 2\n1 1\n1\n1 0\n2 0\n1 2\n")
     with pytest.raises(ParseError):
         load_alist(str(path))
+
+
+def test_alist_rejects_row_degrees_that_disagree_with_the_columns(tmp_path):
+    # the totals agree (1 + 3 = 2 + 2), so only the per-row check sees it
+    path = tmp_path / "bad.alist"
+    path.write_text("3 2\n2 2\n1 1 2\n1 3\n1\n2\n1 2\n1 3\n2 3\n")
+    with pytest.raises(ParseError) as exc:
+        load_alist(str(path))
+    assert str(exc.value).endswith(":4:1: row 1 has 2 entries, degree says 1")
+
+
+def test_alist_rejects_a_row_line_that_omits_a_column(tmp_path):
+    path = tmp_path / "bad.alist"
+    path.write_text("3 2\n2 2\n1 1 2\n2 2\n1\n2\n1 2\n1 0\n2 3\n")
+    with pytest.raises(ParseError) as exc:
+        load_alist(str(path))
+    assert str(exc.value).endswith(
+        ":8:1: row 1 lists columns [1], the column perspective has [1, 3]")
+    path.write_text("3 2\n2 2\n1 1 2\n2 2\n1\n2\n1 2\n1 3 1\n2 3\n")
+    with pytest.raises(ParseError) as exc:
+        load_alist(str(path))
+    assert str(exc.value).endswith(
+        ":8:1: row 1 lists columns [1, 1, 3], the column perspective has [1, 3]")
+
+
+def test_every_saved_alist_loads(tmp_path):
+    # empty sides and all-zero matrices write blank lines, which used to
+    # shift every later line
+    rng = random.Random(5)
+    mats = [Gf2Matrix.zeros(0, 0), Gf2Matrix.zeros(0, 5), Gf2Matrix.zeros(4, 0),
+            Gf2Matrix.zeros(3, 4), Gf2Matrix([0b0101, 0b0001, 0b0100], 4)]
+    mats += [Gf2Matrix([rng.getrandbits(cols) for _ in range(rows)], cols)
+             for rows, cols in ((rng.randrange(8), rng.randrange(12))
+                                for _ in range(60))]
+    path = str(tmp_path / "m.alist")
+    for m in mats:
+        save_check_matrix(m, path, "alist")
+        assert load_alist(path) == m
 
 
 def test_regular_ldpc_is_regular_and_seeded():

@@ -161,3 +161,25 @@ def test_one_function_checks_sigma_against_hx():
     missing = [name for name, node in users.items()
                if check not in _called_names(node)]
     assert not missing, f"{check} is not called by: {', '.join(missing)}"
+
+
+def test_set_bit_walks_stay_inside_gf2():
+    # gf2.set_bits is the one walk over the set bits of a packed row
+    # outside the elimination kernels, which keep theirs inline
+    found = [f"{path.name}:{no}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "gf2.py"
+             for no, line in enumerate(path.read_text(encoding="utf-8")
+                                       .splitlines(), start=1)
+             if re.search(r"&\s*-\s*[\w(]", line)]
+    assert not found, "hand-written set-bit walks: " + ", ".join(found)
+
+
+def test_naked_glue_and_its_price_share_one_neighbour_rule():
+    # the bfb price counts r_G exactly only while it takes the checks
+    # around a support by the rule the naked glue does
+    users = {name: node for name, node in _top_level_statements()
+             if name in {"tanner:induced_subgraph", "branching:_glue_shape"}}
+    assert len(users) == 2, sorted(users)
+    missing = [name for name, node in users.items()
+               if "adjacent_checks" not in _called_names(node)]
+    assert not missing, "adjacent_checks is not called by: " + ", ".join(missing)

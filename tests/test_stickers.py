@@ -83,6 +83,27 @@ def test_sticker_qubit_counts():
                     == build_sticker(g, d_r, kind)[0].cols)
 
 
+def test_sticker_qubits_rejects_an_unknown_kind():
+    # the price used to fall through to the branch formula (8 here)
+    with pytest.raises(ValueError,
+                       match="kind must be 'measurement' or 'branch'"):
+        sticker_qubits(5, 3, 2, "bogus")
+    with pytest.raises(ValueError,
+                       match="kind must be 'measurement' or 'branch'"):
+        build_sticker(toy_glue(), 2, "bogus")
+
+
+def test_sticker_qubits_rejects_d_r_below_two():
+    # d_R = 1 used to price a measurement sticker at r_G qubits (3 here)
+    for d_r in (1, 0):
+        with pytest.raises(ValueError,
+                           match="sticker length d_r must be at least 2"):
+            sticker_qubits(5, 3, d_r, "measurement")
+        with pytest.raises(ValueError,
+                           match="sticker length d_r must be at least 2"):
+            build_sticker(toy_glue(), d_r, "measurement")
+
+
 def test_branch_is_measurement_with_deletions():
     # H^B_X = H^M_X minus the last block column; H^B_Z additionally
     # minus the last block row

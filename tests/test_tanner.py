@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from qsticker.codes import hgp, repetition_check
 from qsticker.gf2 import Gf2Matrix, kernel_basis
-from qsticker.tanner import bit_duplication, check_duplication, induced_subgraph
+from qsticker.tanner import (
+    adjacent_checks,
+    bit_duplication,
+    check_duplication,
+    induced_subgraph,
+)
 
 
 def codeword_set(m):
@@ -188,3 +193,12 @@ def test_induced_subgraph_matches_rows_then_columns(case):
     assert cols == tuple(u for u in range(h.cols) if support >> u & 1)
     assert rows == tuple(a for a, r in enumerate(h.bits) if r & support)
     assert induced == h.take_rows(rows).take_cols(cols)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(supports())
+def test_adjacent_checks_are_the_neighbours_of_the_support_bits(case):
+    h, support, _ = case
+    expected = {a for u in range(h.cols) if support >> u & 1
+                for a in bit_neighbors(h, u)}
+    assert adjacent_checks(h, support) == tuple(sorted(expected))
