@@ -17,6 +17,12 @@ column permutation into blocks (the rest | H_X pivots | H_Z+F_Z
 pivots) they read J_Z = (E_k | · | 0) and J_X = (E_k | 0 | ·).  Every
 J_X row then has at most one nonzero inside the support of any Z
 logical operator, which the glue-code weight bounds rely on.
+
+`subsystem_code` derives F_X and F_Z on first read.  Its eager checks
+are the commutation products hx (hz; jz)^T = 0 and hz jx^T = 0 and the
+gauge dimensions, rank(H_X) + rank(H_Z; J_Z) = rank(H_Z) + rank(H_X; J_X),
+from one echelon of each check matrix; the H_Z echelon stays on the code
+for the verifier.
 """
 
 from __future__ import annotations
@@ -60,7 +66,17 @@ class SubsystemCode:
     """The six generator matrices.  Logicals must be bare, J_X F_Z^T = 0
     and F_X J_Z^T = 0, so v J_X^T is the logical class of v ∈ ker H_X;
     `css_code`, `subsystem_code` and `direct_sum` guarantee it and
-    `validate_code` checks it."""
+    `validate_code` checks it.
+
+    A code `subsystem_code` builds may leave F_X and F_Z unset: the first
+    read of either completes both by `complete_gauge` on the code's own
+    matrices.  Only the commutation products and the gauge dimensions,
+    rank(H_X) + rank(H_Z; J_Z) = rank(H_Z) + rank(H_X; J_X), are checked
+    eagerly, and the code keeps the H_Z echelon they were proven with
+    (`proven_hz_echelon`).  The private slots below are written only in
+    this module and are not fields, so `dataclasses.replace` drops them
+    (after reading F, which it copies like every field).
+    """
 
     hx: Gf2Matrix
     hz: Gf2Matrix
@@ -70,6 +86,19 @@ class SubsystemCode:
     fz: Gf2Matrix
     distance: int | None = None
     name: str = ""
+
+    _hz_echelon = None  # RowReducer over H_Z, set by `subsystem_code`
+    _hx_wmax = None  # w_max(H_X), set by `hx_wmax` on first use
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the F_X, F_Z that
+        # `subsystem_code` leaves to be completed on first read
+        if name not in ("fx", "fz"):
+            raise AttributeError(name)
+        fx, fz = complete_gauge(self.hx, self.hz, self.jx, self.jz)
+        object.__setattr__(self, "fx", fx)
+        object.__setattr__(self, "fz", fz)
+        return fx if name == "fx" else fz
 
     @property
     def n(self) -> int:
@@ -161,12 +190,7 @@ def complete_gauge(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix,
     """
     n = hx.cols
     z_span = hz.vstack(jz)
-    for name, prod in (("hx @ (hz; jz)^T", hx.mul_transpose(z_span)),
-                       ("hz @ jx^T", hz.mul_transpose(jx))):
-        bad = next((i for i, r in enumerate(prod.bits) if r), None)
-        if bad is not None:
-            raise ValueError(f"checks and logicals do not commute: "
-                             f"row {bad} of {name} is nonzero")
+    _check_commutation(hx, hz, jx, z_span)
     fz0 = kernel_complement(hx, z_span)
     fx0 = kernel_complement(hz, hx.vstack(jx))
     if fz0.rows != fx0.rows:
@@ -181,12 +205,79 @@ def complete_gauge(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix,
     return fx, fz1
 
 
+def _check_commutation(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix,
+                       z_span: Gf2Matrix) -> None:
+    """Raise unless hx (hz; jz)^T = 0 and hz jx^T = 0, naming a nonzero row."""
+    for name, prod in (("hx @ (hz; jz)^T", hx.mul_transpose(z_span)),
+                       ("hz @ jx^T", hz.mul_transpose(jx))):
+        bad = next((i for i, r in enumerate(prod.bits) if r), None)
+        if bad is not None:
+            raise ValueError(f"checks and logicals do not commute: "
+                             f"row {bad} of {name} is nonzero")
+
+
+def pairs_to_identity(jx: Gf2Matrix, jz: Gf2Matrix) -> bool:
+    """J_X J_Z^T = E, one k-bit row of the product per J_X row."""
+    return jx.rows == jz.rows and all(
+        jz.mul_vec(r) == 1 << i for i, r in enumerate(jx.bits))
+
+
 def subsystem_code(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix, jz: Gf2Matrix,
                    name: str = "", distance: int | None = None) -> SubsystemCode:
-    """Subsystem code from checks and logicals, gauge derived by completion."""
-    fx, fz = complete_gauge(hx, hz, jx, jz)
-    return SubsystemCode(hx=hx, hz=hz, jx=jx, jz=jz, fx=fx, fz=fz,
+    """Subsystem code from checks and logicals, gauge derived by completion.
+
+    Every check of `complete_gauge` runs here, with its message: the
+    commutation products, then the gauge dimensions.  The gauge spaces
+    have n − rank(H_X) − rank(H_Z; J_Z) and n − rank(H_Z) − rank(H_X; J_X)
+    generators, so they match exactly when rank(H_X) + rank(H_Z; J_Z) =
+    rank(H_Z) + rank(H_X; J_X), read off one `RowReducer` echelon of each
+    check matrix with the logicals added.
+
+    F_X and F_Z are `complete_gauge`'s.  When k_g > 0 and J_X J_Z^T = E they
+    are completed on first read: the completion cannot fail then, since
+    the gauge parts left after stripping the logicals pair nondegenerately.
+    Otherwise they are built now, so an input the completion rejects is
+    rejected here.  The code keeps its H_Z echelon (`proven_hz_echelon`).
+    """
+    n = hx.cols
+    _check_commutation(hx, hz, jx, hz.vstack(jz))
+    x_echelon, z_echelon = RowReducer(hx.bits), RowReducer(hz.bits)
+    rank_hx, rank_hz = len(x_echelon.pivots), len(z_echelon.pivots)
+    rank_hx_jx = rank_hx + sum(x_echelon.add(r) for r in jx.bits)
+    z_and_logicals = z_echelon.copy()
+    rank_hz_jz = rank_hz + sum(z_and_logicals.add(r) for r in jz.bits)
+    if rank_hx + rank_hz_jz != rank_hz + rank_hx_jx:
+        raise ValueError("gauge spaces have mismatched dimensions")
+    if n - rank_hx - rank_hz_jz == 0:
+        fx = fz = Gf2Matrix.zeros(0, n)
+    elif pairs_to_identity(jx, jz):
+        fx = fz = None
+    else:
+        fx, fz = complete_gauge(hx, hz, jx, jz)
+    code = SubsystemCode(hx=hx, hz=hz, jx=jx, jz=jz, fx=fx, fz=fz,
                          distance=distance, name=name)
+    if fx is None:  # unset, so the first read lands in __getattr__
+        object.__delattr__(code, "fx")
+        object.__delattr__(code, "fz")
+    object.__setattr__(code, "_hz_echelon", z_echelon)
+    return code
+
+
+def proven_hz_echelon(c: SubsystemCode) -> RowReducer | None:
+    """The H_Z echelon of a code `subsystem_code` built, else None.
+
+    A code that has it passed hx (hz; jz)^T = 0, hz jx^T = 0 and the
+    gauge-dimension check on the matrices it holds now.  The reducer is
+    shared: only `reduce` may be called on it.
+    """
+    return c._hz_echelon
+
+
+def hx_wmax(c: SubsystemCode) -> int:
+    """w_max(H_X), computed once per code object."""
+    if c._hx_wmax is None:
+        object.__setattr__(c, "_hx_wmax", c.hx.wmax())
+    return c._hx_wmax
 
 
 def hgp(h1: Gf2Matrix, h2: Gf2Matrix, name: str = "") -> SubsystemCode:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .codes import OperatorSet, SubsystemCode, z_signature
+from .codes import OperatorSet, SubsystemCode, hx_wmax, z_signature
 from .errors import InternalError
 from .gf2 import (
     Gf2Matrix,
@@ -244,7 +244,7 @@ def finely_devised_glue(c: SubsystemCode, sigma: OperatorSet,
     d = dressing_matrix(split, naked)
     rn = d.rows
     q = split.q
-    wmax_hx = c.hx.wmax()
+    wmax_hx = hx_wmax(c)
     meta = {
         "kind": "fine",
         "n_n": naked.n_g,

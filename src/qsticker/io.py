@@ -33,37 +33,47 @@ class ParseError(ValueError):
         self.col = col
 
 
+def _line_no(lines, idx):
+    """The file's own number of the idx-th kept line; past the end, the
+    numbers go on from the last kept line."""
+    if idx < len(lines):
+        return lines[idx][0]
+    return (lines[-1][0] if lines else 0) + 1 + idx - len(lines)
+
+
 def _read_int_line(path, lines, idx, expect):
     if idx >= len(lines):
-        raise ParseError(path, idx + 1, 1, "unexpected end of file")
-    parts = lines[idx].split()
+        raise ParseError(path, _line_no(lines, idx), 1, "unexpected end of file")
+    line_no, text = lines[idx]
+    parts = text.split()
     try:
         vals = [int(p) for p in parts]
     except ValueError:
         bad = next(p for p in parts if not p.lstrip("-").isdigit())
-        col = lines[idx].index(bad) + 1
-        raise ParseError(path, idx + 1, col, f"expected integers, got {bad!r}")
+        col = text.index(bad) + 1
+        raise ParseError(path, line_no, col, f"expected integers, got {bad!r}")
     if expect is not None and len(vals) != expect:
-        raise ParseError(path, idx + 1, 1,
+        raise ParseError(path, line_no, 1,
                          f"expected {expect} integers, got {len(vals)}")
     return vals
 
 
 def load_alist(path: str) -> Gf2Matrix:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    # blank lines are skipped, so a line that can hold no entry is not read:
-    # `save_alist` leaves it blank (the degrees of an empty side, every
-    # adjacency line of a side whose degrees are all zero)
-    lines = [ln for ln in lines if ln.strip() != ""]
+        # blank lines are skipped, so a line that can hold no entry is not
+        # read: `save_alist` leaves it blank (the degrees of an empty side,
+        # every adjacency line of a side whose degrees are all zero); each
+        # kept line carries its number in the file for the error messages
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1)
+                 if ln.strip() != ""]
     n, r = _read_int_line(path, lines, 0, 2)
     if n < 0 or r < 0:
-        raise ParseError(path, 1, 1, "negative dimensions")
+        raise ParseError(path, _line_no(lines, 0), 1, "negative dimensions")
     _read_int_line(path, lines, 1, 2)  # max degrees, informational
     col_deg = _read_int_line(path, lines, 2, n) if n else []
     at = 2 + (n > 0)
     row_deg = _read_int_line(path, lines, at, r) if r else []
-    row_deg_line = at + 1
+    row_deg_line = _line_no(lines, at)
     at += r > 0
     if sum(col_deg) != sum(row_deg):
         raise ParseError(path, row_deg_line, 1,
@@ -74,12 +84,12 @@ def load_alist(path: str) -> Gf2Matrix:
         entries = _read_int_line(path, lines, at + j, None)
         live = [e for e in entries if e != 0]
         if len(live) != col_deg[j]:
-            raise ParseError(path, at + j + 1, 1,
+            raise ParseError(path, _line_no(lines, at + j), 1,
                              f"column {j + 1} lists {len(live)} entries, "
                              f"degree says {col_deg[j]}")
         for e in live:
             if not 1 <= e <= r:
-                raise ParseError(path, at + j + 1, 1,
+                raise ParseError(path, _line_no(lines, at + j), 1,
                                  f"row index {e} out of range")
             rows[e - 1] |= 1 << j
     at += col_lines
@@ -95,7 +105,7 @@ def load_alist(path: str) -> Gf2Matrix:
                             if e)
             expected = [j + 1 for j in set_bits(row)]
             if listed != expected:
-                raise ParseError(path, at + i + 1, 1,
+                raise ParseError(path, _line_no(lines, at + i), 1,
                                  f"row {i + 1} lists columns {listed}, the "
                                  f"column perspective has {expected}")
     return Gf2Matrix(rows, n)

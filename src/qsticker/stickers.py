@@ -30,19 +30,30 @@ from .codes import (
     OperatorSet,
     SubsystemCode,
     exact_distance,
+    pairs_to_identity,
+    proven_hz_echelon,
     repetition_check,
     subsystem_code,
 )
-from .gf2 import Gf2Matrix, RowReducer, solve_left
+from .gf2 import Gf2Matrix, RowReducer, join_blocks, solve_left
 from .glue import (GlueError, GlueSpec, LogicalSplit, finely_devised_glue,
                    naked_glue, split_logicals)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("measurement", "branch"):
+        raise ValueError("kind must be 'measurement' or 'branch'")
 
 
 def _check_sticker(d_r: int, kind: str) -> None:
     if d_r < 2:
         raise ValueError("sticker length d_r must be at least 2")
-    if kind not in ("measurement", "branch"):
-        raise ValueError("kind must be 'measurement' or 'branch'")
+    _check_kind(kind)
+
+
+def _check_paste_d_r(d_r: int) -> None:
+    if d_r < 2:
+        raise ValueError("d_r must be at least 2")
 
 
 def sticker_qubits(n_g: int, r_g: int, d_r: int, kind: str) -> int:
@@ -103,16 +114,19 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
     the first sticker Z-check block) couple the two.  Each memory X
     logical row J carries J S^T on every u block, plus γ on the last v
     block for a measurement sticker; Z logicals stay on the memory.
+
+    H_X = (H_X,mem  T'; 0  H_X,sticker) and H_Z = (H_Z,mem  0; S'  H_Z,sticker)
+    are joined from blocks, their transposes from the memory's cached
+    ones, so the commutation products flip no deformed matrix.
     """
     hx_s, hz_s = build_sticker(glue, d_r, kind)
     n, n_g = c.n, glue.n_g
     total = n + hx_s.cols
-    hx = [*c.hx.bits, *(r << n for r in hx_s.bits)]
-    for i, r in enumerate(glue.t.bits):
-        hx[i] |= r << (n + (d_r - 1) * n_g)
-    hz = [*c.hz.bits, *(r << n for r in hz_s.bits)]
-    for i, r in enumerate(glue.s.bits, c.hz.rows):
-        hz[i] |= r
+    t_shift = (d_r - 1) * n_g
+    hx = join_blocks(c.hx, Gf2Matrix([r << t_shift for r in glue.t.bits], hx_s.cols),
+                     Gf2Matrix.zeros(hx_s.rows, n), hx_s)
+    hz = join_blocks(c.hz, Gf2Matrix.zeros(c.hz.rows, hz_s.cols),
+                     glue.s.vstack(Gf2Matrix.zeros(hz_s.rows - glue.s.rows, n)), hz_s)
     jx_s = jx_mem.mul(glue.s.transpose()).bits
     jx = list(jx_mem.bits)
     for i in range(len(jx)):
@@ -122,11 +136,10 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
             jx[i] |= gamma.bits[i] << (n + (d_r - 1) * (n_g + glue.r_g))
     jz = jz_mem.hstack(Gf2Matrix.zeros(jz_mem.rows, total - n))
     suffix = "meas" if kind == "measurement" else "branch"
-    code = subsystem_code(Gf2Matrix(hx, total), Gf2Matrix(hz, total),
-                          Gf2Matrix(jx, total), jz,
+    code = subsystem_code(hx, hz, Gf2Matrix(jx, total), jz,
                           name=f"{c.name}+{suffix}")
     # `subsystem_code` already checked hx (hz; jz)^T = 0 and hz jx^T = 0
-    if code.jx.mul_transpose(code.jz) != Gf2Matrix.identity(code.k):
+    if not pairs_to_identity(code.jx, code.jz):
         raise GlueError("deformed logical pairing is not the identity")
     ob_lo = n + (d_r - 2) * n_g
     return DeformedCode(
@@ -146,8 +159,7 @@ def paste_measurement(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
     Requires a finely devised glue code; γ solving J_{X,C} S^T = γ H_G
     exists exactly then and completes the surviving X logicals.
     """
-    if d_r < 2:
-        raise ValueError("d_r must be at least 2")
+    _check_paste_d_r(d_r)
     if glue.devisedness != "fine":
         raise GlueError("measurement paste needs a finely devised glue code")
     gamma = solve_left(glue.hg, split.jxc.mul(glue.s.transpose()))
@@ -167,8 +179,7 @@ def paste_branch(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
     solution of J_G S = J_{Z,A}, valid when J_{Z,A} lies inside B_N and
     J_G inside ker H_G.
     """
-    if d_r < 2:
-        raise ValueError("d_r must be at least 2")
+    _check_paste_d_r(d_r)
     if glue.devisedness not in ("coarse", "fine"):
         raise GlueError("branch paste needs an at least coarsely devised glue code")
     if glue.s != Gf2Matrix([1 << j for j in glue.b_n], c.n):
@@ -187,9 +198,10 @@ def deform(c: SubsystemCode, sigma: OperatorSet, kind: str,
     Each kind is pasted with the glue it needs: a measurement sticker
     with the finely devised glue, so it measures exactly ⟨Σ⟩, and a
     branch sticker with the naked glue, whose S embeds its bits at B_N.
+    The kind and d_R are checked before any glue is built.
     """
-    if kind not in ("measurement", "branch"):
-        raise ValueError("kind must be 'measurement' or 'branch'")
+    _check_kind(kind)
+    _check_paste_d_r(d_r)
     split = split_logicals(c, sigma)
     if kind == "measurement":
         glue = finely_devised_glue(c, sigma, split=split)
@@ -241,7 +253,13 @@ def _outside(reducer: RowReducer, rows: Gf2Matrix) -> str:
 
 
 def _spaces_equal(a: Gf2Matrix, b: Gf2Matrix) -> str:
-    """Empty if rs(a) = rs(b), else a row of a (lhs) or b (rhs) outside."""
+    """Empty if rs(a) = rs(b), else a row of a (lhs) or b (rhs) outside.
+
+    Equal sets of nonzero rows span the same space, and then nothing is
+    eliminated: a paste copies the memory rows a statement compares.
+    """
+    if {r for r in a.bits if r} == {r for r in b.bits if r}:
+        return ""
     wit = _outside(RowReducer(b.bits), a)
     if wit:
         return "lhs: " + wit
@@ -256,13 +274,27 @@ def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix) -> str:
     r = rank(rows mod S) ≤ rank C: a pass here implies an invertible J_Z
     coefficient block C, and the two agree whenever J_Z is independent
     modulo S, as it is for a valid code.
+
+    On a code `subsystem_code` built whose J_X J_Z^T = E, the test reads
+    J_X signatures instead, with the same verdict and witness.  There
+    ker H_X = rs J_Z ⊕ S, since F_Z completes rs(H_Z; J_Z) in ker H_X, so
+    a row lies in the span exactly when H_X annihilates it; and v J_X^T
+    = C for v = C J_Z + s, because J_X H_Z^T = 0 was proven and J_X F_Z^T
+    = 0 holds for the completed F_Z when J_X J_Z^T = E, so r = rank of the
+    signatures.  F is never read on this path.
     """
-    stab = code.z_stabilizer_span()
-    wit = _outside(RowReducer(code.jz.bits + stab.bits), rows)
+    if proven_hz_echelon(code) is not None and pairs_to_identity(code.jx, code.jz):
+        outside = [i for i, syndrome in enumerate(rows.mul_transpose(code.hx).bits)
+                   if syndrome]
+        wit = f"row {outside[0]} is outside the span" if outside else ""
+        modulo, classes = RowReducer(), [code.jx.mul_vec(row) for row in rows.bits]
+    else:
+        stab = code.z_stabilizer_span()
+        wit = _outside(RowReducer(code.jz.bits + stab.bits), rows)
+        modulo, classes = RowReducer(stab.bits), rows.bits
     if wit:
         return wit
-    modulo = RowReducer(stab.bits)
-    r = sum(modulo.add(row) for row in rows.bits)
+    r = sum(modulo.add(row) for row in classes)
     if rows.rows == code.k == r:
         return ""
     return f"J_Z coefficients have rank {r} for {rows.rows} rows, k={code.k}"
@@ -279,12 +311,19 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     through the memory-projection relations.  The distance bound is
     re-verified exhaustively only within the stated budget; otherwise
     it is reported as implied-by-the-general-bound but not re-checked.
+
+    On a deformed code `subsystem_code` built, statements i, ii, v and v'
+    reduce against the H_Z echelon it was proven with, statement i takes
+    hx hz^T = 0 from that proof, and iv' reads J_X signatures when J_X
+    J_Z^T = E (see `_same_logical_classes`).  Any other code, such as a
+    `replace`d mutant, is factored and multiplied out here.
     """
     c = dc.memory
     code = dc.code
     rep = GlsReport(kind=dc.kind)
     mem_cols = range(dc.mem_qubits)
-    hz_span = RowReducer(code.hz.bits)
+    proven = proven_hz_echelon(code)
+    hz_span = proven if proven is not None else RowReducer(code.hz.bits)
 
     def check(name: str, wit: str) -> None:
         rep.statements.append(
@@ -293,8 +332,8 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     # statement i needs the deformed X rows to be genuine stabilisers
     # (they must commute with every deformed Z check) and to project
     # onto exactly the memory X stabilisers
-    comm = code.hx.mul_transpose(code.hz)
-    if not comm.is_zero():
+    comm = None if proven is not None else code.hx.mul_transpose(code.hz)
+    if comm is not None and not comm.is_zero():
         bad = next(i for i, r in enumerate(comm.bits) if r)
         wit = (f"deformed X row {bad} anticommutes with a Z check "
                "(pasting identity violated)")

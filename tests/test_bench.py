@@ -188,3 +188,23 @@ def test_figure_sweep_golden_digest(desk):
                 digest.update(run.to_json_text().encode())
     assert digest.hexdigest() == (
         "6b259fc8bffa874618c504cfc77c141225be917d688e5ba056cf5fba85e17d60")
+
+
+def test_bench_cost_takes_w_max_of_h_x_once_per_code(monkeypatch):
+    # the fine glue's size bounds read w_max(H_X) of the memory, a number
+    # fixed by the code: one computation serves every item
+    from qsticker.gf2 import Gf2Matrix
+
+    code = desk_code(7)
+    real = Gf2Matrix.wmax
+    calls = []
+
+    def counting(m):
+        calls.append(m is code.hx)
+        return real(m)
+
+    monkeypatch.setattr(Gf2Matrix, "wmax", counting)
+    for i in range(20):
+        q = 2 + i % 7
+        bench_cost(code, [q], thickness=q, trials=1, seed=i, l_max=5, d_r=6)
+    assert calls.count(True) == 1

@@ -10,8 +10,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qsticker import codes
 from qsticker.codes import (
     OperatorSet,
+    complete_gauge,
     contained_logical_count,
     crowd_numbers,
     css_code,
@@ -466,6 +468,37 @@ def test_subsystem_code_rejects_noncommuting_input():
     hx, hz = Gf2Matrix([0b0011], 4), Gf2Matrix([0b1100], 4)
     with pytest.raises(ValueError, match=r"row 0 of hz @ jx\^T"):
         subsystem_code(hx, hz, Gf2Matrix([0b0100], 4), Gf2Matrix([0b0011], 4))
+
+
+def test_subsystem_code_rejects_at_once_what_the_completion_rejects():
+    # the gauge dimensions are checked by ranks; F is completed on first
+    # read only when J_X J_Z^T = E, where the completion cannot fail, so an
+    # input the completion rejects is still rejected by the constructor
+    one, none = Gf2Matrix([0b01], 2), Gf2Matrix.zeros(0, 2)
+    with pytest.raises(ValueError, match="^gauge spaces have mismatched dimensions$"):
+        complete_gauge(none, none, none, one)
+    with pytest.raises(ValueError, match="^gauge spaces have mismatched dimensions$"):
+        subsystem_code(none, none, none, one)
+    hx, jx, jz = Gf2Matrix([0b100], 3), Gf2Matrix([0b010], 3), Gf2Matrix([0b001], 3)
+    for build in (complete_gauge, subsystem_code):
+        with pytest.raises(ValueError, match="^inverse: matrix is singular$"):
+            build(hx, Gf2Matrix.zeros(0, 3), jx, jz)
+
+
+def test_subsystem_code_completes_the_gauge_on_first_read(monkeypatch):
+    c = direct_sum(hgp(repetition_check(3), repetition_check(2)),
+                   hgp(repetition_check(2), repetition_check(3)))
+    jx, jz = c.jx.take_rows([0]), c.jz.take_rows([0])
+    fx, fz = complete_gauge(c.hx, c.hz, jx, jz)
+    calls = []
+    real = codes.complete_gauge
+    monkeypatch.setattr(codes, "complete_gauge",
+                        lambda *args: calls.append(args) or real(*args))
+    sub = subsystem_code(c.hx, c.hz, jx, jz)
+    assert calls == []
+    assert (sub.fz, sub.fx, sub.k_gauge) == (fz, fx, fx.rows) and fx.rows > 0
+    assert calls == [(c.hx, c.hz, jx, jz)]
+    assert validate_code(sub).ok and len(calls) == 1
 
 
 def test_k0_distance_unknown_by_convention():

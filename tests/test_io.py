@@ -154,3 +154,28 @@ def test_load_code_inline_manifest(tmp_path):
 def test_load_code_unknown_spec():
     with pytest.raises(ValueError):
         load_code("nonexistent-spec")
+
+
+def test_alist_errors_name_the_files_own_line_numbers(tmp_path):
+    # blank lines are skipped on read, but a message names the line as the
+    # file numbers it: two blank lines first put the first row line at 10
+    path = tmp_path / "m.alist"
+    save_check_matrix(repetition_check(3), str(path), "alist")
+    lines = ["", "", *path.read_text().splitlines()]
+    assert lines[9] == "1 2"
+    lines[9] = "1 x"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_alist(str(path))
+    assert exc.value.line == 10
+    assert str(exc.value).endswith(":10:3: expected integers, got 'x'")
+    # a blank line inside the file shifts every later number too
+    lines = path.read_text().splitlines()
+    lines[9] = "1 2"
+    lines.insert(5, "")
+    lines[11] = "1 3"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_alist(str(path))
+    assert str(exc.value).endswith(
+        ":12:1: row 2 lists columns [1, 3], the column perspective has [2, 3]")

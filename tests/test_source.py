@@ -104,6 +104,18 @@ def test_transpose_cache_stays_inside_gf2():
     assert not uses, "Gf2Matrix._t used outside gf2.py: " + ", ".join(uses)
 
 
+def test_code_slots_stay_inside_codes():
+    # SubsystemCode's private slots hold facts codes.py derived from the
+    # code's own matrices, so only codes.py may read or write them
+    slots = {"_hz_echelon", "_hx_wmax"}
+    uses = [f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "codes.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Attribute) and node.attr in slots)
+            or (isinstance(node, ast.Constant) and node.value in slots)]
+    assert not uses, "SubsystemCode slots used outside codes.py: " + ", ".join(uses)
+
+
 def test_every_definition_is_read_in_the_package():
     # a routine only the tests call belongs in the tests; a re-export from
     # __init__ is an import, not a read, and a name perfbench names (the

@@ -10,9 +10,12 @@ from test_signatures import codes_and_sigmas
 from qsticker.branching import estimate_qubit_cost
 from qsticker.codes import (
     OperatorSet,
+    complete_gauge,
     direct_sum,
     exact_distance,
     hgp,
+    pairs_to_identity,
+    proven_hz_echelon,
     redundancy_number,
     repetition_check,
     validate_code,
@@ -137,6 +140,28 @@ def test_deform_pairs_each_kind_with_its_glue():
                 == paste_branch(c, split, naked_glue(c, s), d_r))
     with pytest.raises(ValueError, match="kind must be"):
         deform(c, s, "transfer", 2)
+
+
+def test_deform_checks_kind_and_d_r_before_any_glue(monkeypatch):
+    import qsticker.stickers as stickers
+
+    c = surface13()
+    s = sigma_from_indices(c, (0,))
+    split = split_logicals(c, s)
+    with pytest.raises(ValueError) as paste_error:
+        paste_measurement(c, split, finely_devised_glue(c, s, split=split), 1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("glue built before the kind and d_r checks")
+
+    for name in ("split_logicals", "naked_glue", "finely_devised_glue"):
+        monkeypatch.setattr(stickers, name, forbidden)
+    for kind in ("measurement", "branch"):
+        with pytest.raises(ValueError) as exc:
+            deform(c, s, kind, 1)
+        assert str(exc.value) == str(paste_error.value) == "d_r must be at least 2"
+    with pytest.raises(ValueError, match="kind must be 'measurement' or 'branch'"):
+        deform(c, s, "twist", 1)
 
 
 def test_every_sigma_consumer_gives_the_one_precondition_witness():
@@ -726,3 +751,89 @@ def test_same_logical_classes_matches_the_solve(case, d_r, data):
         assert got == want
     if not got:
         assert not want
+
+
+# -- one factoring per deformed code --------------------------------------
+
+
+def test_desk_item_factors_each_deformed_code_once(monkeypatch):
+    # both pastes and both verifies of one Σ on the [[400,16]] desk code:
+    # no gauge is completed, and each deformed H_Z is eliminated once
+    import sys
+
+    from qsticker import gf2
+    from qsticker.io import desk_code
+    from qsticker.sampling import SigmaSampler
+
+    c = desk_code(7)
+    s = SigmaSampler(c, l_max=5, thickness=4, max_q=4, seed=3).sample(4, 0)
+    echelons, completions = [], []
+
+    class CountingReducer(gf2.RowReducer):
+        def __init__(self, rows=()):
+            rows = tuple(rows)
+            echelons.append(rows)
+            super().__init__(rows)
+
+    real, reducer = gf2.kernel_complement, gf2.RowReducer
+
+    def counting(*args):
+        completions.append(args)
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qsticker":
+            if vars(mod).get("RowReducer") is reducer:
+                monkeypatch.setattr(mod, "RowReducer", CountingReducer)
+            if vars(mod).get("kernel_complement") is real:
+                monkeypatch.setattr(mod, "kernel_complement", counting)
+    split = split_logicals(c, s)
+    dcb = paste_branch(c, split, naked_glue(c, s), 2)
+    dcm = paste_measurement(c, split, finely_devised_glue(c, s, split=split), 4)
+    assert verify_surgery(dcb).ok and verify_surgery(dcm).ok
+    assert completions == []
+    assert [echelons.count(dc.code.hz.bits) for dc in (dcb, dcm)] == [1, 1]
+    # the counters are live: reading F completes the gauge
+    assert dcm.code.k_gauge > 0 and len(completions) == 2
+
+
+@st.composite
+def pasted_memories(draw):
+    """(memory, Σ): `codes_and_sigmas`, half the time in a direct sum with
+    the [[5,1,2]] code on either side."""
+    c, sigma = draw(codes_and_sigmas())
+    if draw(st.booleans()):
+        other = hgp(repetition_check(2), repetition_check(2))
+        if draw(st.booleans()):
+            c = direct_sum(c, other)
+            rows = sigma.vectors.bits
+        else:
+            c = direct_sum(other, c)
+            rows = [r << other.n for r in sigma.vectors.bits]
+        sigma = OperatorSet("Z", Gf2Matrix(rows, c.n))
+    return c, sigma
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pasted_memories(), st.integers(2, 3))
+def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
+    c, sigma = case
+    for kind in ("measurement", "branch"):
+        dc = deform(c, sigma, kind, d_r)
+        code = dc.code
+        # the assembled transposes are the flipped matrices
+        for m in (code.hx, code.hz):
+            assert m._t is not None and m._t == m._flip()
+        # iv' by signatures and by the span agree on an unmutated paste
+        assert proven_hz_echelon(code) is not None
+        assert pairs_to_identity(code.jx, code.jz)
+        assert proven_hz_echelon(replace(code)) is None
+        for rows in (dc.pad_memory_rows(c.jz), code.jz):
+            assert (_same_logical_classes(code, rows)
+                    == _same_logical_classes(replace(code), rows))
+        # `replace` before F is read copies the F of the original matrices,
+        # and F read lazily is the eager completion, bit for bit
+        eager = complete_gauge(code.hx, code.hz, code.jx, code.jz)
+        edited = replace(code, jz=Gf2Matrix.zeros(code.k, code.n), name="edited")
+        assert (edited.fx, edited.fz) == eager
+        assert (code.fx, code.fz) == eager
