@@ -37,7 +37,7 @@ from .errors import InternalError
 # solve_left is unused here; perfbench's tracer test patches this binding
 from .gf2 import Gf2Matrix, solve_left
 from .glue import GlueError, finely_devised_glue
-from .stickers import DeformedCode, deform, sticker_qubits
+from .stickers import DeformedCode, _check_d_r, deform, sticker_qubits
 from .tanner import adjacent_checks
 
 
@@ -63,8 +63,7 @@ def _measurement_d_r(c: SubsystemCode, d_r: int | None) -> int:
         d_r = c.distance
     if d_r is None:
         raise ValueError("d_r is required when the memory distance is unknown")
-    if d_r < 2:
-        raise ValueError(f"d_r must be at least 2, got {d_r}")
+    _check_d_r(d_r)
     return d_r
 
 

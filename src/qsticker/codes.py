@@ -18,11 +18,10 @@ pivots) they read J_Z = (E_k | · | 0) and J_X = (E_k | 0 | ·).  Every
 J_X row then has at most one nonzero inside the support of any Z
 logical operator, which the glue-code weight bounds rely on.
 
-`subsystem_code` derives F_X and F_Z on first read.  Its eager checks
-are the commutation products hx (hz; jz)^T = 0 and hz jx^T = 0 and the
-gauge dimensions, rank(H_X) + rank(H_Z; J_Z) = rank(H_Z) + rank(H_X; J_X),
-from one echelon of each check matrix; the H_Z echelon stays on the code
-for the verifier.
+A `SubsystemCode` is the one home for what is derived from, or proven
+on, its own matrices: `hx_wmax`, `hz_echelon` and, on a code
+`subsystem_code` builds, F_X and F_Z are computed on first read, and
+`proven` says that the identities `subsystem_code` checks hold on them.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .gf2 import (
     Gf2Matrix,
@@ -61,6 +61,10 @@ def repetition_check(n: int, truncated: bool = False) -> Gf2Matrix:
     return full.take_cols(range(n - 1))
 
 
+# the F_X, F_Z that `subsystem_code` passes to ask for a derived gauge
+_DERIVE_GAUGE = object()
+
+
 @dataclass(frozen=True)
 class SubsystemCode:
     """The six generator matrices.  Logicals must be bare, J_X F_Z^T = 0
@@ -68,14 +72,22 @@ class SubsystemCode:
     `css_code`, `subsystem_code` and `direct_sum` guarantee it and
     `validate_code` checks it.
 
-    A code `subsystem_code` builds may leave F_X and F_Z unset: the first
-    read of either completes both by `complete_gauge` on the code's own
-    matrices.  Only the commutation products and the gauge dimensions,
-    rank(H_X) + rank(H_Z; J_Z) = rank(H_Z) + rank(H_X; J_X), are checked
-    eagerly, and the code keeps the H_Z echelon they were proven with
-    (`proven_hz_echelon`).  The private slots below are written only in
-    this module and are not fields, so `dataclasses.replace` drops them
-    (after reading F, which it copies like every field).
+    `__post_init__` checks a code `subsystem_code` builds, with the
+    messages of `complete_gauge`: the commutation products hx (hz; jz)^T
+    = 0 and hz jx^T = 0, then the gauge dimensions.  The gauge spaces have
+    n − rank(H_X) − rank(H_Z; J_Z) and n − rank(H_Z) − rank(H_X; J_X)
+    generators, read off one `RowReducer` echelon of each check matrix
+    with the logicals added.  It then tests J_X J_Z^T = E once.  When that
+    holds and k_g > 0, F_X and F_Z are `complete_gauge`'s on first read,
+    which cannot fail then: the gauge parts left after stripping the
+    logicals pair nondegenerately.  Otherwise they are built at once, so
+    an input the completion rejects is rejected here.
+
+    `proven` is true when all of these hold on the matrices the code
+    holds and F is their completion.  It is not an init field, so any
+    other construction, `dataclasses.replace` included, leaves it false.
+    `hz_echelon` is shared: only `reduce` may be called on it, and a
+    caller copies it before `add`.
     """
 
     hx: Gf2Matrix
@@ -86,19 +98,53 @@ class SubsystemCode:
     fz: Gf2Matrix
     distance: int | None = None
     name: str = ""
+    proven: bool = field(default=False, init=False, repr=False, compare=False)
 
-    _hz_echelon = None  # RowReducer over H_Z, set by `subsystem_code`
-    _hx_wmax = None  # w_max(H_X), set by `hx_wmax` on first use
+    def __post_init__(self):
+        if self.fx is not _DERIVE_GAUGE:
+            return
+        hx, hz, jx, jz = self.hx, self.hz, self.jx, self.jz
+        n = hx.cols
+        _check_commutation(hx, hz, jx, hz.vstack(jz))
+        x_echelon, z_echelon = RowReducer(hx.bits), RowReducer(hz.bits)
+        rank_hx, rank_hz = len(x_echelon.pivots), len(z_echelon.pivots)
+        rank_hx_jx = rank_hx + sum(x_echelon.add(r) for r in jx.bits)
+        z_and_logicals = z_echelon.copy()
+        rank_hz_jz = rank_hz + sum(z_and_logicals.add(r) for r in jz.bits)
+        if rank_hx + rank_hz_jz != rank_hz + rank_hx_jx:
+            raise ValueError("gauge spaces have mismatched dimensions")
+        proven = pairs_to_identity(jx, jz)
+        k_g = n - rank_hx - rank_hz_jz
+        if k_g and proven:  # unset, so the first read lands in __getattr__
+            object.__delattr__(self, "fx")
+            object.__delattr__(self, "fz")
+        else:
+            fx, fz = (complete_gauge(hx, hz, jx, jz) if k_g
+                      else (Gf2Matrix.zeros(0, n),) * 2)
+            object.__setattr__(self, "fx", fx)
+            object.__setattr__(self, "fz", fz)
+        object.__setattr__(self, "hz_echelon", z_echelon)
+        object.__setattr__(self, "proven", proven)
 
     def __getattr__(self, name):
         # reached only for an attribute not set: the F_X, F_Z that
-        # `subsystem_code` leaves to be completed on first read
+        # `__post_init__` leaves to be completed on first read
         if name not in ("fx", "fz"):
             raise AttributeError(name)
         fx, fz = complete_gauge(self.hx, self.hz, self.jx, self.jz)
         object.__setattr__(self, "fx", fx)
         object.__setattr__(self, "fz", fz)
         return fx if name == "fx" else fz
+
+    @cached_property
+    def hx_wmax(self) -> int:
+        """w_max(H_X)."""
+        return self.hx.wmax()
+
+    @cached_property
+    def hz_echelon(self) -> RowReducer:
+        """A `RowReducer` over the rows of H_Z."""
+        return RowReducer(self.hz.bits)
 
     @property
     def n(self) -> int:
@@ -226,58 +272,11 @@ def subsystem_code(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix, jz: Gf2Matrix,
                    name: str = "", distance: int | None = None) -> SubsystemCode:
     """Subsystem code from checks and logicals, gauge derived by completion.
 
-    Every check of `complete_gauge` runs here, with its message: the
-    commutation products, then the gauge dimensions.  The gauge spaces
-    have n − rank(H_X) − rank(H_Z; J_Z) and n − rank(H_Z) − rank(H_X; J_X)
-    generators, so they match exactly when rank(H_X) + rank(H_Z; J_Z) =
-    rank(H_Z) + rank(H_X; J_X), read off one `RowReducer` echelon of each
-    check matrix with the logicals added.
-
-    F_X and F_Z are `complete_gauge`'s.  When k_g > 0 and J_X J_Z^T = E they
-    are completed on first read: the completion cannot fail then, since
-    the gauge parts left after stripping the logicals pair nondegenerately.
-    Otherwise they are built now, so an input the completion rejects is
-    rejected here.  The code keeps its H_Z echelon (`proven_hz_echelon`).
+    Every check of `complete_gauge` runs, with its message, in
+    `SubsystemCode.__post_init__`, which also sets `proven`.
     """
-    n = hx.cols
-    _check_commutation(hx, hz, jx, hz.vstack(jz))
-    x_echelon, z_echelon = RowReducer(hx.bits), RowReducer(hz.bits)
-    rank_hx, rank_hz = len(x_echelon.pivots), len(z_echelon.pivots)
-    rank_hx_jx = rank_hx + sum(x_echelon.add(r) for r in jx.bits)
-    z_and_logicals = z_echelon.copy()
-    rank_hz_jz = rank_hz + sum(z_and_logicals.add(r) for r in jz.bits)
-    if rank_hx + rank_hz_jz != rank_hz + rank_hx_jx:
-        raise ValueError("gauge spaces have mismatched dimensions")
-    if n - rank_hx - rank_hz_jz == 0:
-        fx = fz = Gf2Matrix.zeros(0, n)
-    elif pairs_to_identity(jx, jz):
-        fx = fz = None
-    else:
-        fx, fz = complete_gauge(hx, hz, jx, jz)
-    code = SubsystemCode(hx=hx, hz=hz, jx=jx, jz=jz, fx=fx, fz=fz,
-                         distance=distance, name=name)
-    if fx is None:  # unset, so the first read lands in __getattr__
-        object.__delattr__(code, "fx")
-        object.__delattr__(code, "fz")
-    object.__setattr__(code, "_hz_echelon", z_echelon)
-    return code
-
-
-def proven_hz_echelon(c: SubsystemCode) -> RowReducer | None:
-    """The H_Z echelon of a code `subsystem_code` built, else None.
-
-    A code that has it passed hx (hz; jz)^T = 0, hz jx^T = 0 and the
-    gauge-dimension check on the matrices it holds now.  The reducer is
-    shared: only `reduce` may be called on it.
-    """
-    return c._hz_echelon
-
-
-def hx_wmax(c: SubsystemCode) -> int:
-    """w_max(H_X), computed once per code object."""
-    if c._hx_wmax is None:
-        object.__setattr__(c, "_hx_wmax", c.hx.wmax())
-    return c._hx_wmax
+    return SubsystemCode(hx=hx, hz=hz, jx=jx, jz=jz, fx=_DERIVE_GAUGE,
+                         fz=_DERIVE_GAUGE, distance=distance, name=name)
 
 
 def hgp(h1: Gf2Matrix, h2: Gf2Matrix, name: str = "") -> SubsystemCode:

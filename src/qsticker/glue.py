@@ -33,13 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .codes import OperatorSet, SubsystemCode, hx_wmax, z_signature
+from .codes import OperatorSet, SubsystemCode, z_signature
 from .errors import InternalError
 from .gf2 import (
     Gf2Matrix,
     RowReducer,
     kernel_basis,
-    rref,
     set_bits,
     solve_left,  # unused here; perfbench's tracer test patches this binding
     standard_form,
@@ -194,29 +193,24 @@ def _induced_glue(c: SubsystemCode, sigma: OperatorSet) -> GlueSpec:
 
 
 def dressing_matrix(split: LogicalSplit, naked: GlueSpec) -> Gf2Matrix:
-    """Dressing matrix D: J_{X,C} on B_N at the RREF pivot columns of
-    M = (ker H_N) S J_{X,C}^T.
+    """Dressing matrix D: the rows of J_{X,C} S^T that add a pivot to a
+    `RowReducer` seeded with H_N, in order.
 
-    D cancels the k_N − q unwanted logical classes inside B_N.  For
-    v ∈ ker H_N, D v^T is v's row of M read at the pivots.  Split
-    ker H_N = G0 ⊕ G1 ⊕ W0, with G0 the vectors whose S-images lie in
-    rs H_Z ⊕ rs F_Z (zero J_X signature), G1 = J_{Z,A} S^T and W0 a
-    completion.  G0 maps to 0 in M by its signature and G1 by the
-    split's cross pairing, so D G0^T = 0, D G1^T = 0 and rs M = rs U
-    with U = (W0 S) J_{X,C}^T.  U has full row rank: if w ∈ span W0 has
-    wS J_{X,C}^T = 0, then wS + α J_{Z,A} has zero J_X signature for
-    α = wS J_{X,A}^T, so w + α G1 ∈ G0 (v ↦ vS is injective on
-    F_2^{B_N}) and w = 0.  RREF pivots depend only on the row space, so
-    D has r_N = k_N − q rows, its pivots are U's standard-form pivots,
-    and D G2^T = E for the completion G2 whose rows of M are the
-    nonzero rows of M's RREF.
+    D cancels the k_N − q unwanted logical classes inside B_N.  Since
+    (ker H_N)^⊥ = rs H_N, row j of J_{X,C} S^T lies in rs H_N plus the
+    rows before it exactly when column j of M = (ker H_N) S J_{X,C}^T
+    depends on the columns before it: D is J_{X,C} on B_N at the RREF
+    pivot columns of M.  rs M holds the J_{X,C} parts of the J_X
+    signatures of (ker H_N)S.  Those signatures span k_N dimensions, and
+    the ones with zero J_{X,C} part are the q spanned by the J_{Z,A}
+    signatures (E_q | 0), so D has r_N = rank M = k_N − q rows.
 
-    D G1^T = 0 is checked: it needs supp J_{Z,A} ⊆ B_N, that is, a
-    split of the Σ the naked glue was built for.
+    D G1^T = 0, for G1 = J_{Z,A} S^T, is checked: it needs supp J_{Z,A}
+    ⊆ B_N, that is, a split of the Σ the naked glue was built for.
     """
     jxc_n = split.jxc.mul(naked.s.transpose())
-    _, piv = rref(kernel_basis(naked.hg).mul_transpose(jxc_n))
-    d = jxc_n.take_rows(piv)
+    reducer = RowReducer(naked.hg.bits)
+    d = Gf2Matrix([r for r in jxc_n.bits if reducer.add(r)], jxc_n.cols)
     if not split.jza.mul(naked.s.transpose()).mul_transpose(d).is_zero():
         raise InternalError("dressing product D G1^T is nonzero (bug)")
     return d
@@ -244,7 +238,7 @@ def finely_devised_glue(c: SubsystemCode, sigma: OperatorSet,
     d = dressing_matrix(split, naked)
     rn = d.rows
     q = split.q
-    wmax_hx = hx_wmax(c)
+    wmax_hx = c.hx_wmax
     meta = {
         "kind": "fine",
         "n_n": naked.n_g,

@@ -30,8 +30,6 @@ from .codes import (
     OperatorSet,
     SubsystemCode,
     exact_distance,
-    pairs_to_identity,
-    proven_hz_echelon,
     repetition_check,
     subsystem_code,
 )
@@ -45,28 +43,25 @@ def _check_kind(kind: str) -> None:
         raise ValueError("kind must be 'measurement' or 'branch'")
 
 
-def _check_sticker(d_r: int, kind: str) -> None:
+def _check_d_r(d_r: int) -> None:
+    """The one d_R check of stickers, pastes and their prices."""
     if d_r < 2:
-        raise ValueError("sticker length d_r must be at least 2")
-    _check_kind(kind)
-
-
-def _check_paste_d_r(d_r: int) -> None:
-    if d_r < 2:
-        raise ValueError("d_r must be at least 2")
+        raise ValueError(f"d_r must be at least 2, got {d_r}")
 
 
 def sticker_qubits(n_g: int, r_g: int, d_r: int, kind: str) -> int:
     """Qubits of a sticker: d_R−1 glue-bit blocks and d_R (measurement)
     or d_R−1 (branch) glue-check blocks."""
-    _check_sticker(d_r, kind)
+    _check_d_r(d_r)
+    _check_kind(kind)
     return (d_r - 1) * n_g + (d_r if kind == "measurement" else d_r - 1) * r_g
 
 
 def build_sticker(glue: GlueSpec, d_r: int,
                   kind: str) -> tuple[Gf2Matrix, Gf2Matrix]:
     """(H_X, H_Z) of the glue code's hypergraph product with a repetition code."""
-    _check_sticker(d_r, kind)
+    _check_d_r(d_r)
+    _check_kind(kind)
     hg = glue.hg
     lam = repetition_check(d_r, truncated=kind == "branch")
     hx = Gf2Matrix.identity(d_r - 1).kron(hg).hstack(
@@ -138,8 +133,8 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
     suffix = "meas" if kind == "measurement" else "branch"
     code = subsystem_code(hx, hz, Gf2Matrix(jx, total), jz,
                           name=f"{c.name}+{suffix}")
-    # `subsystem_code` already checked hx (hz; jz)^T = 0 and hz jx^T = 0
-    if not pairs_to_identity(code.jx, code.jz):
+    # `subsystem_code` checked the products, the gauge and the J pairing
+    if not code.proven:
         raise GlueError("deformed logical pairing is not the identity")
     ob_lo = n + (d_r - 2) * n_g
     return DeformedCode(
@@ -159,7 +154,7 @@ def paste_measurement(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
     Requires a finely devised glue code; γ solving J_{X,C} S^T = γ H_G
     exists exactly then and completes the surviving X logicals.
     """
-    _check_paste_d_r(d_r)
+    _check_d_r(d_r)
     if glue.devisedness != "fine":
         raise GlueError("measurement paste needs a finely devised glue code")
     gamma = solve_left(glue.hg, split.jxc.mul(glue.s.transpose()))
@@ -179,7 +174,7 @@ def paste_branch(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
     solution of J_G S = J_{Z,A}, valid when J_{Z,A} lies inside B_N and
     J_G inside ker H_G.
     """
-    _check_paste_d_r(d_r)
+    _check_d_r(d_r)
     if glue.devisedness not in ("coarse", "fine"):
         raise GlueError("branch paste needs an at least coarsely devised glue code")
     if glue.s != Gf2Matrix([1 << j for j in glue.b_n], c.n):
@@ -201,7 +196,7 @@ def deform(c: SubsystemCode, sigma: OperatorSet, kind: str,
     The kind and d_R are checked before any glue is built.
     """
     _check_kind(kind)
-    _check_paste_d_r(d_r)
+    _check_d_r(d_r)
     split = split_logicals(c, sigma)
     if kind == "measurement":
         glue = finely_devised_glue(c, sigma, split=split)
@@ -275,15 +270,15 @@ def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix) -> str:
     coefficient block C, and the two agree whenever J_Z is independent
     modulo S, as it is for a valid code.
 
-    On a code `subsystem_code` built whose J_X J_Z^T = E, the test reads
-    J_X signatures instead, with the same verdict and witness.  There
-    ker H_X = rs J_Z ⊕ S, since F_Z completes rs(H_Z; J_Z) in ker H_X, so
-    a row lies in the span exactly when H_X annihilates it; and v J_X^T
-    = C for v = C J_Z + s, because J_X H_Z^T = 0 was proven and J_X F_Z^T
-    = 0 holds for the completed F_Z when J_X J_Z^T = E, so r = rank of the
-    signatures.  F is never read on this path.
+    On a `proven` code the test reads J_X signatures instead, with the
+    same verdict and witness.  There ker H_X = rs J_Z ⊕ S, since F_Z
+    completes rs(H_Z; J_Z) in ker H_X, so a row lies in the span exactly
+    when H_X annihilates it; and v J_X^T = C for v = C J_Z + s, because
+    J_X H_Z^T = 0 was proven and J_X F_Z^T = 0 holds for the completed
+    F_Z when J_X J_Z^T = E, so r = rank of the signatures.  F is never
+    read on this path.
     """
-    if proven_hz_echelon(code) is not None and pairs_to_identity(code.jx, code.jz):
+    if code.proven:
         outside = [i for i, syndrome in enumerate(rows.mul_transpose(code.hx).bits)
                    if syndrome]
         wit = f"row {outside[0]} is outside the span" if outside else ""
@@ -312,18 +307,17 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     re-verified exhaustively only within the stated budget; otherwise
     it is reported as implied-by-the-general-bound but not re-checked.
 
-    On a deformed code `subsystem_code` built, statements i, ii, v and v'
-    reduce against the H_Z echelon it was proven with, statement i takes
-    hx hz^T = 0 from that proof, and iv' reads J_X signatures when J_X
-    J_Z^T = E (see `_same_logical_classes`).  Any other code, such as a
-    `replace`d mutant, is factored and multiplied out here.
+    Statements ii, v and v' reduce against the code's `hz_echelon`, the
+    one a paste built while proving it.  On a `proven` code statement i
+    takes hx hz^T = 0 from that proof and iv' reads J_X signatures (see
+    `_same_logical_classes`); any other code, such as a `replace`d
+    mutant, is multiplied out here.
     """
     c = dc.memory
     code = dc.code
     rep = GlsReport(kind=dc.kind)
     mem_cols = range(dc.mem_qubits)
-    proven = proven_hz_echelon(code)
-    hz_span = proven if proven is not None else RowReducer(code.hz.bits)
+    hz_span = code.hz_echelon
 
     def check(name: str, wit: str) -> None:
         rep.statements.append(
@@ -332,7 +326,7 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     # statement i needs the deformed X rows to be genuine stabilisers
     # (they must commute with every deformed Z check) and to project
     # onto exactly the memory X stabilisers
-    comm = None if proven is not None else code.hx.mul_transpose(code.hz)
+    comm = None if code.proven else code.hx.mul_transpose(code.hz)
     if comm is not None and not comm.is_zero():
         bad = next(i for i, r in enumerate(comm.bits) if r)
         wit = (f"deformed X row {bad} anticommutes with a Z check "

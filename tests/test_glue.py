@@ -416,12 +416,12 @@ def test_fine_glue_classifies_once_and_dressing_solves_once(monkeypatch):
     kernels = _counting(monkeypatch, glue, "kernel_basis")
     assert dressing_matrix(split, naked).rows == 1
     assert len(solves) == 0 and len(forms) == 0
-    assert len(kernels) == 1  # D is read off one RREF of one pairing
+    assert len(kernels) == 0  # D is read off one echelon of H_N
     kernels.clear()
     classifications = _counting(monkeypatch, glue, "classify_devisedness")
     assert finely_devised_glue(c, s, split=split).devisedness == "fine"
     assert len(classifications) == 1
-    assert len(kernels) == 2  # the dressing and the final classification
+    assert len(kernels) == 1  # the final classification
 
 
 def test_dressing_rejects_a_split_of_another_sigma():

@@ -104,16 +104,34 @@ def test_transpose_cache_stays_inside_gf2():
     assert not uses, "Gf2Matrix._t used outside gf2.py: " + ", ".join(uses)
 
 
-def test_code_slots_stay_inside_codes():
-    # SubsystemCode's private slots hold facts codes.py derived from the
-    # code's own matrices, so only codes.py may read or write them
-    slots = {"_hz_echelon", "_hx_wmax"}
-    uses = [f"{path.name}:{node.lineno}"
-            for path in sorted(SRC.glob("*.py")) if path.name != "codes.py"
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if (isinstance(node, ast.Attribute) and node.attr in slots)
-            or (isinstance(node, ast.Constant) and node.value in slots)]
-    assert not uses, "SubsystemCode slots used outside codes.py: " + ", ".join(uses)
+def _is_object_write(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("__setattr__", "__delattr__")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object")
+
+
+def test_frozen_objects_are_written_only_by_their_own_methods():
+    # a frozen object holds facts about itself, so outside gf2.py, which
+    # fills matrices field by field, every object.__setattr__ and
+    # object.__delattr__ writes `self` inside a method of its own class
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "gf2.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {id(node)
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for method in cls.body
+               if isinstance(method, ast.FunctionDef) and method.args.args
+               for node in ast.walk(method)
+               if _is_object_write(node) and node.args
+               and isinstance(node.args[0], ast.Name)
+               and node.args[0].id == method.args.args[0].arg}
+        found += [f"{path.name}:{line}" for line in sorted(
+            node.lineno for node in ast.walk(tree)
+            if _is_object_write(node) and id(node) not in own)]
+    assert not found, "frozen objects written from outside: " + ", ".join(found)
 
 
 def test_every_definition_is_read_in_the_package():

@@ -1,7 +1,8 @@
 """Sticker assembly, pasting, and the lattice-surgery statement suite."""
 
 import random
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,17 +11,17 @@ from test_signatures import codes_and_sigmas
 from qsticker.branching import estimate_qubit_cost
 from qsticker.codes import (
     OperatorSet,
+    SubsystemCode,
     complete_gauge,
     direct_sum,
     exact_distance,
     hgp,
     pairs_to_identity,
-    proven_hz_echelon,
     redundancy_number,
     repetition_check,
     validate_code,
 )
-from qsticker.gf2 import Gf2Matrix, rank, solve_left
+from qsticker.gf2 import Gf2Matrix, RowReducer, rank, solve_left
 from qsticker.glue import (
     GlueError,
     classify_devisedness,
@@ -100,10 +101,10 @@ def test_sticker_qubits_rejects_d_r_below_two():
     # d_R = 1 used to price a measurement sticker at r_G qubits (3 here)
     for d_r in (1, 0):
         with pytest.raises(ValueError,
-                           match="sticker length d_r must be at least 2"):
+                           match=f"^d_r must be at least 2, got {d_r}$"):
             sticker_qubits(5, 3, d_r, "measurement")
         with pytest.raises(ValueError,
-                           match="sticker length d_r must be at least 2"):
+                           match=f"^d_r must be at least 2, got {d_r}$"):
             build_sticker(toy_glue(), d_r, "measurement")
 
 
@@ -159,7 +160,8 @@ def test_deform_checks_kind_and_d_r_before_any_glue(monkeypatch):
     for kind in ("measurement", "branch"):
         with pytest.raises(ValueError) as exc:
             deform(c, s, kind, 1)
-        assert str(exc.value) == str(paste_error.value) == "d_r must be at least 2"
+        assert (str(exc.value) == str(paste_error.value)
+                == "d_r must be at least 2, got 1")
     with pytest.raises(ValueError, match="kind must be 'measurement' or 'branch'"):
         deform(c, s, "twist", 1)
 
@@ -818,16 +820,30 @@ def pasted_memories(draw):
 @given(pasted_memories(), st.integers(2, 3))
 def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
     c, sigma = case
+    pairings = []
+
+    def counting(*args):
+        pairings.append(args)
+        return pairs_to_identity(*args)
+
     for kind in ("measurement", "branch"):
-        dc = deform(c, sigma, kind, d_r)
+        pairings.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            for name, mod in list(sys.modules.items()):
+                if (name.split(".")[0] == "qsticker"
+                        and vars(mod).get("pairs_to_identity") is pairs_to_identity):
+                    mp.setattr(mod, "pairs_to_identity", counting)
+            dc = deform(c, sigma, kind, d_r)
+            report = verify_surgery(dc).to_report()
+        # the paste proves J_X J_Z^T = E once and its verify reads the proof
+        assert len(pairings) == 1
         code = dc.code
         # the assembled transposes are the flipped matrices
         for m in (code.hx, code.hz):
             assert m._t is not None and m._t == m._flip()
         # iv' by signatures and by the span agree on an unmutated paste
-        assert proven_hz_echelon(code) is not None
-        assert pairs_to_identity(code.jx, code.jz)
-        assert proven_hz_echelon(replace(code)) is None
+        assert code.proven and pairs_to_identity(code.jx, code.jz)
+        assert not replace(code).proven
         for rows in (dc.pad_memory_rows(c.jz), code.jz):
             assert (_same_logical_classes(code, rows)
                     == _same_logical_classes(replace(code), rows))
@@ -837,3 +853,12 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
         edited = replace(code, jz=Gf2Matrix.zeros(code.k, code.n), name="edited")
         assert (edited.fx, edited.fz) == eager
         assert (code.fx, code.fz) == eager
+        # the proof changes no verdict, and no verify adds to the shared echelon
+        assert verify_surgery(replace(dc, code=replace(code))).to_report() == report
+        assert code.hz_echelon.pivots == RowReducer(code.hz.bits).pivots
+        # a replaced field or a hand-built code proves nothing
+        for f in fields(code):
+            if f.init:
+                assert not replace(code, **{f.name: getattr(code, f.name)}).proven
+        assert not SubsystemCode(code.hx, code.hz, code.jx, code.jz,
+                                 code.fx, code.fz).proven
