@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from . import __version__
 from .bench import bench_cost, bench_overlap
 from .branching import assemble_plan, estimate_qubit_cost, plan_branching
 from .codes import OperatorSet, validate_code
@@ -42,10 +43,23 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _resolve_sigma(args, code) -> OperatorSet:
+def _sigma_source(args) -> dict:
+    """Where Σ comes from: a file, a logical-index spec, or the sampler."""
     if args.sigma:
-        return load_sigma(args.sigma, code)
+        return {"sigma": args.sigma}
     if args.logicals:
+        return {"logicals": args.logicals}
+    if args.q is not None:
+        return {"q": args.q, "L": args.L, "seed": args.seed,
+                "t": args.t if args.t is not None else args.q}
+    raise ValueError("provide --sigma FILE, --logicals SPEC, or --q N")
+
+
+def _resolve_sigma(args, code) -> OperatorSet:
+    source = _sigma_source(args)
+    if "sigma" in source:
+        return load_sigma(args.sigma, code)
+    if "logicals" in source:
         rows = []
         for part in args.logicals.split("|"):
             acc = 0
@@ -57,12 +71,18 @@ def _resolve_sigma(args, code) -> OperatorSet:
                 acc ^= code.jz.bits[i]
             rows.append(acc)
         return OperatorSet("Z", Gf2Matrix(rows, code.n))
-    if args.q is not None:
-        sampler = SigmaSampler(code=code, l_max=args.L,
-                               thickness=args.t if args.t is not None else args.q,
-                               max_q=args.q, seed=args.seed)
-        return sampler.sample(args.q, trial=0)
-    raise ValueError("provide --sigma FILE, --logicals SPEC, or --q N")
+    sampler = SigmaSampler(code=code, l_max=args.L, thickness=source["t"],
+                           max_q=args.q, seed=args.seed)
+    return sampler.sample(args.q, trial=0)
+
+
+def _provenance(args, **config) -> dict:
+    """The envelope keys written beside a deformed-code report: the
+    package version and the inputs that rebuild the code."""
+    return {"qsticker_version": __version__,
+            "config": {"code": args.code, "format": args.format,
+                       "kind": args.kind, "d_r": args.dr,
+                       "sigma": _sigma_source(args), **config}}
 
 
 def _parse_q_range(text: str) -> list[int]:
@@ -130,6 +150,7 @@ def cmd_deform(args) -> int:
         "n": dc.n, "k": dc.k, "d_r": dc.d_r, "d_t": dc.d_t,
         "glue": dc.glue.to_report(),
         "provenance": dc.provenance,
+        **_provenance(args),
     }
     _write_json(_out_path(args, "deformed.json"), payload)
     save_check_matrix(dc.code.hx, _out_path(args, "deformed_hx." + args.format),
@@ -146,7 +167,8 @@ def cmd_verify(args) -> int:
     sigma = _resolve_sigma(args, code)
     dc = deform(code, sigma, args.kind, args.dr)
     rep = verify_surgery(dc, distance_qubit_cap=args.budget)
-    _write_json(_out_path(args, "verify.json"), rep.to_report())
+    _write_json(_out_path(args, "verify.json"),
+                {**rep.to_report(), **_provenance(args, budget=args.budget)})
     for st in rep.statements:
         print(f"  [{st.status:>7}] {st.name}" +
               (f" ({st.detail})" if st.detail else ""))
@@ -259,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, code=True):
         if code:
             sp.add_argument("--code", required=True,
-                            help="builtin (desk[:seed], hgp:m,n) or manifest path")
+                            help="builtin (desk[:SEED[,N1]], hgp:m,n) or manifest path")
             sp.add_argument("--format", default="alist",
                             choices=["alist", "dense"])
         sp.add_argument("--out", default=".", help="output directory")

@@ -19,9 +19,15 @@ J_X row then has at most one nonzero inside the support of any Z
 logical operator, which the glue-code weight bounds rely on.
 
 A `SubsystemCode` is the one home for what is derived from, or proven
-on, its own matrices: `hx_wmax`, `hz_echelon` and, on a code
-`subsystem_code` builds, F_X and F_Z are computed on first read, and
-`proven` says that the identities `subsystem_code` checks hold on them.
+on, its own matrices: `hx_wmax`, `hz_echelon`, `checks_commute`,
+`hx_left_kernel` and, on a code `subsystem_code` builds, F_X and F_Z are
+computed on first read, and `proven` says that the identities
+`subsystem_code` checks hold on them.  A code is frozen, so these memory
+facts are computed once per memory.  A sticker paste asks for the same
+proof through a module-private request, `_PasteBlocks`: it checks that
+the code is the join of the blocks it names, then proves the memory
+block from the memory's facts and multiplies out only the blocks the
+paste adds.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
+from .errors import InternalError
 from .gf2 import (
     Gf2Matrix,
     RowReducer,
@@ -83,11 +91,20 @@ class SubsystemCode:
     logicals pair nondegenerately.  Otherwise they are built at once, so
     an input the completion rejects is rejected here.
 
+    A sticker paste passes its blocks as F instead (`_PasteBlocks`), and
+    the same identities are proven from them and from the memory's facts
+    (`_prove_pasted`), with the same verdicts and messages: where the
+    blocks do not apply, or one fails, the full proof runs.
+
     `proven` is true when all of these hold on the matrices the code
     holds and F is their completion.  It is not an init field, so any
     other construction, `dataclasses.replace` included, leaves it false.
     `hz_echelon` is shared: only `reduce` may be called on it, and a
     caller copies it before `add`.
+
+    `hx_wmax`, `hz_echelon`, `checks_commute` and `hx_left_kernel` are
+    computed on first read and kept: the code is frozen, so none can go
+    stale, and a memory pasted many times factors its matrices once.
     """
 
     hx: Gf2Matrix
@@ -101,10 +118,30 @@ class SubsystemCode:
     proven: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.fx is not _DERIVE_GAUGE:
+        request = self.fx
+        if request is _DERIVE_GAUGE:
+            proof = self._prove()
+        elif type(request) is _PasteBlocks:
+            proof = self._prove_pasted(request) or self._prove()
+        else:
             return
+        rank_hx, rank_hz_jz, z_echelon, proven = proof
+        k_g = self.n - rank_hx - rank_hz_jz
+        if k_g and proven:  # unset, so the first read lands in __getattr__
+            object.__delattr__(self, "fx")
+            object.__delattr__(self, "fz")
+        else:
+            fx, fz = (complete_gauge(self.hx, self.hz, self.jx, self.jz) if k_g
+                      else (Gf2Matrix.zeros(0, self.n),) * 2)
+            object.__setattr__(self, "fx", fx)
+            object.__setattr__(self, "fz", fz)
+        object.__setattr__(self, "hz_echelon", z_echelon)
+        object.__setattr__(self, "proven", proven)
+
+    def _prove(self) -> tuple[int, int, RowReducer, bool]:
+        """(rank H_X, rank (H_Z; J_Z), the H_Z echelon, J_X J_Z^T = E) by
+        the full products and one echelon of each check matrix."""
         hx, hz, jx, jz = self.hx, self.hz, self.jx, self.jz
-        n = hx.cols
         _check_commutation(hx, hz, jx, hz.vstack(jz))
         x_echelon, z_echelon = RowReducer(hx.bits), RowReducer(hz.bits)
         rank_hx, rank_hz = len(x_echelon.pivots), len(z_echelon.pivots)
@@ -113,18 +150,52 @@ class SubsystemCode:
         rank_hz_jz = rank_hz + sum(z_and_logicals.add(r) for r in jz.bits)
         if rank_hx + rank_hz_jz != rank_hz + rank_hx_jx:
             raise ValueError("gauge spaces have mismatched dimensions")
-        proven = pairs_to_identity(jx, jz)
-        k_g = n - rank_hx - rank_hz_jz
-        if k_g and proven:  # unset, so the first read lands in __getattr__
-            object.__delattr__(self, "fx")
-            object.__delattr__(self, "fz")
-        else:
-            fx, fz = (complete_gauge(hx, hz, jx, jz) if k_g
-                      else (Gf2Matrix.zeros(0, n),) * 2)
-            object.__setattr__(self, "fx", fx)
-            object.__setattr__(self, "fz", fz)
-        object.__setattr__(self, "hz_echelon", z_echelon)
-        object.__setattr__(self, "proven", proven)
+        return rank_hx, rank_hz_jz, z_echelon, pairs_to_identity(jx, jz)
+
+    def _prove_pasted(self, b: "_PasteBlocks") -> tuple | None:
+        """`_prove`'s result from a paste's blocks, or None where they do
+        not apply: the matrices are not their join, or J_X J_Z^T ≠ E.
+
+        With M the memory, H_X = (H_X,M T′; 0 H_X,st), H_Z = (H_Z,M 0;
+        S′ H_Z,st), J_X = (J_X,M J_X,st) and J_Z = (J_Z,M 0), block by
+        block, every product `_prove` checks is zero exactly when
+          H_X,M H_Z,M^T = 0 (a fact of M, whose matrices these are),
+          S′ H_X,M^T = H_Z,st T′^T (H_X S^T = T H_G), H_X,st H_Z,st^T = 0,
+          J_Z,M H_X,M^T = 0, J_X,M H_Z,M^T = 0, J_X,M S′^T = J_X,st H_Z,st^T;
+        the other blocks are zero blocks of the join.  If one fails, the
+        full products raise with the row they name.
+
+        Ranks.  H_Z's echelon is M's with the sticker rows added: a fresh
+        one adds M's rows first, which are H_Z's leading rows, so its
+        pivots are the same.  rank H_X = rank H_X,M + rank(L T′; H_X,st)
+        for L a basis of M's left kernel: (a, b) H_X = 0 exactly when
+        a = cL and c L T′ + b H_X,st = 0.  Once J_X J_Z^T = E, J_Z is
+        independent modulo rs H_Z, since c J_Z = y H_Z gives c = c J_Z
+        J_X^T = y H_Z J_X^T = 0, and J_X modulo rs H_X likewise, so both
+        dimension counts add k and the gauge dimensions match.
+        """
+        m = b.memory
+        if not _is_paste_join(self, b):
+            return None
+        if not (m.checks_commute
+                and b.s.mul_transpose(m.hx) == b.hz_st.mul_transpose(b.t)
+                and b.hx_st.mul_transpose(b.hz_st).is_zero()
+                and b.jz_mem.mul_transpose(m.hx).is_zero()
+                and b.jx_mem.mul_transpose(m.hz).is_zero()
+                and b.jx_mem.mul_transpose(b.s) == b.jx_st.mul_transpose(b.hz_st)):
+            # the full path raises, naming the row of the failing product
+            subsystem_code(self.hx, self.hz, self.jx, self.jz)
+            raise InternalError("a paste's blocks fail a commutation check "
+                                "that its full products pass")
+        if not pairs_to_identity(self.jx, self.jz):
+            return None
+        z_echelon = m.hz_echelon.copy()
+        for row in self.hz.bits[m.hz.rows:]:
+            z_echelon.add(row)
+        left = m.hx_left_kernel
+        sticker = RowReducer(left.mul(b.t).bits + b.hx_st.bits)
+        rank_hx = m.hx.rows - left.rows + len(sticker.pivots)
+        return rank_hx, len(z_echelon.pivots) + self.k, z_echelon, True
 
     def __getattr__(self, name):
         # reached only for an attribute not set: the F_X, F_Z that
@@ -146,6 +217,24 @@ class SubsystemCode:
         """A `RowReducer` over the rows of H_Z."""
         return RowReducer(self.hz.bits)
 
+    @cached_property
+    def checks_commute(self) -> bool:
+        """H_X H_Z^T = 0, read off the proof on a `proven` code."""
+        return self.proven or self.hx.mul_transpose(self.hz).is_zero()
+
+    @cached_property
+    def hx_left_kernel(self) -> Gf2Matrix:
+        """A basis L of {a : a H_X = 0}; rank H_X = rows(H_X) − rows(L).
+
+        One echelon of the rows of H_X, each tagged with its index in low
+        bits below it: a row whose H_X part cancels keeps its own tag bit,
+        so it is left as a nonzero combination a with a H_X = 0, pivoting
+        on a tag bit of its own.
+        """
+        r = self.hx.rows
+        echelon = RowReducer(row << r | 1 << i for i, row in enumerate(self.hx.bits))
+        return Gf2Matrix([v for p, v in echelon.pivots.items() if p < r], r)
+
     @property
     def n(self) -> int:
         return self.hx.cols
@@ -165,6 +254,47 @@ class SubsystemCode:
     def z_stabilizer_span(self) -> Gf2Matrix:
         """Stacked (H_Z; F_Z): the Z operators acting trivially on logicals."""
         return self.hz.vstack(self.fz)
+
+
+class _PasteBlocks(NamedTuple):
+    """What a sticker paste passes as F to have its code proven by blocks
+    (module-private: `stickers._paste` alone builds one).  The sticker
+    occupies the columns after the memory's n."""
+
+    memory: SubsystemCode
+    t: Gf2Matrix  # T′: memory X checks × sticker qubits
+    s: Gf2Matrix  # S′: sticker Z checks × memory qubits
+    hx_st: Gf2Matrix
+    hz_st: Gf2Matrix
+    jx_mem: Gf2Matrix
+    jx_st: Gf2Matrix
+    jz_mem: Gf2Matrix
+
+
+def _is_paste_join(code: SubsystemCode, b: _PasteBlocks) -> bool:
+    """Whether the code's H_X, H_Z, J_X and J_Z are exactly the join of
+    the blocks, every other block zero; compared row by row."""
+    m = b.memory
+    n = m.n
+
+    def joins(rows, left, right):
+        return all(r == x | y << n for r, x, y in zip(rows, left, right))
+
+    return (m.hz.cols == b.s.cols == b.jx_mem.cols == b.jz_mem.cols == n
+            and code.hz.cols == code.jx.cols == code.jz.cols == code.n
+            and b.t.cols == b.hx_st.cols == b.hz_st.cols == b.jx_st.cols
+            == code.n - n
+            and code.hx.rows == b.t.rows + b.hx_st.rows
+            and code.hz.rows == m.hz.rows + b.hz_st.rows
+            and b.t.rows == m.hx.rows and b.s.rows == b.hz_st.rows
+            and code.jx.rows == b.jx_mem.rows == b.jx_st.rows
+            and joins(code.hx.bits, itertools.chain(m.hx.bits, itertools.repeat(0)),
+                      itertools.chain(b.t.bits, b.hx_st.bits))
+            and joins(code.hz.bits, itertools.chain(m.hz.bits, b.s.bits),
+                      itertools.chain(itertools.repeat(0, m.hz.rows),
+                                      b.hz_st.bits))
+            and joins(code.jx.bits, b.jx_mem.bits, b.jx_st.bits)
+            and code.jz.bits == b.jz_mem.bits)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,7 @@ Matrices are stored row-major with each row bit-packed into a Python
 integer (bit j = column j), so row operations are word-parallel XORs.
 Zero-row and zero-column matrices are representable.  A matrix is
 immutable and caches its transpose for its lifetime; equality ignores
-the cache.  `join_blocks` assembles a block matrix together with its
-transpose.  `mul_transpose` walks the cheaper operand.  Three routines
+the cache.  `mul_transpose` walks the cheaper operand.  Three routines
 eliminate; each caller takes the cheapest whose output it reads.
 
 * Gauss–Jordan (`_eliminate`), where an RREF or coefficients are read.
@@ -275,25 +274,6 @@ class Gf2Matrix:
         if sorted(perm) != list(range(self.cols)):
             raise ValueError("perm is not a permutation of range(cols)")
         return self.take_cols(perm)
-
-
-def join_blocks(a: Gf2Matrix, b: Gf2Matrix, c: Gf2Matrix,
-                d: Gf2Matrix) -> Gf2Matrix:
-    """The block matrix (a b; c d) with its transpose (aᵀ cᵀ; bᵀ dᵀ) cached,
-    joined from the blocks' own transposes: a block whose transpose is
-    cached, such as a memory code's check matrix, is not flipped again."""
-    if a.rows != b.rows or c.rows != d.rows or a.cols != c.cols or b.cols != d.cols:
-        raise ValueError("join_blocks: block shapes do not line up")
-    out = _join(a, b, c, d)
-    object.__setattr__(out, "_t", _join(a.transpose(), c.transpose(),
-                                        b.transpose(), d.transpose()))
-    return out
-
-
-def _join(a: Gf2Matrix, b: Gf2Matrix, c: Gf2Matrix, d: Gf2Matrix) -> Gf2Matrix:
-    sh = a.cols
-    return Gf2Matrix._of([x | y << sh for x, y in zip(a.bits + c.bits, b.bits + d.bits)],
-                         a.cols + b.cols)
 
 
 # -- elimination -----------------------------------------------------

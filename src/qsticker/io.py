@@ -9,8 +9,9 @@ Supported formats:
 * dense — one line of 0/1 characters per row.
 
 Quantum codes load from a JSON manifest naming the H_X and H_Z files
-(or carrying the rows inline), or from builtin specs: "desk[:seed]"
-(hypergraph product of a seeded (3,4)-regular classical code) and
+(or carrying the rows inline), or from builtin specs: "desk",
+"desk:SEED" or "desk:SEED,N1" (hypergraph product of a seeded
+(3,4)-regular classical code on N1 bits, 7 and 16 by default) and
 "hgp:m,n" (repetition-code product, the [[m*n + (m-1)(n-1), 1, min(m,n)]]
 family).
 """
@@ -206,11 +207,25 @@ def desk_code(seed: int = 7, n_bits: int = 16) -> SubsystemCode:
     return code
 
 
+def _desk_args(spec: str) -> tuple[int, ...]:
+    """The `desk_code` arguments a spec gives: none for desk, (SEED,) for
+    desk:SEED, (SEED, N1) for desk:SEED,N1."""
+    parts = spec.partition(":")[2].split(",") if ":" in spec else []
+    try:
+        values = tuple(int(p) for p in parts)
+    except ValueError:
+        values = None
+    if values is None or len(values) > 2 or (
+            len(values) == 2 and (values[1] < 4 or values[1] % 4)):
+        raise ValueError(f"desk spec takes desk, desk:SEED or desk:SEED,N1 with "
+                         f"integers and N1 a positive multiple of 4, got {spec!r}")
+    return values
+
+
 def load_code(spec: str, fmt: str = "alist") -> SubsystemCode:
     """Resolve a code spec: builtin name, hgp:m,n, or a JSON manifest path."""
     if spec == "desk" or spec.startswith("desk:"):
-        seed = int(spec.split(":", 1)[1]) if ":" in spec else 7
-        return desk_code(seed)
+        return desk_code(*_desk_args(spec))
     if spec.startswith("hgp:"):
         parts = spec[4:].split(",")
         if len(parts) != 2:

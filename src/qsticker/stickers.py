@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 from .codes import (
     OperatorSet,
     SubsystemCode,
+    _PasteBlocks,
     exact_distance,
     repetition_check,
-    subsystem_code,
 )
-from .gf2 import Gf2Matrix, RowReducer, join_blocks, solve_left
+from .gf2 import Gf2Matrix, RowReducer, solve_left
 from .glue import (GlueError, GlueSpec, LogicalSplit, finely_devised_glue,
                    naked_glue, split_logicals)
 
@@ -111,29 +111,33 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
     block for a measurement sticker; Z logicals stay on the memory.
 
     H_X = (H_X,mem  T'; 0  H_X,sticker) and H_Z = (H_Z,mem  0; S'  H_Z,sticker)
-    are joined from blocks, their transposes from the memory's cached
-    ones, so the commutation products flip no deformed matrix.
+    are joined from blocks, and the code is proven from those blocks and
+    the memory's facts (`_PasteBlocks`), so no product or echelon runs
+    over a whole deformed matrix.  No transpose is joined: the proof reads
+    the memory's and H_Z,sticker's, and a deformed one is flipped only
+    where it is read, as H_X by statement iv′.
     """
     hx_s, hz_s = build_sticker(glue, d_r, kind)
-    n, n_g = c.n, glue.n_g
-    total = n + hx_s.cols
+    n, n_g, wide = c.n, glue.n_g, hx_s.cols
     t_shift = (d_r - 1) * n_g
-    hx = join_blocks(c.hx, Gf2Matrix([r << t_shift for r in glue.t.bits], hx_s.cols),
-                     Gf2Matrix.zeros(hx_s.rows, n), hx_s)
-    hz = join_blocks(c.hz, Gf2Matrix.zeros(c.hz.rows, hz_s.cols),
-                     glue.s.vstack(Gf2Matrix.zeros(hz_s.rows - glue.s.rows, n)), hz_s)
+    t = Gf2Matrix([r << t_shift for r in glue.t.bits], wide)
+    s = glue.s.vstack(Gf2Matrix.zeros(hz_s.rows - glue.s.rows, n))
+    hx = c.hx.hstack(t).vstack(Gf2Matrix.zeros(hx_s.rows, n).hstack(hx_s))
+    hz = c.hz.hstack(Gf2Matrix.zeros(c.hz.rows, wide)).vstack(s.hstack(hz_s))
     jx_s = jx_mem.mul(glue.s.transpose()).bits
-    jx = list(jx_mem.bits)
-    for i in range(len(jx)):
+    jx_st = [0] * len(jx_s)
+    for i in range(len(jx_s)):
         for j in range(1, d_r):
-            jx[i] |= jx_s[i] << (n + (j - 1) * n_g)
+            jx_st[i] |= jx_s[i] << ((j - 1) * n_g)
         if gamma is not None:
-            jx[i] |= gamma.bits[i] << (n + (d_r - 1) * (n_g + glue.r_g))
-    jz = jz_mem.hstack(Gf2Matrix.zeros(jz_mem.rows, total - n))
+            jx_st[i] |= gamma.bits[i] << ((d_r - 1) * (n_g + glue.r_g))
+    jx_st = Gf2Matrix(jx_st, wide)
+    jz = jz_mem.hstack(Gf2Matrix.zeros(jz_mem.rows, wide))
+    blocks = _PasteBlocks(c, t, s, hx_s, hz_s, jx_mem, jx_st, jz_mem)
     suffix = "meas" if kind == "measurement" else "branch"
-    code = subsystem_code(hx, hz, Gf2Matrix(jx, total), jz,
-                          name=f"{c.name}+{suffix}")
-    # `subsystem_code` checked the products, the gauge and the J pairing
+    code = SubsystemCode(hx, hz, jx_mem.hstack(jx_st), jz, fx=blocks, fz=blocks,
+                         name=f"{c.name}+{suffix}")
+    # the blocks proved the products, the gauge and the J pairing
     if not code.proven:
         raise GlueError("deformed logical pairing is not the identity")
     ob_lo = n + (d_r - 2) * n_g
@@ -307,11 +311,13 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     re-verified exhaustively only within the stated budget; otherwise
     it is reported as implied-by-the-general-bound but not re-checked.
 
-    Statements ii, v and v' reduce against the code's `hz_echelon`, the
-    one a paste built while proving it.  On a `proven` code statement i
-    takes hx hz^T = 0 from that proof and iv' reads J_X signatures (see
-    `_same_logical_classes`); any other code, such as a `replace`d
-    mutant, is multiplied out here.
+    Statement ii passes at once when the deformed H_Z leads with the
+    memory's H_Z rows verbatim, as a paste's does: a matrix's rows lie in
+    its own row space.  Otherwise it, like v and v', reduces against the
+    code's `hz_echelon`, the one a paste built while proving it.  On a
+    `proven` code statement i takes hx hz^T = 0 from that proof and iv'
+    reads J_X signatures (see `_same_logical_classes`); any other code,
+    such as a `replace`d mutant, is multiplied out here.
     """
     c = dc.memory
     code = dc.code
@@ -334,8 +340,10 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     else:
         wit = _spaces_equal(c.hx, code.hx.take_cols(mem_cols))
     check("i: X stabilisers match through P", wit)
+    padded_hz = dc.pad_memory_rows(c.hz)
     check("ii: Z stabilisers survive pasting",
-          _outside(hz_span, dc.pad_memory_rows(c.hz)))
+          "" if code.hz.bits[:padded_hz.rows] == padded_hz.bits
+          else _outside(hz_span, padded_hz))
 
     if dc.kind == "measurement":
         check("iii: commuting X logicals persist on the memory",

@@ -2,7 +2,11 @@
 
 import json
 
+import qsticker
 from qsticker.cli import main
+from qsticker.io import load_code
+from qsticker.sampling import SigmaSampler
+from qsticker.stickers import deform, verify_surgery
 
 
 def run_cli(args):
@@ -37,6 +41,11 @@ def test_glue_and_deform_outputs(tmp_path):
     dep = json.loads(read(tmp_path / "deformed.json"))
     assert dep["k"] == 0 and dep["kind"] == "measurement"
     assert (tmp_path / "deformed_hx.alist").exists()
+    # the envelope names the version and the inputs that rebuild the code
+    assert dep["qsticker_version"] == qsticker.__version__
+    assert dep["config"] == {"code": "hgp:3,3", "format": "alist",
+                             "kind": "measurement", "d_r": 2,
+                             "sigma": {"logicals": "0"}}
 
 
 def test_verify_exit_codes(tmp_path):
@@ -45,6 +54,35 @@ def test_verify_exit_codes(tmp_path):
     assert rc == 0
     rep = json.loads(read(tmp_path / "verify.json"))
     assert rep["ok"] is True
+
+
+def test_verify_report_sits_beside_its_provenance(tmp_path):
+    rc = run_cli(["verify", "--code", "desk", "--q", "3", "--seed", "2",
+                  "--kind", "branch", "--dr", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    rep = json.loads(read(tmp_path / "verify.json"))
+    assert rep.pop("qsticker_version") == qsticker.__version__
+    assert rep.pop("config") == {
+        "code": "desk", "format": "alist", "kind": "branch", "d_r": 2,
+        "budget": 36, "sigma": {"q": 3, "L": 5, "t": 3, "seed": 2}}
+    # the rest is the report itself, unchanged
+    code = load_code("desk")
+    sigma = SigmaSampler(code, l_max=5, thickness=3, max_q=3, seed=2).sample(3, 0)
+    want = verify_surgery(deform(code, sigma, "branch", 2)).to_report()
+    assert rep == json.loads(json.dumps(want))
+
+
+def test_desk_spec_takes_a_seed_and_a_size(tmp_path, capsys):
+    rc = run_cli(["validate", "--code", "desk:7,8", "--out", str(tmp_path)])
+    assert rc == 0
+    out = json.loads(read(tmp_path / "validate.json"))
+    assert out["code"] == "desk(seed=7,n1=8)" and out["n"] == 100
+    for spec in ("desk:7,28,1", "desk:x", "desk:", "desk:7,30", "desk:7,0"):
+        rc = run_cli(["validate", "--code", spec, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "desk spec takes desk, desk:SEED or desk:SEED,N1" in err
+        assert repr(spec) in err
 
 
 def test_input_error_exit_code(tmp_path, capsys):

@@ -9,6 +9,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_gf2 import matrices, sparse_matrices
 
 from qsticker import codes
 from qsticker.codes import (
@@ -636,3 +637,15 @@ def test_direct_sum_code():
     assert validate_code(c).ok
     # the two logical blocks have disjoint supports
     assert c.jz.bits[0] & c.jz.bits[1] == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(matrices(max_rows=12), sparse_matrices()))
+@example(Gf2Matrix([0b011, 0b110, 0b101], 3))
+@example(Gf2Matrix.zeros(3, 0))
+def test_hx_left_kernel_is_a_basis_of_the_left_kernel(hx):
+    zero = Gf2Matrix.zeros(0, hx.cols)
+    code = codes.SubsystemCode(hx, zero, zero, zero, zero, zero)
+    left = code.hx_left_kernel
+    assert left.cols == hx.rows and left.mul(hx).is_zero()
+    assert rank(left) == left.rows == hx.rows - rank(hx)

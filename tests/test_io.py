@@ -119,6 +119,9 @@ def test_load_code_builtins():
     assert (c.n, c.k, c.distance) == (13, 1, 3)
     d = load_code("desk:3")
     assert d.n == 400
+    big = load_code("desk:7,28")
+    assert (big.n, big.name) == (1225, "desk(seed=7,n1=28)")
+    assert big.hx == desk_code(7, 28).hx
 
 
 @pytest.mark.parametrize("spec", ["hgp:2,3", "hgp:3,2", "hgp:3,4",

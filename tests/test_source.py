@@ -176,6 +176,15 @@ def test_pastes_are_called_only_by_deform():
     assert callers == {"stickers:deform"}
 
 
+def test_only_the_paste_requests_a_block_proof():
+    # a block proof takes the memory block's commutation from the memory,
+    # so the one builder of the private request is the paste that joins
+    # that memory to its sticker
+    callers = {name for name, node in _top_level_statements()
+               if "_PasteBlocks" in _called_names(node)}
+    assert callers == {"stickers:_paste"}
+
+
 def test_one_function_checks_sigma_against_hx():
     # every routine that needs Σ rows in ker H_X calls the one check
     holders = [name for name, node in _top_level_statements()

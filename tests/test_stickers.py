@@ -12,6 +12,7 @@ from qsticker.branching import estimate_qubit_cost
 from qsticker.codes import (
     OperatorSet,
     SubsystemCode,
+    _PasteBlocks,
     complete_gauge,
     direct_sum,
     exact_distance,
@@ -19,6 +20,7 @@ from qsticker.codes import (
     pairs_to_identity,
     redundancy_number,
     repetition_check,
+    subsystem_code,
     validate_code,
 )
 from qsticker.gf2 import Gf2Matrix, RowReducer, rank, solve_left
@@ -760,14 +762,15 @@ def test_same_logical_classes_matches_the_solve(case, d_r, data):
 
 def test_desk_item_factors_each_deformed_code_once(monkeypatch):
     # both pastes and both verifies of one Σ on the [[400,16]] desk code:
-    # no gauge is completed, and each deformed H_Z is eliminated once
+    # the memory's H_Z echelon is built once, no echelon runs over a whole
+    # deformed H_Z or H_X, and no gauge is completed
     import sys
 
-    from qsticker import gf2
+    from qsticker import codes, gf2
     from qsticker.io import desk_code
     from qsticker.sampling import SigmaSampler
 
-    c = desk_code(7)
+    c = replace(desk_code(7))  # a fresh memory: no fact read yet
     s = SigmaSampler(c, l_max=5, thickness=4, max_q=4, seed=3).sample(4, 0)
     echelons, completions = [], []
 
@@ -777,7 +780,7 @@ def test_desk_item_factors_each_deformed_code_once(monkeypatch):
             echelons.append(rows)
             super().__init__(rows)
 
-    real, reducer = gf2.kernel_complement, gf2.RowReducer
+    real, reducer = codes.complete_gauge, gf2.RowReducer
 
     def counting(*args):
         completions.append(args)
@@ -787,16 +790,20 @@ def test_desk_item_factors_each_deformed_code_once(monkeypatch):
         if name.split(".")[0] == "qsticker":
             if vars(mod).get("RowReducer") is reducer:
                 monkeypatch.setattr(mod, "RowReducer", CountingReducer)
-            if vars(mod).get("kernel_complement") is real:
-                monkeypatch.setattr(mod, "kernel_complement", counting)
+            if vars(mod).get("complete_gauge") is real:
+                monkeypatch.setattr(mod, "complete_gauge", counting)
     split = split_logicals(c, s)
     dcb = paste_branch(c, split, naked_glue(c, s), 2)
     dcm = paste_measurement(c, split, finely_devised_glue(c, s, split=split), 4)
     assert verify_surgery(dcb).ok and verify_surgery(dcm).ok
     assert completions == []
-    assert [echelons.count(dc.code.hz.bits) for dc in (dcb, dcm)] == [1, 1]
-    # the counters are live: reading F completes the gauge
-    assert dcm.code.k_gauge > 0 and len(completions) == 2
+    assert echelons.count(c.hz.bits) == 1
+    assert not {dc.code.hz.bits for dc in (dcb, dcm)} & set(echelons)
+    assert not {dc.code.hx.bits for dc in (dcb, dcm)} & set(echelons)
+    # the counters are live: reading F completes the gauge, whose
+    # kernel complements eliminate the whole deformed H_Z and H_X
+    assert dcm.code.k_gauge > 0 and len(completions) == 1
+    assert {dcm.code.hz.bits, dcm.code.hx.bits} <= set(echelons)
 
 
 @st.composite
@@ -834,13 +841,15 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
                         and vars(mod).get("pairs_to_identity") is pairs_to_identity):
                     mp.setattr(mod, "pairs_to_identity", counting)
             dc = deform(c, sigma, kind, d_r)
+            code = dc.code
+            # the joins build no transpose
+            assert code.hx._t is None and code.hz._t is None
             report = verify_surgery(dc).to_report()
         # the paste proves J_X J_Z^T = E once and its verify reads the proof
         assert len(pairings) == 1
-        code = dc.code
-        # the assembled transposes are the flipped matrices
+        # a transpose the verify read is the flipped matrix
         for m in (code.hx, code.hz):
-            assert m._t is not None and m._t == m._flip()
+            assert m._t is None or m._t == m._flip()
         # iv' by signatures and by the span agree on an unmutated paste
         assert code.proven and pairs_to_identity(code.jx, code.jz)
         assert not replace(code).proven
@@ -862,3 +871,110 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
                 assert not replace(code, **{f.name: getattr(code, f.name)}).proven
         assert not SubsystemCode(code.hx, code.hz, code.jx, code.jz,
                                  code.fx, code.fz).proven
+
+
+# -- the block proof against the full products -----------------------------
+
+
+def _pasted_blocks(dc):
+    """The blocks `_paste` joined, read back off its deformed code."""
+    code, m = dc.code, dc.memory
+    n, rx, rz = m.n, m.hx.rows, m.hz.rows
+    mask = (1 << n) - 1
+
+    def left(rows):
+        return Gf2Matrix([r & mask for r in rows], n)
+
+    def right(rows):
+        return Gf2Matrix([r >> n for r in rows], code.n - n)
+
+    return _PasteBlocks(m, right(code.hx.bits[:rx]), left(code.hz.bits[rz:]),
+                        right(code.hx.bits[rx:]), right(code.hz.bits[rz:]),
+                        left(code.jx.bits), right(code.jx.bits), left(code.jz.bits))
+
+
+def _joined(b):
+    """(H_X, H_Z, J_X, J_Z) joined from a paste's blocks."""
+    m, wide = b.memory, b.hx_st.cols
+    return (m.hx.hstack(b.t).vstack(Gf2Matrix.zeros(b.hx_st.rows, m.n).hstack(b.hx_st)),
+            m.hz.hstack(Gf2Matrix.zeros(m.hz.rows, wide)).vstack(b.s.hstack(b.hz_st)),
+            b.jx_mem.hstack(b.jx_st),
+            b.jz_mem.hstack(Gf2Matrix.zeros(b.jz_mem.rows, wide)))
+
+
+def _flip_bit(data, m, cells):
+    """m with one of `cells` (row, column) flipped, or m if there is none."""
+    if not cells:
+        return m
+    i, j = cells[data.draw(st.integers(0, len(cells) - 1))]
+    return _rows(m, lambda b: b[:i] + [b[i] ^ 1 << j] + b[i + 1:])
+
+
+def _mutant_blocks(data, dc, b, part):
+    """The blocks with the `part` one edited: a nonzero T row moved, an S
+    bit dropped, a bit flipped in one H_G copy of the sticker, a J_X
+    sticker bit flipped, or a bit flipped in the memory's H_X or H_Z."""
+    n_g, r_g, d_r = dc.glue.n_g, dc.glue.r_g, dc.d_r
+    if part == "t":
+        moves = [(i, j) for i, r in enumerate(b.t.bits) if r
+                 for j in range(b.t.rows) if b.t.bits[j] != r]
+        if not moves:
+            return b
+        i, j = moves[data.draw(st.integers(0, len(moves) - 1))]
+
+        def move(rows):
+            rows[i], rows[j] = rows[j], rows[i]
+            return rows
+        return b._replace(t=_rows(b.t, move))
+    if part == "s":
+        cells = [(i, j) for i, r in enumerate(b.s.bits) for j in range(b.s.cols)
+                 if r >> j & 1]
+        return b._replace(s=_flip_bit(data, b.s, cells))
+    if part == "hg":
+        # H_X,st = (E ⊗ H_G | λ ⊗ E), H_Z,st = (λ^T ⊗ E | E ⊗ H_G^T)
+        if data.draw(st.booleans()):
+            cells = [(c * r_g + g, c * n_g + j) for c in range(d_r - 1)
+                     for g in range(r_g) for j in range(n_g)]
+            return b._replace(hx_st=_flip_bit(data, b.hx_st, cells))
+        copies = d_r if dc.kind == "measurement" else d_r - 1
+        cells = [(c * n_g + j, (d_r - 1) * n_g + c * r_g + g) for c in range(copies)
+                 for g in range(r_g) for j in range(n_g)]
+        return b._replace(hz_st=_flip_bit(data, b.hz_st, cells))
+    if part == "jx_st":
+        cells = [(i, j) for i in range(b.jx_st.rows) for j in range(b.jx_st.cols)]
+        return b._replace(jx_st=_flip_bit(data, b.jx_st, cells))
+    m = b.memory
+    field_name = data.draw(st.sampled_from(["hx", "hz"]))
+    matrix = getattr(m, field_name)
+    cells = [(i, j) for i in range(matrix.rows) for j in range(matrix.cols)]
+    return b._replace(memory=replace(m, **{field_name: _flip_bit(data, matrix, cells)}))
+
+
+def _built(build):
+    """("ok", proof and gauge) of the code `build` returns, or ("error", its
+    ValueError message); an InternalError propagates."""
+    try:
+        code = build()
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", code.proven, code.hz_echelon.pivots, code.fx, code.fz
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pasted_memories(), st.integers(2, 3),
+       st.sampled_from(["measurement", "branch"]), st.data())
+def test_block_proof_refuses_exactly_what_the_full_products_refuse(case, d_r,
+                                                                   kind, data):
+    # each block of a paste edited in turn, joined and proven three ways:
+    # by the blocks, by `subsystem_code`, and with the unedited blocks as
+    # the request, which the join check turns down
+    c, sigma = case
+    dc = deform(c, sigma, kind, d_r)
+    blocks = _pasted_blocks(dc)
+    assert _joined(blocks) == (dc.code.hx, dc.code.hz, dc.code.jx, dc.code.jz)
+    for part in ("t", "s", "hg", "jx_st", "memory"):
+        mutant = _mutant_blocks(data, dc, blocks, part)
+        matrices = _joined(mutant)
+        full = _built(lambda: subsystem_code(*matrices))
+        assert _built(lambda: SubsystemCode(*matrices, fx=mutant, fz=mutant)) == full
+        assert _built(lambda: SubsystemCode(*matrices, fx=blocks, fz=blocks)) == full
