@@ -64,7 +64,12 @@ def _resolve_sigma(args, code) -> OperatorSet:
         for part in args.logicals.split("|"):
             acc = 0
             for tok in part.split(","):
-                i = int(tok)
+                try:
+                    i = int(tok)
+                except ValueError:
+                    raise ValueError(f"--logicals takes '|'-separated groups of "
+                                     f"comma-separated logical indices, e.g. "
+                                     f"'0|1,2', got {args.logicals!r}") from None
                 if not 0 <= i < code.k:
                     raise ValueError(f"--logicals index {tok} is out of range "
                                      f"for k = {code.k}")
@@ -77,12 +82,11 @@ def _resolve_sigma(args, code) -> OperatorSet:
 
 
 def _provenance(args, **config) -> dict:
-    """The envelope keys written beside a deformed-code report: the
-    package version and the inputs that rebuild the code."""
+    """The envelope keys written beside a report: the package version and
+    the inputs that rebuild it, the code spec and format first and then
+    the command's own."""
     return {"qsticker_version": __version__,
-            "config": {"code": args.code, "format": args.format,
-                       "kind": args.kind, "d_r": args.dr,
-                       "sigma": _sigma_source(args), **config}}
+            "config": {"code": args.code, "format": args.format, **config}}
 
 
 def _parse_q_range(text: str) -> list[int]:
@@ -106,6 +110,7 @@ def cmd_validate(args) -> int:
         "ok": rep.ok,
         "checks": [{"name": c.name, "passed": c.passed, "witness": c.witness}
                    for c in rep.checks],
+        **_provenance(args),
     }
     _write_json(_out_path(args, "validate.json"), payload)
     print(f"{code.name}: [[{code.n},{code.k}]] "
@@ -129,6 +134,7 @@ def cmd_glue(args) -> int:
             "r_g": [fine.r_g, fine.meta["bound_r_g"]],
             "wmax_hg": [fine.hg.wmax(), fine.meta["bound_wmax_hg"]],
         },
+        **_provenance(args, sigma=_sigma_source(args)),
     }
     _write_json(_out_path(args, "glue.json"), payload)
     save_check_matrix(fine.hg, _out_path(args, "glue_hg." + args.format),
@@ -150,7 +156,8 @@ def cmd_deform(args) -> int:
         "n": dc.n, "k": dc.k, "d_r": dc.d_r, "d_t": dc.d_t,
         "glue": dc.glue.to_report(),
         "provenance": dc.provenance,
-        **_provenance(args),
+        **_provenance(args, kind=args.kind, d_r=args.dr,
+                      sigma=_sigma_source(args)),
     }
     _write_json(_out_path(args, "deformed.json"), payload)
     save_check_matrix(dc.code.hx, _out_path(args, "deformed_hx." + args.format),
@@ -168,7 +175,9 @@ def cmd_verify(args) -> int:
     dc = deform(code, sigma, args.kind, args.dr)
     rep = verify_surgery(dc, distance_qubit_cap=args.budget)
     _write_json(_out_path(args, "verify.json"),
-                {**rep.to_report(), **_provenance(args, budget=args.budget)})
+                {**rep.to_report(),
+                 **_provenance(args, kind=args.kind, d_r=args.dr,
+                               sigma=_sigma_source(args), budget=args.budget)})
     for st in rep.statements:
         print(f"  [{st.status:>7}] {st.name}" +
               (f" ({st.detail})" if st.detail else ""))
@@ -192,6 +201,8 @@ def cmd_plan(args) -> int:
                                         d_r=args.dr).to_report()
             for scheme in ("ds", "bfb")
         },
+        **_provenance(args, sigma=_sigma_source(args), d_r=args.dr, t=args.t,
+                      assemble=args.assemble),
     }
     if args.assemble:
         plan = assemble_plan(code, sigma, args.dr)

@@ -23,11 +23,11 @@ on, its own matrices: `hx_wmax`, `hz_echelon`, `checks_commute`,
 `hx_left_kernel` and, on a code `subsystem_code` builds, F_X and F_Z are
 computed on first read, and `proven` says that the identities
 `subsystem_code` checks hold on them.  A code is frozen, so these memory
-facts are computed once per memory.  A sticker paste asks for the same
-proof through a module-private request, `_PasteBlocks`: it checks that
-the code is the join of the blocks it names, then proves the memory
-block from the memory's facts and multiplies out only the blocks the
-paste adds.
+facts are computed once per memory.  A sticker paste has its code built
+by a second private constructor, `SubsystemCode._pasted`: it joins the
+paste's blocks (`_PasteBlocks`) into the deformed matrices, so the code
+is their join by construction, proves the memory block from the
+memory's facts and multiplies out only the blocks the paste adds.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ def repetition_check(n: int, truncated: bool = False) -> Gf2Matrix:
     return full.take_cols(range(n - 1))
 
 
-# the F_X, F_Z that `subsystem_code` passes to ask for a derived gauge
-_DERIVE_GAUGE = object()
-
-
 @dataclass(frozen=True)
 class SubsystemCode:
     """The six generator matrices.  Logicals must be bare, J_X F_Z^T = 0
@@ -80,21 +76,23 @@ class SubsystemCode:
     `css_code`, `subsystem_code` and `direct_sum` guarantee it and
     `validate_code` checks it.
 
-    `__post_init__` checks a code `subsystem_code` builds, with the
+    Two private constructors build a code and prove it, and say which
+    proof runs.  `_derived`, for `subsystem_code`, checks with the
     messages of `complete_gauge`: the commutation products hx (hz; jz)^T
     = 0 and hz jx^T = 0, then the gauge dimensions.  The gauge spaces have
     n − rank(H_X) − rank(H_Z; J_Z) and n − rank(H_Z) − rank(H_X; J_X)
     generators, read off one `RowReducer` echelon of each check matrix
-    with the logicals added.  It then tests J_X J_Z^T = E once.  When that
-    holds and k_g > 0, F_X and F_Z are `complete_gauge`'s on first read,
-    which cannot fail then: the gauge parts left after stripping the
-    logicals pair nondegenerately.  Otherwise they are built at once, so
-    an input the completion rejects is rejected here.
+    with the logicals added.  It then tests J_X J_Z^T = E once.  `_pasted`,
+    for a sticker paste, joins the code from the paste's blocks
+    (`_PasteBlocks`) and proves the same identities from them and from the
+    memory's facts (`_prove_pasted`), with the same verdicts and messages:
+    where J_X J_Z^T ≠ E, or a block fails, the full proof runs.
 
-    A sticker paste passes its blocks as F instead (`_PasteBlocks`), and
-    the same identities are proven from them and from the memory's facts
-    (`_prove_pasted`), with the same verdicts and messages: where the
-    blocks do not apply, or one fails, the full proof runs.
+    `_settle` stores either proof.  When J_X J_Z^T = E and k_g > 0, F_X
+    and F_Z are `complete_gauge`'s on first read, which cannot fail then:
+    the gauge parts left after stripping the logicals pair nondegenerately.
+    Otherwise they are built at once, so an input the completion rejects
+    is rejected here.
 
     `proven` is true when all of these hold on the matrices the code
     holds and F is their completion.  It is not an init field, so any
@@ -117,22 +115,40 @@ class SubsystemCode:
     name: str = ""
     proven: bool = field(default=False, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        request = self.fx
-        if request is _DERIVE_GAUGE:
-            proof = self._prove()
-        elif type(request) is _PasteBlocks:
-            proof = self._prove_pasted(request) or self._prove()
-        else:
-            return
+    @classmethod
+    def _derived(cls, hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix,
+                 jz: Gf2Matrix, name: str, distance: int | None) -> SubsystemCode:
+        """The code of the matrices, proven by the full products."""
+        empty = Gf2Matrix.zeros(0, hx.cols)
+        code = cls(hx, hz, jx, jz, empty, empty, distance, name)
+        code._settle(code._prove())
+        return code
+
+    @classmethod
+    def _pasted(cls, b: _PasteBlocks, name: str) -> SubsystemCode:
+        """The join of a paste's blocks, proven from them and the memory's
+        facts: H_X = (H_X,M T′; 0 H_X,st), H_Z = (H_Z,M 0; S′ H_Z,st),
+        J_X = (J_X,M J_X,st) and J_Z = (J_Z,M 0)."""
+        m, wide = b.memory, b.hx_st.cols
+        hx = m.hx.hstack(b.t).vstack(Gf2Matrix.zeros(b.hx_st.rows, m.n).hstack(b.hx_st))
+        hz = m.hz.hstack(Gf2Matrix.zeros(m.hz.rows, wide)).vstack(b.s.hstack(b.hz_st))
+        jz = b.jz_mem.hstack(Gf2Matrix.zeros(b.jz_mem.rows, wide))
+        empty = Gf2Matrix.zeros(0, hx.cols)
+        code = cls(hx, hz, b.jx_mem.hstack(b.jx_st), jz, empty, empty, name=name)
+        code._settle(code._prove_pasted(b) or code._prove())
+        return code
+
+    def _settle(self, proof: tuple[int, int, RowReducer, bool]) -> None:
+        """Store a proof.  F, empty until now, stays empty when k_g = 0,
+        is left to `__getattr__` when the proof holds, and is completed
+        now otherwise."""
         rank_hx, rank_hz_jz, z_echelon, proven = proof
         k_g = self.n - rank_hx - rank_hz_jz
         if k_g and proven:  # unset, so the first read lands in __getattr__
             object.__delattr__(self, "fx")
             object.__delattr__(self, "fz")
-        else:
-            fx, fz = (complete_gauge(self.hx, self.hz, self.jx, self.jz) if k_g
-                      else (Gf2Matrix.zeros(0, self.n),) * 2)
+        elif k_g:
+            fx, fz = complete_gauge(self.hx, self.hz, self.jx, self.jz)
             object.__setattr__(self, "fx", fx)
             object.__setattr__(self, "fz", fz)
         object.__setattr__(self, "hz_echelon", z_echelon)
@@ -152,13 +168,12 @@ class SubsystemCode:
             raise ValueError("gauge spaces have mismatched dimensions")
         return rank_hx, rank_hz_jz, z_echelon, pairs_to_identity(jx, jz)
 
-    def _prove_pasted(self, b: "_PasteBlocks") -> tuple | None:
-        """`_prove`'s result from a paste's blocks, or None where they do
-        not apply: the matrices are not their join, or J_X J_Z^T ≠ E.
+    def _prove_pasted(self, b: _PasteBlocks) -> tuple | None:
+        """`_prove`'s result for the join of a paste's blocks, or None
+        where J_X J_Z^T ≠ E.
 
-        With M the memory, H_X = (H_X,M T′; 0 H_X,st), H_Z = (H_Z,M 0;
-        S′ H_Z,st), J_X = (J_X,M J_X,st) and J_Z = (J_Z,M 0), block by
-        block, every product `_prove` checks is zero exactly when
+        With M the memory, every product `_prove` checks is zero exactly
+        when
           H_X,M H_Z,M^T = 0 (a fact of M, whose matrices these are),
           S′ H_X,M^T = H_Z,st T′^T (H_X S^T = T H_G), H_X,st H_Z,st^T = 0,
           J_Z,M H_X,M^T = 0, J_X,M H_Z,M^T = 0, J_X,M S′^T = J_X,st H_Z,st^T;
@@ -175,8 +190,6 @@ class SubsystemCode:
         dimension counts add k and the gauge dimensions match.
         """
         m = b.memory
-        if not _is_paste_join(self, b):
-            return None
         if not (m.checks_commute
                 and b.s.mul_transpose(m.hx) == b.hz_st.mul_transpose(b.t)
                 and b.hx_st.mul_transpose(b.hz_st).is_zero()
@@ -199,7 +212,7 @@ class SubsystemCode:
 
     def __getattr__(self, name):
         # reached only for an attribute not set: the F_X, F_Z that
-        # `__post_init__` leaves to be completed on first read
+        # `_settle` leaves to be completed on first read
         if name not in ("fx", "fz"):
             raise AttributeError(name)
         fx, fz = complete_gauge(self.hx, self.hz, self.jx, self.jz)
@@ -257,7 +270,7 @@ class SubsystemCode:
 
 
 class _PasteBlocks(NamedTuple):
-    """What a sticker paste passes as F to have its code proven by blocks
+    """The blocks `SubsystemCode._pasted` joins and proves a paste from
     (module-private: `stickers._paste` alone builds one).  The sticker
     occupies the columns after the memory's n."""
 
@@ -269,32 +282,6 @@ class _PasteBlocks(NamedTuple):
     jx_mem: Gf2Matrix
     jx_st: Gf2Matrix
     jz_mem: Gf2Matrix
-
-
-def _is_paste_join(code: SubsystemCode, b: _PasteBlocks) -> bool:
-    """Whether the code's H_X, H_Z, J_X and J_Z are exactly the join of
-    the blocks, every other block zero; compared row by row."""
-    m = b.memory
-    n = m.n
-
-    def joins(rows, left, right):
-        return all(r == x | y << n for r, x, y in zip(rows, left, right))
-
-    return (m.hz.cols == b.s.cols == b.jx_mem.cols == b.jz_mem.cols == n
-            and code.hz.cols == code.jx.cols == code.jz.cols == code.n
-            and b.t.cols == b.hx_st.cols == b.hz_st.cols == b.jx_st.cols
-            == code.n - n
-            and code.hx.rows == b.t.rows + b.hx_st.rows
-            and code.hz.rows == m.hz.rows + b.hz_st.rows
-            and b.t.rows == m.hx.rows and b.s.rows == b.hz_st.rows
-            and code.jx.rows == b.jx_mem.rows == b.jx_st.rows
-            and joins(code.hx.bits, itertools.chain(m.hx.bits, itertools.repeat(0)),
-                      itertools.chain(b.t.bits, b.hx_st.bits))
-            and joins(code.hz.bits, itertools.chain(m.hz.bits, b.s.bits),
-                      itertools.chain(itertools.repeat(0, m.hz.rows),
-                                      b.hz_st.bits))
-            and joins(code.jx.bits, b.jx_mem.bits, b.jx_st.bits)
-            and code.jz.bits == b.jz_mem.bits)
 
 
 @dataclass(frozen=True)
@@ -403,10 +390,9 @@ def subsystem_code(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix, jz: Gf2Matrix,
     """Subsystem code from checks and logicals, gauge derived by completion.
 
     Every check of `complete_gauge` runs, with its message, in
-    `SubsystemCode.__post_init__`, which also sets `proven`.
+    `SubsystemCode._derived`, which also sets `proven`.
     """
-    return SubsystemCode(hx=hx, hz=hz, jx=jx, jz=jz, fx=_DERIVE_GAUGE,
-                         fz=_DERIVE_GAUGE, distance=distance, name=name)
+    return SubsystemCode._derived(hx, hz, jx, jz, name, distance)
 
 
 def hgp(h1: Gf2Matrix, h2: Gf2Matrix, name: str = "") -> SubsystemCode:

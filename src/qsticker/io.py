@@ -227,10 +227,13 @@ def load_code(spec: str, fmt: str = "alist") -> SubsystemCode:
     if spec == "desk" or spec.startswith("desk:"):
         return desk_code(*_desk_args(spec))
     if spec.startswith("hgp:"):
-        parts = spec[4:].split(",")
-        if len(parts) != 2:
-            raise ValueError("hgp spec needs two lengths, e.g. hgp:3,3")
-        m, n = int(parts[0]), int(parts[1])
+        try:
+            m, n = (int(p) for p in spec[4:].split(","))
+        except ValueError:
+            m = n = 0
+        if min(m, n) < 2:
+            raise ValueError(f"hgp spec takes hgp:M,N with repetition lengths "
+                             f"M, N >= 2, got {spec!r}")
         code = hgp(repetition_check(m), repetition_check(n),
                    name=f"hgp({m},{n})")
         return replace(code, distance=min(m, n))

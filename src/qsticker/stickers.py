@@ -110,20 +110,18 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
     logical row J carries J S^T on every u block, plus γ on the last v
     block for a measurement sticker; Z logicals stay on the memory.
 
-    H_X = (H_X,mem  T'; 0  H_X,sticker) and H_Z = (H_Z,mem  0; S'  H_Z,sticker)
-    are joined from blocks, and the code is proven from those blocks and
-    the memory's facts (`_PasteBlocks`), so no product or echelon runs
-    over a whole deformed matrix.  No transpose is joined: the proof reads
-    the memory's and H_Z,sticker's, and a deformed one is flipped only
-    where it is read, as H_X by statement iv′.
+    `SubsystemCode._pasted` joins H_X = (H_X,mem  T'; 0  H_X,sticker),
+    H_Z = (H_Z,mem  0; S'  H_Z,sticker), J_X and J_Z from these blocks
+    and proves the code from them and the memory's facts, so no product
+    or echelon runs over a whole deformed matrix.  No transpose is
+    joined: the proof reads the memory's and H_Z,sticker's, and a deformed
+    one is flipped only where it is read, as H_X by statement iv′.
     """
     hx_s, hz_s = build_sticker(glue, d_r, kind)
     n, n_g, wide = c.n, glue.n_g, hx_s.cols
     t_shift = (d_r - 1) * n_g
     t = Gf2Matrix([r << t_shift for r in glue.t.bits], wide)
     s = glue.s.vstack(Gf2Matrix.zeros(hz_s.rows - glue.s.rows, n))
-    hx = c.hx.hstack(t).vstack(Gf2Matrix.zeros(hx_s.rows, n).hstack(hx_s))
-    hz = c.hz.hstack(Gf2Matrix.zeros(c.hz.rows, wide)).vstack(s.hstack(hz_s))
     jx_s = jx_mem.mul(glue.s.transpose()).bits
     jx_st = [0] * len(jx_s)
     for i in range(len(jx_s)):
@@ -132,11 +130,10 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
         if gamma is not None:
             jx_st[i] |= gamma.bits[i] << ((d_r - 1) * (n_g + glue.r_g))
     jx_st = Gf2Matrix(jx_st, wide)
-    jz = jz_mem.hstack(Gf2Matrix.zeros(jz_mem.rows, wide))
-    blocks = _PasteBlocks(c, t, s, hx_s, hz_s, jx_mem, jx_st, jz_mem)
     suffix = "meas" if kind == "measurement" else "branch"
-    code = SubsystemCode(hx, hz, jx_mem.hstack(jx_st), jz, fx=blocks, fz=blocks,
-                         name=f"{c.name}+{suffix}")
+    code = SubsystemCode._pasted(
+        _PasteBlocks(c, t, s, hx_s, hz_s, jx_mem, jx_st, jz_mem),
+        name=f"{c.name}+{suffix}")
     # the blocks proved the products, the gauge and the J pairing
     if not code.proven:
         raise GlueError("deformed logical pairing is not the identity")

@@ -85,6 +85,48 @@ def test_desk_spec_takes_a_seed_and_a_size(tmp_path, capsys):
         assert repr(spec) in err
 
 
+def test_hgp_spec_errors_name_the_form(tmp_path, capsys):
+    # a non-integer length used to exit with int()'s own text, and a
+    # length below 2 with repetition_check's
+    for spec in ("hgp:a,3", "hgp:1,3", "hgp:3", "hgp:3,3,3"):
+        rc = run_cli(["validate", "--code", spec, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: hgp spec takes hgp:M,N with repetition lengths M, N >= 2, "
+            f"got {spec!r}\n")
+    assert not (tmp_path / "validate.json").exists()
+
+
+def test_logicals_spec_errors_name_the_form(tmp_path, capsys):
+    for spec in ("x", "0|", "0,,1"):
+        rc = run_cli(["glue", "--code", "hgp:3,3", "--logicals", spec,
+                      "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --logicals takes '|'-separated groups of comma-separated "
+            f"logical indices, e.g. '0|1,2', got {spec!r}\n")
+    assert not (tmp_path / "glue.json").exists()
+
+
+def test_every_code_report_names_its_version_and_inputs(tmp_path):
+    # validate, glue and plan carry the envelope deform and verify do
+    runs = {
+        "validate": (["--code", "hgp:3,3"], {}),
+        "glue": (["--code", "desk", "--q", "2", "--seed", "4"],
+                 {"sigma": {"q": 2, "L": 5, "seed": 4, "t": 2}}),
+        "plan": (["--code", "desk", "--logicals", "0|1,2", "--dr", "3",
+                  "--t", "2", "--assemble"],
+                 {"sigma": {"logicals": "0|1,2"}, "d_r": 3, "t": 2,
+                  "assemble": True}),
+    }
+    for command, (args, own) in runs.items():
+        assert run_cli([command, *args, "--format", "dense",
+                        "--out", str(tmp_path)]) == 0
+        rep = json.loads(read(tmp_path / f"{command}.json"))
+        assert rep["qsticker_version"] == qsticker.__version__
+        assert rep["config"] == {"code": args[1], "format": "dense", **own}
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     rc = run_cli(["validate", "--code", "no-such-code", "--out", str(tmp_path)])
     assert rc == 2

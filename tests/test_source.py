@@ -57,6 +57,54 @@ def test_cli_import_loads_no_numpy():
     assert out.strip() == "False"
 
 
+# one verify and one paste whose blocks fail a commutation check, which
+# the block proof hands to the full products to refuse with their message
+OPTIMIZE_PROBE = """
+import sys, tempfile
+from pathlib import Path
+from qsticker.cli import main
+from qsticker.codes import SubsystemCode
+from qsticker.gf2 import Gf2Matrix
+from qsticker.io import desk_code
+from qsticker.sampling import SigmaSampler
+from qsticker.stickers import deform
+
+with tempfile.TemporaryDirectory() as out:
+    rc = main(["verify", "--code", "desk", "--q", "3", "--out", out])
+    print("exit", rc, (Path(out) / "verify.json").read_text())
+
+pasted = SubsystemCode._pasted.__func__
+
+def s_bit_dropped(cls, blocks, name):
+    first, *rest = blocks.s.bits
+    s = Gf2Matrix([first & first - 1, *rest], blocks.s.cols)
+    return pasted(cls, blocks._replace(s=s), name)
+
+SubsystemCode._pasted = classmethod(s_bit_dropped)
+c = desk_code(7)
+sigma = SigmaSampler(c, l_max=2, thickness=2, max_q=2, seed=5).sample(2, 0)
+try:
+    deform(c, sigma, "measurement", 2)
+except ValueError as exc:
+    print("refused:", exc)
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_python_O_changes_no_output():
+    # `python -O` drops assert statements and sets __debug__ false; every
+    # verdict and message must come out the same without them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-c", OPTIMIZE_PROBE], env=env,
+                       check=True, capture_output=True, text=True).stdout
+        for flags in ([], ["-O"]))
+    assert "\nexit 0 {" in plain and '"ok": true' in plain
+    assert "refused: checks and logicals do not commute: row " in plain
+    assert plain.endswith("optimize 0\n") and optimized.endswith("optimize 1\n")
+    assert optimized[:-2] == plain[:-2]
+
+
 # perfbench/tests asserts that its tracer patches these module bindings
 UNUSED_IMPORT_ALLOWED = {("codes.py", "solve_left"), ("glue.py", "solve_left"),
                          ("branching.py", "solve_left")}
@@ -178,11 +226,20 @@ def test_pastes_are_called_only_by_deform():
 
 def test_only_the_paste_requests_a_block_proof():
     # a block proof takes the memory block's commutation from the memory,
-    # so the one builder of the private request is the paste that joins
-    # that memory to its sticker
+    # so the one caller of the paste constructor, and the one builder of
+    # its blocks, is the paste that joins that memory to its sticker
+    for name in ("_pasted", "_PasteBlocks"):
+        callers = {caller for caller, node in _top_level_statements()
+                   if name in _called_names(node)}
+        assert callers == {"stickers:_paste"}, name
+
+
+def test_only_codes_stores_a_proof():
+    # `proven` is true only where one of the constructors in codes.py ran
+    # its proof, so nothing else calls the method that stores one
     callers = {name for name, node in _top_level_statements()
-               if "_PasteBlocks" in _called_names(node)}
-    assert callers == {"stickers:_paste"}
+               if "_settle" in _called_names(node)}
+    assert callers and {name.split(":")[0] for name in callers} == {"codes"}
 
 
 def test_one_function_checks_sigma_against_hx():

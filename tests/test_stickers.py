@@ -951,13 +951,14 @@ def _mutant_blocks(data, dc, b, part):
 
 
 def _built(build):
-    """("ok", proof and gauge) of the code `build` returns, or ("error", its
-    ValueError message); an InternalError propagates."""
+    """("ok", matrices, proof and gauge) of the code `build` returns, or
+    ("error", its ValueError message); an InternalError propagates."""
     try:
         code = build()
     except ValueError as exc:
         return "error", str(exc)
-    return "ok", code.proven, code.hz_echelon.pivots, code.fx, code.fz
+    return ("ok", (code.hx, code.hz, code.jx, code.jz), code.proven,
+            code.hz_echelon.pivots, code.fx, code.fz)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -965,9 +966,8 @@ def _built(build):
        st.sampled_from(["measurement", "branch"]), st.data())
 def test_block_proof_refuses_exactly_what_the_full_products_refuse(case, d_r,
                                                                    kind, data):
-    # each block of a paste edited in turn, joined and proven three ways:
-    # by the blocks, by `subsystem_code`, and with the unedited blocks as
-    # the request, which the join check turns down
+    # each block of a paste edited in turn, then joined and proven two
+    # ways: by the paste constructor and by `subsystem_code`
     c, sigma = case
     dc = deform(c, sigma, kind, d_r)
     blocks = _pasted_blocks(dc)
@@ -976,5 +976,24 @@ def test_block_proof_refuses_exactly_what_the_full_products_refuse(case, d_r,
         mutant = _mutant_blocks(data, dc, blocks, part)
         matrices = _joined(mutant)
         full = _built(lambda: subsystem_code(*matrices))
-        assert _built(lambda: SubsystemCode(*matrices, fx=mutant, fz=mutant)) == full
-        assert _built(lambda: SubsystemCode(*matrices, fx=blocks, fz=blocks)) == full
+        assert _built(lambda: SubsystemCode._pasted(mutant, "mutant")) == full
+
+
+def test_a_broken_logical_pairing_refuses_both_pastes():
+    # J_{Z,C} with two rows swapped leaves every commutation product zero
+    # but J_X J_Z^T ≠ E: each paste falls back to the full proof, which
+    # does not prove the code either, and the paste refuses it
+    from qsticker.io import desk_code
+    from qsticker.sampling import SigmaSampler
+
+    c = desk_code(7)
+    sigma = SigmaSampler(c, l_max=2, thickness=2, max_q=2, seed=5).sample(2, 0)
+    split = split_logicals(c, sigma)
+    rows = split.jzc.bits
+    swapped = replace(split, jzc=Gf2Matrix([rows[1], rows[0], *rows[2:]],
+                                           split.jzc.cols))
+    for paste, glue in ((paste_measurement, finely_devised_glue(c, sigma, split=split)),
+                        (paste_branch, naked_glue(c, sigma))):
+        with pytest.raises(GlueError) as info:
+            paste(c, swapped, glue, 2)
+        assert str(info.value) == "deformed logical pairing is not the identity"
