@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InternalError
+from .errors import GlueError, InternalError
 from .gf2 import (
     Gf2Matrix,
     RowReducer,
@@ -77,26 +77,24 @@ class SubsystemCode:
     `validate_code` checks it.
 
     Two private constructors build a code and prove it, and say which
-    proof runs.  `_derived`, for `subsystem_code`, checks with the
-    messages of `complete_gauge`: the commutation products hx (hz; jz)^T
-    = 0 and hz jx^T = 0, then the gauge dimensions.  The gauge spaces have
-    n − rank(H_X) − rank(H_Z; J_Z) and n − rank(H_Z) − rank(H_X; J_X)
-    generators, read off one `RowReducer` echelon of each check matrix
-    with the logicals added.  It then tests J_X J_Z^T = E once.  `_pasted`,
-    for a sticker paste, joins the code from the paste's blocks
-    (`_PasteBlocks`) and proves the same identities from them and from the
-    memory's facts (`_prove_pasted`), with the same verdicts and messages:
-    where J_X J_Z^T ≠ E, or a block fails, the full proof runs.
+    proof runs; each refuses what it cannot prove.  `_derived`, for
+    `subsystem_code`, checks the commutation products hx (hz; jz)^T = 0
+    and hz jx^T = 0 with the messages of `complete_gauge`, then refuses
+    J_X J_Z^T ≠ E, naming the row as `validate_code` does.  `_pasted`, for
+    a sticker paste, joins the code from the paste's blocks
+    (`_PasteBlocks`) and proves the same from them and from the memory's
+    facts (`_prove_pasted`), with the same verdicts and messages, but
+    refuses J_X J_Z^T ≠ E with a `GlueError`.
 
-    `_settle` stores either proof.  When J_X J_Z^T = E and k_g > 0, F_X
-    and F_Z are `complete_gauge`'s on first read, which cannot fail then:
-    the gauge parts left after stripping the logicals pair nondegenerately.
-    Otherwise they are built at once, so an input the completion rejects
-    is rejected here.
+    Once J_X J_Z^T = E, both gauge spaces have n − rank H_X − rank H_Z − k
+    generators (see `_prove_pasted`) and `complete_gauge` cannot fail: the
+    gauge parts left after stripping the logicals pair nondegenerately.
+    So `_settle` leaves F to be completed on first read.
 
-    `proven` is true when all of these hold on the matrices the code
-    holds and F is their completion.  It is not an init field, so any
-    other construction, `dataclasses.replace` included, leaves it false.
+    `proven` says the code was built by `subsystem_code` or a paste, so
+    all of these hold on its matrices and F is their completion.  It is
+    not an init field, so any other construction, `dataclasses.replace`
+    included, leaves it false.
     `hz_echelon` is shared: only `reduce` may be called on it, and a
     caller copies it before `add`.
 
@@ -135,42 +133,32 @@ class SubsystemCode:
         jz = b.jz_mem.hstack(Gf2Matrix.zeros(b.jz_mem.rows, wide))
         empty = Gf2Matrix.zeros(0, hx.cols)
         code = cls(hx, hz, b.jx_mem.hstack(b.jx_st), jz, empty, empty, name=name)
-        code._settle(code._prove_pasted(b) or code._prove())
+        code._settle(code._prove_pasted(b))
         return code
 
-    def _settle(self, proof: tuple[int, int, RowReducer, bool]) -> None:
-        """Store a proof.  F, empty until now, stays empty when k_g = 0,
-        is left to `__getattr__` when the proof holds, and is completed
-        now otherwise."""
-        rank_hx, rank_hz_jz, z_echelon, proven = proof
-        k_g = self.n - rank_hx - rank_hz_jz
-        if k_g and proven:  # unset, so the first read lands in __getattr__
+    def _settle(self, proof: tuple[int, RowReducer]) -> None:
+        """Store a proof.  F, empty until now, stays empty when k_g = 0 and
+        is otherwise left to `__getattr__`."""
+        rank_hx, z_echelon = proof
+        if self.n - rank_hx - len(z_echelon.pivots) - self.k:  # k_g > 0
             object.__delattr__(self, "fx")
             object.__delattr__(self, "fz")
-        elif k_g:
-            fx, fz = complete_gauge(self.hx, self.hz, self.jx, self.jz)
-            object.__setattr__(self, "fx", fx)
-            object.__setattr__(self, "fz", fz)
         object.__setattr__(self, "hz_echelon", z_echelon)
-        object.__setattr__(self, "proven", proven)
+        object.__setattr__(self, "proven", True)
 
-    def _prove(self) -> tuple[int, int, RowReducer, bool]:
-        """(rank H_X, rank (H_Z; J_Z), the H_Z echelon, J_X J_Z^T = E) by
-        the full products and one echelon of each check matrix."""
+    def _prove(self) -> tuple[int, RowReducer]:
+        """(rank H_X, the H_Z echelon) by the full products, the J pairing
+        and one echelon of each check matrix."""
         hx, hz, jx, jz = self.hx, self.hz, self.jx, self.jz
         _check_commutation(hx, hz, jx, hz.vstack(jz))
-        x_echelon, z_echelon = RowReducer(hx.bits), RowReducer(hz.bits)
-        rank_hx, rank_hz = len(x_echelon.pivots), len(z_echelon.pivots)
-        rank_hx_jx = rank_hx + sum(x_echelon.add(r) for r in jx.bits)
-        z_and_logicals = z_echelon.copy()
-        rank_hz_jz = rank_hz + sum(z_and_logicals.add(r) for r in jz.bits)
-        if rank_hx + rank_hz_jz != rank_hz + rank_hx_jx:
-            raise ValueError("gauge spaces have mismatched dimensions")
-        return rank_hx, rank_hz_jz, z_echelon, pairs_to_identity(jx, jz)
+        wit = pairing_witness(jx, jz)
+        if wit:
+            raise ValueError(f"logical pairing is not the identity: {wit}")
+        return len(RowReducer(hx.bits).pivots), RowReducer(hz.bits)
 
-    def _prove_pasted(self, b: _PasteBlocks) -> tuple | None:
-        """`_prove`'s result for the join of a paste's blocks, or None
-        where J_X J_Z^T ≠ E.
+    def _prove_pasted(self, b: _PasteBlocks) -> tuple[int, RowReducer]:
+        """`_prove`'s result for the join of a paste's blocks; a
+        `GlueError` where J_X J_Z^T ≠ E.
 
         With M the memory, every product `_prove` checks is zero exactly
         when
@@ -200,15 +188,14 @@ class SubsystemCode:
             subsystem_code(self.hx, self.hz, self.jx, self.jz)
             raise InternalError("a paste's blocks fail a commutation check "
                                 "that its full products pass")
-        if not pairs_to_identity(self.jx, self.jz):
-            return None
+        if pairing_witness(self.jx, self.jz):
+            raise GlueError("deformed logical pairing is not the identity")
         z_echelon = m.hz_echelon.copy()
         for row in self.hz.bits[m.hz.rows:]:
             z_echelon.add(row)
         left = m.hx_left_kernel
         sticker = RowReducer(left.mul(b.t).bits + b.hx_st.bits)
-        rank_hx = m.hx.rows - left.rows + len(sticker.pivots)
-        return rank_hx, len(z_echelon.pivots) + self.k, z_echelon, True
+        return m.hx.rows - left.rows + len(sticker.pivots), z_echelon
 
     def __getattr__(self, name):
         # reached only for an attribute not set: the F_X, F_Z that
@@ -379,18 +366,25 @@ def _check_commutation(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix,
                              f"row {bad} of {name} is nonzero")
 
 
-def pairs_to_identity(jx: Gf2Matrix, jz: Gf2Matrix) -> bool:
-    """J_X J_Z^T = E, one k-bit row of the product per J_X row."""
-    return jx.rows == jz.rows and all(
-        jz.mul_vec(r) == 1 << i for i, r in enumerate(jx.bits))
+def pairing_witness(jx: Gf2Matrix, jz: Gf2Matrix) -> str:
+    """Empty when J_X J_Z^T = E, else the first J_X row that pairs wrongly;
+    one k-bit row of the product per J_X row."""
+    if jx.rows != jz.rows:
+        return f"row counts: jx {jx.rows}, jz {jz.rows}"
+    for i, r in enumerate(jx.bits):
+        pairs = jz.mul_vec(r)
+        if pairs != 1 << i:
+            return f"jx row {i} pairs as {[pairs >> j & 1 for j in range(jz.rows)]}"
+    return ""
 
 
 def subsystem_code(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix, jz: Gf2Matrix,
                    name: str = "", distance: int | None = None) -> SubsystemCode:
     """Subsystem code from checks and logicals, gauge derived by completion.
 
-    Every check of `complete_gauge` runs, with its message, in
-    `SubsystemCode._derived`, which also sets `proven`.
+    The commutation checks of `complete_gauge` run, with their messages,
+    in `SubsystemCode._derived`, which then refuses J_X J_Z^T ≠ E; so the
+    code it returns is one `validate_code` accepts.
     """
     return SubsystemCode._derived(hx, hz, jx, jz, name, distance)
 
@@ -491,13 +485,7 @@ def validate_code(c: SubsystemCode) -> ValidationReport:
         add(f"ker decomposition ({species} side)", dims_add and inside and spans,
             witness)
 
-    pj = c.jx.mul_transpose(c.jz)
-    wit = ""
-    if c.jx.rows != c.k:
-        wit = f"row counts: jx {c.jx.rows}, jz {c.k}"
-    elif pj != Gf2Matrix.identity(c.k):
-        bad = next(i for i, r in enumerate(pj.bits) if r != 1 << i)
-        wit = f"jx row {bad} pairs as {pj.row_list(bad)}"
+    wit = pairing_witness(c.jx, c.jz)
     add("jx @ jz^T = E_k", not wit, wit)
 
     pf = c.fx.mul_transpose(c.fz)
@@ -546,7 +534,7 @@ def _species_distance(h: Gf2Matrix, j: Gf2Matrix, cap: int, budget: int):
 def _distance_upper_estimate(h: Gf2Matrix, j: Gf2Matrix, trials: int,
                              rng: random.Random) -> int | None:
     """Randomized information-set style upper bound (labelled estimate)."""
-    gen = kernel_basis(h)
+    gen = kernel_complement(h, Gf2Matrix.zeros(0, h.cols))
     if gen.rows == 0:
         return None
     best = None

@@ -34,20 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .codes import OperatorSet, SubsystemCode, z_signature
-from .errors import InternalError
+from .errors import GlueError, InternalError
 from .gf2 import (
     Gf2Matrix,
     RowReducer,
-    kernel_basis,
+    kernel_complement,
     set_bits,
     solve_left,  # unused here; perfbench's tracer test patches this binding
     standard_form,
 )
 from .tanner import bit_duplication, check_duplication, induced_subgraph
-
-
-class GlueError(ValueError):
-    """Violated precondition in glue synthesis (broken invariants raise InternalError)."""
 
 
 @dataclass(frozen=True)
@@ -283,7 +279,7 @@ def classify_devisedness(g: GlueSpec, c: SubsystemCode,
     """
     if not check_compatibility(c, g):
         raise GlueError("glue code is not compatible with the memory")
-    ks = kernel_basis(g.hg).mul(g.s)
+    ks = kernel_complement(g.hg, Gf2Matrix.zeros(0, g.n_g)).mul(g.s)
     reducer = RowReducer(ks.bits)
     if any(reducer.reduce(r) for r in sigma.vectors.bits):
         return "none"

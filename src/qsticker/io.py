@@ -241,28 +241,43 @@ def load_code(spec: str, fmt: str = "alist") -> SubsystemCode:
         raise ValueError(f"code spec {spec!r} is neither builtin nor a file")
     with open(spec, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {spec!r} is not a JSON object")
     base = os.path.dirname(os.path.abspath(spec))
 
     def matrix_of(key, width=None):
         if key in manifest:
-            rows = [[int(ch) for ch in row] for row in manifest[key]]
+            rows = manifest[key]
+            if not (isinstance(rows, list) and all(
+                    isinstance(r, str) and set(r) <= {"0", "1"} for r in rows)
+                    and len(set(map(len, rows))) <= 1):
+                raise ValueError(f"manifest {key!r} must be a list of 0/1 "
+                                 f"strings of one length")
             if not rows:
                 if width is None:
                     raise ValueError(f"empty {key!r} needs the other matrix inline")
                 return Gf2Matrix.zeros(0, width)
-            return Gf2Matrix.from_rows(rows)
+            return Gf2Matrix.from_rows([[int(ch) for ch in row] for row in rows])
         fkey = key + "_file"
         if fkey in manifest:
             p = manifest[fkey]
+            if not isinstance(p, str):
+                raise ValueError(f"manifest {fkey!r} must be a path string")
             if not os.path.isabs(p):
                 p = os.path.join(base, p)
             return load_check_matrix(p, manifest.get("format", fmt))
         raise ValueError(f"manifest is missing {key!r} or {fkey!r}")
 
+    distance = manifest.get("distance")
+    if distance is not None and (type(distance) is not int or distance < 1):
+        raise ValueError(f"manifest 'distance' must be a positive integer or "
+                         f"null, got {distance!r}")
     hx = matrix_of("hx")
     hz = matrix_of("hz", width=hx.cols)
+    if hz.cols != hx.cols:
+        raise ValueError(f"manifest hx has {hx.cols} columns but hz has {hz.cols}")
     return css_code(hx, hz, name=manifest.get("name", os.path.basename(spec)),
-                    distance=manifest.get("distance"))
+                    distance=distance)
 
 
 def load_sigma(path: str, code: SubsystemCode):

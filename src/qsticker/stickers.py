@@ -134,9 +134,6 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
     code = SubsystemCode._pasted(
         _PasteBlocks(c, t, s, hx_s, hz_s, jx_mem, jx_st, jz_mem),
         name=f"{c.name}+{suffix}")
-    # the blocks proved the products, the gauge and the J pairing
-    if not code.proven:
-        raise GlueError("deformed logical pairing is not the identity")
     ob_lo = n + (d_r - 2) * n_g
     return DeformedCode(
         code=code, kind=kind, memory=c, split=split, glue=glue,
@@ -275,9 +272,9 @@ def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix) -> str:
     same verdict and witness.  There ker H_X = rs J_Z ⊕ S, since F_Z
     completes rs(H_Z; J_Z) in ker H_X, so a row lies in the span exactly
     when H_X annihilates it; and v J_X^T = C for v = C J_Z + s, because
-    J_X H_Z^T = 0 was proven and J_X F_Z^T = 0 holds for the completed
-    F_Z when J_X J_Z^T = E, so r = rank of the signatures.  F is never
-    read on this path.
+    J_X H_Z^T = 0 and J_X J_Z^T = E were proven, and then J_X F_Z^T = 0
+    holds for the completed F_Z, so r = rank of the signatures.  F is
+    never read on this path.
     """
     if code.proven:
         outside = [i for i, syndrome in enumerate(rows.mul_transpose(code.hx).bits)
@@ -312,9 +309,9 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     memory's H_Z rows verbatim, as a paste's does: a matrix's rows lie in
     its own row space.  Otherwise it, like v and v', reduces against the
     code's `hz_echelon`, the one a paste built while proving it.  On a
-    `proven` code statement i takes hx hz^T = 0 from that proof and iv'
-    reads J_X signatures (see `_same_logical_classes`); any other code,
-    such as a `replace`d mutant, is multiplied out here.
+    `proven` code statement i reads hx hz^T = 0 off `checks_commute` and
+    iv' reads J_X signatures (see `_same_logical_classes`); any other
+    code, such as a `replace`d mutant, is multiplied out here.
     """
     c = dc.memory
     code = dc.code
@@ -329,9 +326,8 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     # statement i needs the deformed X rows to be genuine stabilisers
     # (they must commute with every deformed Z check) and to project
     # onto exactly the memory X stabilisers
-    comm = None if code.proven else code.hx.mul_transpose(code.hz)
-    if comm is not None and not comm.is_zero():
-        bad = next(i for i, r in enumerate(comm.bits) if r)
+    if not code.checks_commute:
+        bad = next(i for i, r in enumerate(code.hx.mul_transpose(code.hz).bits) if r)
         wit = (f"deformed X row {bad} anticommutes with a Z check "
                "(pasting identity violated)")
     else:

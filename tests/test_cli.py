@@ -352,3 +352,19 @@ def test_missing_sigma_is_input_error(tmp_path, capsys):
         assert (capsys.readouterr().err
                 == "error: provide --sigma FILE, --logicals SPEC, or --q N\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_malformed_manifest_is_input_error(tmp_path, capsys):
+    # each used to end in a traceback and exit 1, the code of a failed
+    # statement; "distance": "x" loaded and then broke `verify`
+    from test_io import MALFORMED_MANIFESTS
+
+    for manifest, message in MALFORMED_MANIFESTS:
+        mp = tmp_path / "bad.json"
+        mp.write_text(json.dumps(manifest))
+        for command in (["validate"], ["verify", "--logicals", "0"]):
+            rc = run_cli([*command, "--code", str(mp), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert not (tmp_path / "out").exists()

@@ -6,6 +6,8 @@ than by the implementation under test.
 """
 
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -472,18 +474,77 @@ def test_subsystem_code_rejects_noncommuting_input():
 
 
 def test_subsystem_code_rejects_at_once_what_the_completion_rejects():
-    # the gauge dimensions are checked by ranks; F is completed on first
-    # read only when J_X J_Z^T = E, where the completion cannot fail, so an
-    # input the completion rejects is still rejected by the constructor
+    # the completion rejects mismatched gauge dimensions and a singular
+    # gauge pairing; each of these inputs also breaks J_X J_Z^T = E, which
+    # the constructor refuses first, naming the row as `validate_code` does
     one, none = Gf2Matrix([0b01], 2), Gf2Matrix.zeros(0, 2)
     with pytest.raises(ValueError, match="^gauge spaces have mismatched dimensions$"):
         complete_gauge(none, none, none, one)
-    with pytest.raises(ValueError, match="^gauge spaces have mismatched dimensions$"):
+    with pytest.raises(ValueError, match=r"^logical pairing is not the identity: "
+                                         r"row counts: jx 0, jz 1$"):
         subsystem_code(none, none, none, one)
     hx, jx, jz = Gf2Matrix([0b100], 3), Gf2Matrix([0b010], 3), Gf2Matrix([0b001], 3)
-    for build in (complete_gauge, subsystem_code):
-        with pytest.raises(ValueError, match="^inverse: matrix is singular$"):
-            build(hx, Gf2Matrix.zeros(0, 3), jx, jz)
+    none = Gf2Matrix.zeros(0, 3)
+    with pytest.raises(ValueError, match="^inverse: matrix is singular$"):
+        complete_gauge(hx, none, jx, jz)
+    with pytest.raises(ValueError, match=r"^logical pairing is not the identity: "
+                                         r"jx row 0 pairs as \[0\]$"):
+        subsystem_code(hx, none, jx, jz)
+
+
+def _reversed_jx():
+    """The [[10,2]] direct sum of two hgp(λ2, λ2) with J_X's rows reversed."""
+    lam2 = repetition_check(2)
+    c = direct_sum(hgp(lam2, lam2), hgp(lam2, lam2))
+    return c.hx, c.hz, Gf2Matrix(c.jx.bits[::-1], c.n), c.jz
+
+
+@st.composite
+def edited_logicals(draw):
+    """(H_X, H_Z, J_X, J_Z) of a small HGP or direct sum of two, with J
+    rows permuted, added to one another, appended or dropped, on either
+    side or, for a drop, on both."""
+    def small():
+        return hgp(repetition_check(draw(st.integers(2, 3))),
+                   repetition_check(draw(st.integers(2, 3))))
+
+    c = small()
+    if draw(st.booleans()):
+        c = direct_sum(c, small())
+    sides = {"jx": list(c.jx.bits), "jz": list(c.jz.bits)}
+    pool = [*c.jx.bits, *c.jz.bits, *c.hx.bits, *c.hz.bits]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["permute", "add", "append", "drop", "drop both"]))
+        side, other = draw(st.permutations(["jx", "jz"]))
+        rows = sides[side]
+        if edit == "permute":
+            sides[side] = draw(st.permutations(rows))
+        elif edit == "add" and len(rows) > 1:
+            i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                                 max_size=2, unique=True))
+            rows[i] ^= rows[j]
+        elif edit == "append":
+            rows.append(reduce(xor, draw(st.lists(st.sampled_from(pool),
+                                                  min_size=1, max_size=3))))
+        elif edit.startswith("drop") and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            del rows[i]
+            if edit == "drop both" and i < len(sides[other]):
+                del sides[other][i]
+    return c.hx, c.hz, Gf2Matrix(sides["jx"], c.n), Gf2Matrix(sides["jz"], c.n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(edited_logicals())
+@example(_reversed_jx())
+def test_subsystem_code_returns_only_codes_validate_accepts(matrices):
+    # a broken J pairing is refused as input, never built into a code
+    try:
+        code = subsystem_code(*matrices)
+    except ValueError:
+        return
+    report = validate_code(code)
+    assert report.ok, report.failures()
 
 
 def test_subsystem_code_completes_the_gauge_on_first_read(monkeypatch):

@@ -413,7 +413,7 @@ def test_fine_glue_classifies_once_and_dressing_solves_once(monkeypatch):
     naked = naked_glue(c, s)
     solves = _counting(monkeypatch, glue, "solve_left")
     forms = _counting(monkeypatch, glue, "standard_form")
-    kernels = _counting(monkeypatch, glue, "kernel_basis")
+    kernels = _counting(monkeypatch, glue, "kernel_complement")
     assert dressing_matrix(split, naked).rows == 1
     assert len(solves) == 0 and len(forms) == 0
     assert len(kernels) == 0  # D is read off one echelon of H_N

@@ -154,6 +154,45 @@ def test_load_code_inline_manifest(tmp_path):
     assert loaded.n == 4 and loaded.k == 3
 
 
+# (manifest, the end of the message that refuses it, naming the key)
+_ROWS = "must be a list of 0/1 strings of one length"
+MALFORMED_MANIFESTS = [
+    ({"hx": 5, "hz": []}, f"manifest 'hx' {_ROWS}"),
+    ({"hx": [5], "hz": []}, f"manifest 'hx' {_ROWS}"),
+    ({"hx": ["12"], "hz": []}, f"manifest 'hx' {_ROWS}"),
+    ({"hx": ["11", "1"], "hz": []}, f"manifest 'hx' {_ROWS}"),
+    ({"hx": ["11"], "hz": "11"}, f"manifest 'hz' {_ROWS}"),
+    ({"hx_file": 3, "hz": []}, "manifest 'hx_file' must be a path string"),
+    ({"hx": ["11"], "hz_file": ["hz.alist"]},
+     "manifest 'hz_file' must be a path string"),
+    ({"hx": ["11"], "hz": [], "distance": "x"},
+     "manifest 'distance' must be a positive integer or null, got 'x'"),
+    ({"hx": ["11"], "hz": [], "distance": 2.5},
+     "manifest 'distance' must be a positive integer or null, got 2.5"),
+    ({"hx": ["11"], "hz": [], "distance": True},
+     "manifest 'distance' must be a positive integer or null, got True"),
+    ({"hx": ["11"], "hz": [], "distance": 0},
+     "manifest 'distance' must be a positive integer or null, got 0"),
+    ({"hx": ["11"], "hz": ["111"]}, "manifest hx has 2 columns but hz has 3"),
+    (["11"], "is not a JSON object"),
+]
+
+
+@pytest.mark.parametrize("manifest, message", MALFORMED_MANIFESTS)
+def test_load_code_refuses_a_malformed_manifest(tmp_path, manifest, message):
+    mp = tmp_path / "bad.json"
+    mp.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as exc:
+        load_code(str(mp))
+    assert str(exc.value).endswith(message)
+
+
+def test_load_code_takes_a_null_distance(tmp_path):
+    mp = tmp_path / "toy.json"
+    mp.write_text(json.dumps({"hx": ["11"], "hz": [], "distance": None}))
+    assert load_code(str(mp)).distance is None
+
+
 def test_load_code_unknown_spec():
     with pytest.raises(ValueError):
         load_code("nonexistent-spec")

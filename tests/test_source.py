@@ -242,6 +242,15 @@ def test_only_codes_stores_a_proof():
     assert callers and {name.split(":")[0] for name in callers} == {"codes"}
 
 
+def test_kernels_come_from_kernel_complement():
+    # `kernel_complement` with an empty span is the one kernel builder in
+    # the package; `contained_logical_count` keeps `kernel_basis` because
+    # the benchmark's tracer test pins the spans that call makes
+    callers = {name for name, node in _top_level_statements()
+               if "kernel_basis" in _called_names(node)}
+    assert callers == {"codes:contained_logical_count"}
+
+
 def test_one_function_checks_sigma_against_hx():
     # every routine that needs Σ rows in ker H_X calls the one check
     holders = [name for name, node in _top_level_statements()

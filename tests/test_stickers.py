@@ -10,23 +10,25 @@ from test_signatures import codes_and_sigmas
 
 from qsticker.branching import estimate_qubit_cost
 from qsticker.codes import (
+    DistanceResult,
     OperatorSet,
     SubsystemCode,
     _PasteBlocks,
     complete_gauge,
+    contained_logical_count,
     direct_sum,
     exact_distance,
     hgp,
-    pairs_to_identity,
+    pairing_witness,
     redundancy_number,
     repetition_check,
     subsystem_code,
+    support_union,
     validate_code,
 )
 from qsticker.gf2 import Gf2Matrix, RowReducer, rank, solve_left
 from qsticker.glue import (
     GlueError,
-    classify_devisedness,
     finely_devised_glue,
     naked_glue,
     split_logicals,
@@ -655,8 +657,9 @@ def test_paste_builds_no_kernel_basis(monkeypatch):
         paste(c, split, glue, 2)
         counts.append(len(calls))
     assert counts == [0, 0]
-    # the counter is live: the glue classification builds ker H_G
-    classify_devisedness(nk, c, s)
+    # the counter is live: the contained-logical count builds the kernel
+    # of H_X induced on Q(Σ), which is the naked glue's H_G
+    contained_logical_count(c, support_union(s))
     assert calls == [(nk.hg,)]
 
 
@@ -831,15 +834,15 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
 
     def counting(*args):
         pairings.append(args)
-        return pairs_to_identity(*args)
+        return pairing_witness(*args)
 
     for kind in ("measurement", "branch"):
         pairings.clear()
         with pytest.MonkeyPatch.context() as mp:
             for name, mod in list(sys.modules.items()):
                 if (name.split(".")[0] == "qsticker"
-                        and vars(mod).get("pairs_to_identity") is pairs_to_identity):
-                    mp.setattr(mod, "pairs_to_identity", counting)
+                        and vars(mod).get("pairing_witness") is pairing_witness):
+                    mp.setattr(mod, "pairing_witness", counting)
             dc = deform(c, sigma, kind, d_r)
             code = dc.code
             # the joins build no transpose
@@ -851,7 +854,7 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
         for m in (code.hx, code.hz):
             assert m._t is None or m._t == m._flip()
         # iv' by signatures and by the span agree on an unmutated paste
-        assert code.proven and pairs_to_identity(code.jx, code.jz)
+        assert code.proven and not pairing_witness(code.jx, code.jz)
         assert not replace(code).proven
         for rows in (dc.pad_memory_rows(c.jz), code.jz):
             assert (_same_logical_classes(code, rows)
@@ -981,8 +984,8 @@ def test_block_proof_refuses_exactly_what_the_full_products_refuse(case, d_r,
 
 def test_a_broken_logical_pairing_refuses_both_pastes():
     # J_{Z,C} with two rows swapped leaves every commutation product zero
-    # but J_X J_Z^T ≠ E: each paste falls back to the full proof, which
-    # does not prove the code either, and the paste refuses it
+    # but J_X J_Z^T ≠ E: the block proof of each paste refuses the code
+    # itself, before any gauge is completed
     from qsticker.io import desk_code
     from qsticker.sampling import SigmaSampler
 
@@ -997,3 +1000,58 @@ def test_a_broken_logical_pairing_refuses_both_pastes():
         with pytest.raises(GlueError) as info:
             paste(c, swapped, glue, 2)
         assert str(info.value) == "deformed logical pairing is not the identity"
+
+
+# -- statement vi's verdicts ----------------------------------------------
+
+
+def _distance_verdict(monkeypatch, dc, result, cap=36):
+    """(status, detail) of statement vi with `exact_distance` returning
+    `result`, or never called when result is None."""
+    from qsticker import stickers
+
+    def stub(code, cap):
+        assert result is not None, "the search ran above the qubit cap"
+        assert code is dc.code
+        return result
+
+    monkeypatch.setattr(stickers, "exact_distance", stub)
+    vi = verify_surgery(dc, distance_qubit_cap=cap).statements[-1]
+    assert vi.name == "vi: distance bound"
+    return vi.status, vi.detail
+
+
+def test_distance_statement_verdicts(monkeypatch):
+    # the [[14,1]] measurement paste of Z1 on two [[5,1,2]] blocks: bound
+    # min(2/1, 2) = 2; the [[13,2]] branch paste: bound 2/1 = 2
+    c = two_blocks()
+    s = sigma_from_indices(c, (0,))
+    dcm, dcb = (deform(c, s, kind, 2) for kind in ("measurement", "branch"))
+    assert (dcm.n, dcm.k, dcb.n, dcb.k) == (14, 1, 13, 2)
+    # measuring the one logical of a [[5,1,2]] block leaves k = 0
+    c5 = replace(hgp(repetition_check(2), repetition_check(2)), distance=2)
+    dc0 = deform(c5, sigma_from_indices(c5, (0,)), "measurement", 2)
+    assert dc0.k == 0
+    m_bound, b_bound = "min(d/|S|, d_r) = min(d/1, 2)=2", "d/|S| = d/1=2"
+    budget = ("skipped", "bound unverified (budget)")
+    # (deformed code, search result, qubit cap, verdict); a search that ran
+    # out of budget after weight bound − 1 found no lighter logical error,
+    # so it certifies the bound, and none runs above the qubit cap
+    cases = [
+        (dcm, DistanceResult(2, True, searched_weight=2), 36,
+         ("pass", f"exhaustive d=2 vs {m_bound}")),
+        (dcm, DistanceResult(1, True, searched_weight=1), 36,
+         ("fail", f"exhaustive d=1 vs {m_bound}")),
+        (dc0, DistanceResult(None, False, None, "k=0: no logical operators"), 36,
+         ("pass", "k=0 deformed code: no logical errors, bound vacuous")),
+        (dcm, DistanceResult(None, False, 3, searched_weight=1), 36,
+         ("pass", f"no logical error up to weight 1; bound {m_bound} certified")),
+        (dcb, DistanceResult(None, False, 3, searched_weight=1), 36,
+         ("pass", f"no logical error up to weight 1; bound {b_bound} certified")),
+        (dcm, DistanceResult(None, False, 3, searched_weight=0), 36, budget),
+        (dcm, None, dcm.n - 1, budget),
+        (replace(dcm, memory=replace(c, distance=None)), None, 36,
+         ("skipped", "memory distance unknown")),
+    ]
+    for dc, result, cap, verdict in cases:
+        assert _distance_verdict(monkeypatch, dc, result, cap) == verdict
