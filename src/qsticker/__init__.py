@@ -14,6 +14,7 @@ from .codes import (
     DistanceResult,
     OperatorSet,
     SubsystemCode,
+    build_sticker,
     crowd_numbers,
     css_code,
     derive_css_logicals,
@@ -39,7 +40,6 @@ from .glue import (
 from .stickers import (
     DeformedCode,
     GlsReport,
-    build_sticker,
     deform,
     paste_branch,
     paste_measurement,

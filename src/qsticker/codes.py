@@ -24,10 +24,14 @@ on, its own matrices: `hx_wmax`, `hz_echelon`, `checks_commute`,
 computed on first read, and `proven` says that the identities
 `subsystem_code` checks hold on them.  A code is frozen, so these memory
 facts are computed once per memory.  A sticker paste has its code built
-by a second private constructor, `SubsystemCode._pasted`: it joins the
-paste's blocks (`_PasteBlocks`) into the deformed matrices, so the code
-is their join by construction, proves the memory block from the
-memory's facts and multiplies out only the blocks the paste adds.
+by a second private constructor, `SubsystemCode._pasted`, from the
+paste's factors (`_PasteBlocks`): the memory, the glue, d_R, the kind,
+the memory's part of the logicals and γ.  It builds the sticker by
+`build_sticker`, the one definition of the sticker, and joins the
+deformed matrices itself, so the code has the hypergraph-product form by
+construction.  Its proof then checks the memory block on the memory's
+facts and every block the sticker adds on glue-sized matrices, each
+identity derived from that form in `_prove_pasted`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GlueError, InternalError
 from .gf2 import (
@@ -54,6 +58,9 @@ from .gf2 import (
 )
 from .tanner import induced_subgraph
 
+if TYPE_CHECKING:  # glue imports this module; an annotation needs no import
+    from .glue import GlueSpec
+
 
 def repetition_check(n: int, truncated: bool = False) -> Gf2Matrix:
     """Staircase check matrix λ_n of the length-n repetition code.
@@ -69,6 +76,52 @@ def repetition_check(n: int, truncated: bool = False) -> Gf2Matrix:
     return full.take_cols(range(n - 1))
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("measurement", "branch"):
+        raise ValueError("kind must be 'measurement' or 'branch'")
+
+
+def _check_d_r(d_r: int) -> None:
+    """The one d_R check of stickers, pastes and their prices."""
+    if d_r < 2:
+        raise ValueError(f"d_r must be at least 2, got {d_r}")
+
+
+def build_sticker(glue: GlueSpec, d_r: int,
+                  kind: str) -> tuple[Gf2Matrix, Gf2Matrix]:
+    """(H_X, H_Z) of the glue code's hypergraph product with a repetition
+    code λ, the plain length-d_R one for the measurement kind and the
+    truncated one (last column dropped) for the branch kind:
+
+        H_X = (E_{d_R−1} ⊗ H_G | λ ⊗ E_{r_G}),
+        H_Z = (λ^T ⊗ E_{n_G} | E_{λ.cols} ⊗ H_G^T),
+
+    so the branch forms equal the measurement forms with the last block
+    column of H_X and the last block column and row of H_Z deleted.  Row
+    c of λ holds bits c and c + 1 (the second only below λ.cols), so
+    column j holds rows j (below d_R − 1) and j − 1 (from 1): the rows
+    are written block by block from the rows of H_G and H_G^T.
+    """
+    _check_d_r(d_r)
+    _check_kind(kind)
+    hg = glue.hg
+    n_g, r_g = hg.cols, hg.rows
+    blocks = d_r if kind == "measurement" else d_r - 1  # λ.cols
+    v0 = (d_r - 1) * n_g  # the first check-derived column
+    hx = []
+    for c in range(d_r - 1):
+        lam = 1 << v0 + c * r_g
+        if c + 1 < blocks:
+            lam |= 1 << v0 + (c + 1) * r_g
+        hx += [row << c * n_g | lam << g for g, row in enumerate(hg.bits)]
+    hz, hg_t = [], hg.transpose().bits
+    for j in range(blocks):
+        lam = (1 << j * n_g if j < d_r - 1 else 0) | (1 << (j - 1) * n_g if j else 0)
+        hz += [lam << b | row << v0 + j * r_g for b, row in enumerate(hg_t)]
+    width = v0 + blocks * r_g
+    return Gf2Matrix(hx, width), Gf2Matrix(hz, width)
+
+
 @dataclass(frozen=True)
 class SubsystemCode:
     """The six generator matrices.  Logicals must be bare, J_X F_Z^T = 0
@@ -81,10 +134,11 @@ class SubsystemCode:
     `subsystem_code`, checks the commutation products hx (hz; jz)^T = 0
     and hz jx^T = 0 with the messages of `complete_gauge`, then refuses
     J_X J_Z^T ≠ E, naming the row as `validate_code` does.  `_pasted`, for
-    a sticker paste, joins the code from the paste's blocks
-    (`_PasteBlocks`) and proves the same from them and from the memory's
-    facts (`_prove_pasted`), with the same verdicts and messages, but
-    refuses J_X J_Z^T ≠ E with a `GlueError`.
+    a sticker paste, builds the sticker from the paste's factors
+    (`_PasteBlocks`), joins the code and proves the same from the
+    memory's facts and glue-sized products (`_prove_pasted`), with the
+    same verdicts and messages, but refuses J_X J_Z^T ≠ E with a
+    `GlueError`.
 
     Once J_X J_Z^T = E, both gauge spaces have n − rank H_X − rank H_Z − k
     generators (see `_prove_pasted`) and `complete_gauge` cannot fail: the
@@ -124,16 +178,33 @@ class SubsystemCode:
 
     @classmethod
     def _pasted(cls, b: _PasteBlocks, name: str) -> SubsystemCode:
-        """The join of a paste's blocks, proven from them and the memory's
-        facts: H_X = (H_X,M T′; 0 H_X,st), H_Z = (H_Z,M 0; S′ H_Z,st),
-        J_X = (J_X,M J_X,st) and J_Z = (J_Z,M 0)."""
-        m, wide = b.memory, b.hx_st.cols
-        hx = m.hx.hstack(b.t).vstack(Gf2Matrix.zeros(b.hx_st.rows, m.n).hstack(b.hx_st))
-        hz = m.hz.hstack(Gf2Matrix.zeros(m.hz.rows, wide)).vstack(b.s.hstack(b.hz_st))
-        jz = b.jz_mem.hstack(Gf2Matrix.zeros(b.jz_mem.rows, wide))
+        """The deformed code of a paste, built from its factors and proven
+        from them and the memory's facts.  With the sticker (H_X,st,
+        H_Z,st) of `build_sticker`, T′ = T on the v_1 block, S′ = (S; 0)
+        and J_X,st = J_X,M S^T on every u block plus γ on the last v block
+        of a measurement sticker: H_X = (H_X,M T′; 0 H_X,st), H_Z =
+        (H_Z,M 0; S′ H_Z,st), J_X = (J_X,M J_X,st) and J_Z = (J_Z,M 0)."""
+        m, g, d_r = b.memory, b.glue, b.d_r
+        hx_st, hz_st = build_sticker(g, d_r, b.kind)
+        n, n_g, wide = m.n, g.n_g, hx_st.cols
+        t = Gf2Matrix([r << (d_r - 1) * n_g for r in g.t.bits], wide)
+        s = g.s.vstack(Gf2Matrix.zeros(hz_st.rows - g.s.rows, n))
+        js = b.jx_mem.mul(g.s.transpose())
+        jx_st = []
+        for i, row in enumerate(js.bits):
+            acc = 0
+            for j in range(d_r - 1):
+                acc |= row << j * n_g
+            if b.gamma is not None:
+                acc |= b.gamma.bits[i] << (d_r - 1) * (n_g + g.r_g)
+            jx_st.append(acc)
+        hx = m.hx.hstack(t).vstack(Gf2Matrix.zeros(hx_st.rows, n).hstack(hx_st))
+        hz = m.hz.widen(n + wide).vstack(s.hstack(hz_st))
+        jx = b.jx_mem.hstack(Gf2Matrix(jx_st, wide))
+        jz = b.jz_mem.widen(n + wide)
         empty = Gf2Matrix.zeros(0, hx.cols)
-        code = cls(hx, hz, b.jx_mem.hstack(b.jx_st), jz, empty, empty, name=name)
-        code._settle(code._prove_pasted(b))
+        code = cls(hx, hz, jx, jz, empty, empty, name=name)
+        code._settle(code._prove_pasted(b, t, hx_st, js))
         return code
 
     def _settle(self, proof: tuple[int, RowReducer]) -> None:
@@ -156,17 +227,40 @@ class SubsystemCode:
             raise ValueError(f"logical pairing is not the identity: {wit}")
         return len(RowReducer(hx.bits).pivots), RowReducer(hz.bits)
 
-    def _prove_pasted(self, b: _PasteBlocks) -> tuple[int, RowReducer]:
-        """`_prove`'s result for the join of a paste's blocks; a
-        `GlueError` where J_X J_Z^T ≠ E.
+    def _prove_pasted(self, b: _PasteBlocks, t: Gf2Matrix, hx_st: Gf2Matrix,
+                      js: Gf2Matrix) -> tuple[int, RowReducer]:
+        """`_prove`'s result for the code `_pasted` built from the factors
+        `b`, given its T′, H_X,st and J_X,M S^T; a `GlueError` where
+        J_X J_Z^T ≠ E.
 
-        With M the memory, every product `_prove` checks is zero exactly
-        when
+        Blocks.  With M the memory, every product `_prove` checks is zero
+        exactly when
           H_X,M H_Z,M^T = 0 (a fact of M, whose matrices these are),
-          S′ H_X,M^T = H_Z,st T′^T (H_X S^T = T H_G), H_X,st H_Z,st^T = 0,
+          S′ H_X,M^T = H_Z,st T′^T, H_X,st H_Z,st^T = 0,
           J_Z,M H_X,M^T = 0, J_X,M H_Z,M^T = 0, J_X,M S′^T = J_X,st H_Z,st^T;
-        the other blocks are zero blocks of the join.  If one fails, the
-        full products raise with the row they name.
+        the other blocks are zero blocks of the join.  The three that
+        touch the sticker follow from the form `_pasted` builds:
+        * H_X,st H_Z,st^T = (E ⊗ H_G)(λ ⊗ E) + (λ ⊗ E)(E ⊗ H_G)
+          = λ ⊗ H_G + λ ⊗ H_G = 0 for every sticker: no product is needed.
+        * T′ lies on the v_1 block, where only the first block row of
+          H_Z,st is nonzero (it holds H_G^T there), and S′ is S over zero
+          rows.  So both sides vanish below the first block row, and there
+          the identity is S H_X,M^T = H_G^T T^T, the transpose of the
+          glue's H_X,M S^T = T H_G: n_G rows, each a sum of rows of the
+          memory's cached transpose.
+        * J_X,st H_Z,st^T = (1^T λ) ⊗ J_X,M S^T + e_last^T ⊗ γ H_G, where
+          1^T λ, the column sums of λ, are its first and last columns for
+          a plain λ and its first alone for a truncated one: the middle
+          blocks cancel.  J_X,M S′^T is J_X,M S^T on the first block and
+          zero after it.  So a branch sticker (no γ) meets the identity
+          by form, and a measurement sticker exactly when
+          γ H_G = J_X,M S^T.
+        If a check fails, the full products raise with the row they name.
+
+        Pairing.  J_Z is zero on the sticker, so J_X J_Z^T = J_X,M J_Z,M^T.
+        The four pairings of a proven split prove it (`b.paired`: for a
+        measurement J_{X,C} J_{Z,C}^T = E, for a branch all four blocks);
+        otherwise it is checked here on the memory's columns.
 
         Ranks.  H_Z's echelon is M's with the sticker rows added: a fresh
         one adds M's rows first, which are H_Z's leading rows, so its
@@ -177,24 +271,23 @@ class SubsystemCode:
         J_X^T = y H_Z J_X^T = 0, and J_X modulo rs H_X likewise, so both
         dimension counts add k and the gauge dimensions match.
         """
-        m = b.memory
+        m, g = b.memory, b.glue
         if not (m.checks_commute
-                and b.s.mul_transpose(m.hx) == b.hz_st.mul_transpose(b.t)
-                and b.hx_st.mul_transpose(b.hz_st).is_zero()
+                and g.s.mul(m.hx.transpose()) == g.hg.transpose().mul(g.t.transpose())
                 and b.jz_mem.mul_transpose(m.hx).is_zero()
                 and b.jx_mem.mul_transpose(m.hz).is_zero()
-                and b.jx_mem.mul_transpose(b.s) == b.jx_st.mul_transpose(b.hz_st)):
+                and (b.gamma is None or b.gamma.mul(g.hg) == js)):
             # the full path raises, naming the row of the failing product
             subsystem_code(self.hx, self.hz, self.jx, self.jz)
             raise InternalError("a paste's blocks fail a commutation check "
                                 "that its full products pass")
-        if pairing_witness(self.jx, self.jz):
+        if not b.paired and pairing_witness(b.jx_mem, b.jz_mem):
             raise GlueError("deformed logical pairing is not the identity")
         z_echelon = m.hz_echelon.copy()
         for row in self.hz.bits[m.hz.rows:]:
             z_echelon.add(row)
         left = m.hx_left_kernel
-        sticker = RowReducer(left.mul(b.t).bits + b.hx_st.bits)
+        sticker = RowReducer(left.mul(t).bits + hx_st.bits)
         return m.hx.rows - left.rows + len(sticker.pivots), z_echelon
 
     def __getattr__(self, name):
@@ -257,18 +350,18 @@ class SubsystemCode:
 
 
 class _PasteBlocks(NamedTuple):
-    """The blocks `SubsystemCode._pasted` joins and proves a paste from
+    """The factors `SubsystemCode._pasted` builds and proves a paste from
     (module-private: `stickers._paste` alone builds one).  The sticker
     occupies the columns after the memory's n."""
 
     memory: SubsystemCode
-    t: Gf2Matrix  # T′: memory X checks × sticker qubits
-    s: Gf2Matrix  # S′: sticker Z checks × memory qubits
-    hx_st: Gf2Matrix
-    hz_st: Gf2Matrix
-    jx_mem: Gf2Matrix
-    jx_st: Gf2Matrix
-    jz_mem: Gf2Matrix
+    glue: GlueSpec  # H_G, S (n_G × n) and T (r_X × r_G)
+    d_r: int
+    kind: str  # "measurement" or "branch"
+    jx_mem: Gf2Matrix  # J_X,M: the deformed J_X on the memory's columns
+    jz_mem: Gf2Matrix  # J_Z,M: the deformed J_Z, zero on the sticker
+    gamma: Gf2Matrix | None  # on the last v block; measurement only
+    paired: bool  # J_X,M J_Z,M^T = E is proven: the rows of a proven split
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,13 @@ class Gf2Matrix:
             self.cols + other.cols,
         )
 
+    def widen(self, cols: int) -> "Gf2Matrix":
+        """The same rows at width cols >= self.cols: zero columns appended,
+        no row touched."""
+        if cols < self.cols:
+            raise ValueError(f"cannot widen {self.cols} columns to {cols}")
+        return Gf2Matrix._of(self.bits, cols)
+
     def take_rows(self, idx: Sequence[int]) -> "Gf2Matrix":
         return Gf2Matrix([self.bits[i] for i in idx], self.cols)
 

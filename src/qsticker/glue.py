@@ -53,16 +53,36 @@ class LogicalSplit:
     jza spans ⟨Σ⟩ (supports inside Q(Σ)); jzc spans the complement;
     jxa/jxc are the dual X generators.  Pairings: jxa jza^T = E_q,
     jxc jzc^T = E_{k−q}, cross products vanish.
+
+    `proven` says `split_logicals` checked these four pairings on its
+    rows.  It is not an init field, so any other construction,
+    `dataclasses.replace` included, leaves it false, as for
+    `SubsystemCode.proven`; a paste of an unproven split checks the
+    pairing itself.
     """
 
     jza: Gf2Matrix
     jzc: Gf2Matrix
     jxa: Gf2Matrix
     jxc: Gf2Matrix
+    proven: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def q(self) -> int:
         return self.jza.rows
+
+    def _prove(self, k: int) -> None:
+        """Check the four pairings, naming the first that fails in a
+        `GlueError`, and mark the split `proven`."""
+        q = self.q
+        if self.jxa.mul_transpose(self.jza) != Gf2Matrix.identity(q):
+            raise GlueError("split pairing jxa @ jza^T != E_q")
+        if self.jxc.mul_transpose(self.jzc) != Gf2Matrix.identity(k - q):
+            raise GlueError("split pairing jxc @ jzc^T != E_{k-q}")
+        if (not self.jxa.mul_transpose(self.jzc).is_zero()
+                or not self.jxc.mul_transpose(self.jza).is_zero()):
+            raise GlueError("split cross pairings are nonzero")
+        object.__setattr__(self, "proven", True)
 
 
 def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
@@ -89,18 +109,8 @@ def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
     jxa = c.jx.take_rows(pi2[:q])
     jxc = c.jx.take_rows(pi2[q:]).add(p_block.transpose().mul(jxa))
     split = LogicalSplit(jza, jzc, jxa, jxc)
-    _check_split(split, k)
+    split._prove(k)
     return split
-
-
-def _check_split(s: LogicalSplit, k: int) -> None:
-    q = s.q
-    if s.jxa.mul_transpose(s.jza) != Gf2Matrix.identity(q):
-        raise GlueError("split pairing jxa @ jza^T != E_q")
-    if s.jxc.mul_transpose(s.jzc) != Gf2Matrix.identity(k - q):
-        raise GlueError("split pairing jxc @ jzc^T != E_{k-q}")
-    if not s.jxa.mul_transpose(s.jzc).is_zero() or not s.jxc.mul_transpose(s.jza).is_zero():
-        raise GlueError("split cross pairings are nonzero")
 
 
 @dataclass(frozen=True)

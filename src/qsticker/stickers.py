@@ -2,14 +2,8 @@
 
 A sticker is the hypergraph product of a glue code H_G with a length-d_R
 repetition code λ: the plain one for the measurement kind, the
-truncated one (last column dropped) for the branch kind.  One formula
-builds both,
-
-    H_X = (E_{d_R−1} ⊗ H_G | λ ⊗ E_{r_G}),
-    H_Z = (λ^T ⊗ E_{n_G} | E_{λ.cols} ⊗ H_G^T),
-
-so the branch forms equal the measurement forms with the last block
-column of H_X and the last block column and row of H_Z deleted.
+truncated one (last column dropped) for the branch kind.
+`codes.build_sticker` is its one definition.
 
 Pasting a sticker onto the memory replaces the first repetition slot by
 the memory itself: S enters the first sticker Z-check block row and T
@@ -29,24 +23,14 @@ from dataclasses import dataclass, field
 from .codes import (
     OperatorSet,
     SubsystemCode,
+    _check_d_r,
+    _check_kind,
     _PasteBlocks,
     exact_distance,
-    repetition_check,
 )
 from .gf2 import Gf2Matrix, RowReducer, solve_left
 from .glue import (GlueError, GlueSpec, LogicalSplit, finely_devised_glue,
                    naked_glue, split_logicals)
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in ("measurement", "branch"):
-        raise ValueError("kind must be 'measurement' or 'branch'")
-
-
-def _check_d_r(d_r: int) -> None:
-    """The one d_R check of stickers, pastes and their prices."""
-    if d_r < 2:
-        raise ValueError(f"d_r must be at least 2, got {d_r}")
 
 
 def sticker_qubits(n_g: int, r_g: int, d_r: int, kind: str) -> int:
@@ -55,20 +39,6 @@ def sticker_qubits(n_g: int, r_g: int, d_r: int, kind: str) -> int:
     _check_d_r(d_r)
     _check_kind(kind)
     return (d_r - 1) * n_g + (d_r if kind == "measurement" else d_r - 1) * r_g
-
-
-def build_sticker(glue: GlueSpec, d_r: int,
-                  kind: str) -> tuple[Gf2Matrix, Gf2Matrix]:
-    """(H_X, H_Z) of the glue code's hypergraph product with a repetition code."""
-    _check_d_r(d_r)
-    _check_kind(kind)
-    hg = glue.hg
-    lam = repetition_check(d_r, truncated=kind == "branch")
-    hx = Gf2Matrix.identity(d_r - 1).kron(hg).hstack(
-        lam.kron(Gf2Matrix.identity(glue.r_g)))
-    hz = lam.transpose().kron(Gf2Matrix.identity(glue.n_g)).hstack(
-        Gf2Matrix.identity(lam.cols).kron(hg.transpose()))
-    return hx, hz
 
 
 @dataclass(frozen=True)
@@ -96,8 +66,12 @@ class DeformedCode:
         return self.code.k
 
     def pad_memory_rows(self, m: Gf2Matrix) -> Gf2Matrix:
-        """Memory-space rows embedded into the deformed qubit space."""
-        return m.hstack(Gf2Matrix.zeros(m.rows, self.n - self.mem_qubits))
+        """Memory-space rows embedded into the deformed qubit space: the
+        same rows, read at the deformed width."""
+        if m.cols != self.mem_qubits:
+            raise ValueError(f"memory rows must be {self.mem_qubits} wide, "
+                             f"got {m.cols}")
+        return m.widen(self.n)
 
 
 def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
@@ -110,30 +84,17 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
     logical row J carries J S^T on every u block, plus γ on the last v
     block for a measurement sticker; Z logicals stay on the memory.
 
-    `SubsystemCode._pasted` joins H_X = (H_X,mem  T'; 0  H_X,sticker),
-    H_Z = (H_Z,mem  0; S'  H_Z,sticker), J_X and J_Z from these blocks
-    and proves the code from them and the memory's facts, so no product
-    or echelon runs over a whole deformed matrix.  No transpose is
-    joined: the proof reads the memory's and H_Z,sticker's, and a deformed
-    one is flipped only where it is read, as H_X by statement iv′.
+    `SubsystemCode._pasted` builds the sticker and the deformed matrices
+    from these factors and proves the code from them, the memory's facts
+    and the split's pairings, so no product runs over a whole deformed
+    matrix or sticker and no echelon over a whole deformed matrix.  No
+    transpose is joined: the proof reads the memory's and the glue's,
+    and statement iv′ reads the memory's.
     """
-    hx_s, hz_s = build_sticker(glue, d_r, kind)
-    n, n_g, wide = c.n, glue.n_g, hx_s.cols
-    t_shift = (d_r - 1) * n_g
-    t = Gf2Matrix([r << t_shift for r in glue.t.bits], wide)
-    s = glue.s.vstack(Gf2Matrix.zeros(hz_s.rows - glue.s.rows, n))
-    jx_s = jx_mem.mul(glue.s.transpose()).bits
-    jx_st = [0] * len(jx_s)
-    for i in range(len(jx_s)):
-        for j in range(1, d_r):
-            jx_st[i] |= jx_s[i] << ((j - 1) * n_g)
-        if gamma is not None:
-            jx_st[i] |= gamma.bits[i] << ((d_r - 1) * (n_g + glue.r_g))
-    jx_st = Gf2Matrix(jx_st, wide)
-    suffix = "meas" if kind == "measurement" else "branch"
     code = SubsystemCode._pasted(
-        _PasteBlocks(c, t, s, hx_s, hz_s, jx_mem, jx_st, jz_mem),
-        name=f"{c.name}+{suffix}")
+        _PasteBlocks(c, glue, d_r, kind, jx_mem, jz_mem, gamma, split.proven),
+        name=f"{c.name}+{'meas' if kind == 'measurement' else 'branch'}")
+    n, n_g = c.n, glue.n_g
     ob_lo = n + (d_r - 2) * n_g
     return DeformedCode(
         code=code, kind=kind, memory=c, split=split, glue=glue,
@@ -260,7 +221,8 @@ def _spaces_equal(a: Gf2Matrix, b: Gf2Matrix) -> str:
     return wit and "rhs: " + wit
 
 
-def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix) -> str:
+def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix,
+                          memory: SubsystemCode | None = None) -> str:
     """k rows in rs J_Z ⊕ S, independent modulo S = rs H_Z ⊕ rs F_Z.
 
     Writing rows = C J_Z + (an S part), rows mod S = C (J_Z mod S), so
@@ -275,12 +237,24 @@ def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix) -> str:
     J_X H_Z^T = 0 and J_X J_Z^T = E were proven, and then J_X F_Z^T = 0
     holds for the completed F_Z, so r = rank of the signatures.  F is
     never read on this path.
+
+    Given the `memory` M whose qubits lead the code's, both products are
+    read on M's columns when the rows vanish off them and H_X there is
+    H_X,M over zero rows, as a paste builds it (O(rows) compares): then
+    v H_X^T is v H_X,M^T over zeros, read through M's transpose, and
+    v J_X^T = v J_X[:, M]^T, so no deformed matrix is flipped.
     """
     if code.proven:
-        outside = [i for i, syndrome in enumerate(rows.mul_transpose(code.hx).bits)
-                   if syndrome]
+        if memory is not None and _memory_leads(code, memory, rows):
+            on_memory = Gf2Matrix(rows.bits, memory.n)
+            syndromes = on_memory.mul_transpose(memory.hx).bits
+            classes = on_memory.mul_transpose(code.jx.take_cols(range(memory.n))).bits
+        else:
+            syndromes = rows.mul_transpose(code.hx).bits
+            classes = [code.jx.mul_vec(row) for row in rows.bits]
+        outside = [i for i, syndrome in enumerate(syndromes) if syndrome]
         wit = f"row {outside[0]} is outside the span" if outside else ""
-        modulo, classes = RowReducer(), [code.jx.mul_vec(row) for row in rows.bits]
+        modulo = RowReducer()
     else:
         stab = code.z_stabilizer_span()
         wit = _outside(RowReducer(code.jz.bits + stab.bits), rows)
@@ -291,6 +265,18 @@ def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix) -> str:
     if rows.rows == code.k == r:
         return ""
     return f"J_Z coefficients have rank {r} for {rows.rows} rows, k={code.k}"
+
+
+def _memory_leads(code: SubsystemCode, memory: SubsystemCode,
+                  rows: Gf2Matrix) -> bool:
+    """Whether `rows` vanish off the memory's columns and the code's H_X
+    on them is the memory's H_X over zero rows."""
+    n, hx, mem_hx = memory.n, code.hx.bits, memory.hx.bits
+    mask = (1 << n) - 1
+    return (code.n >= n and len(hx) >= len(mem_hx)
+            and all(r & mask == m for r, m in zip(hx, mem_hx))
+            and not any(r & mask for r in hx[len(mem_hx):])
+            and not any(r >> n for r in rows.bits))
 
 
 # the exhaustive distance search covers at least this weight
@@ -310,8 +296,10 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     its own row space.  Otherwise it, like v and v', reduces against the
     code's `hz_echelon`, the one a paste built while proving it.  On a
     `proven` code statement i reads hx hz^T = 0 off `checks_commute` and
-    iv' reads J_X signatures (see `_same_logical_classes`); any other
-    code, such as a `replace`d mutant, is multiplied out here.
+    iv' reads J_X signatures on the memory's columns, through the
+    memory's transpose, wherever the deformed H_X there is the memory's
+    over zero rows (see `_same_logical_classes`); any other code, such
+    as a `replace`d mutant, is multiplied out here.
     """
     c = dc.memory
     code = dc.code
@@ -350,7 +338,7 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
         check("iii': all X logicals persist on the memory",
               _spaces_equal(c.jx, code.jx.take_cols(mem_cols)))
         check("iv': all Z logicals are preserved",
-              _same_logical_classes(code, dc.pad_memory_rows(c.jz)))
+              _same_logical_classes(code, dc.pad_memory_rows(c.jz), c))
         lo, hi = dc.ob_range
         transferred = dc.pad_memory_rows(dc.split.jza)
         shifted = Gf2Matrix([r << lo for r in dc.j_g.bits], code.n)

@@ -1,6 +1,10 @@
 """CLI subcommand behaviour, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import qsticker
 from qsticker.cli import main
@@ -24,6 +28,19 @@ def test_validate_builtin(tmp_path, capsys):
     out = json.loads(read(tmp_path / "validate.json"))
     assert out["ok"] is True and out["n"] == 13
     assert "all axioms pass" in capsys.readouterr().out
+
+
+def test_python_m_qsticker_is_the_cli(tmp_path, capsys):
+    # a source checkout runs the CLI as `python -m qsticker`
+    src = Path(__file__).resolve().parents[1] / "src"
+    args = ["validate", "--code", "hgp:3,3", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-m", "qsticker", *args],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run_cli(args) == 0
+    want = "hgp(3,3): [[13,1]] all axioms pass\n"
+    assert proc.stdout == capsys.readouterr().out == want
 
 
 def test_glue_and_deform_outputs(tmp_path):

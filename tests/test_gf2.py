@@ -595,6 +595,14 @@ def test_constructor_rejects_rows_outside_the_column_range():
     assert Gf2Matrix([0b111, 0], 3).bits == (0b111, 0)
 
 
+def test_widen_appends_zero_columns():
+    m = Gf2Matrix([0b101, 0b011], 3)
+    assert m.widen(5) == m.hstack(Gf2Matrix.zeros(2, 2))
+    assert m.widen(3) == m and m.widen(3).bits is m.bits
+    with pytest.raises(ValueError, match="^cannot widen 3 columns to 2$"):
+        m.widen(2)
+
+
 def test_take_cols_rejects_out_of_range_indices():
     m = Gf2Matrix([0b101, 0b011], 3)
     for idx in ([0, 5], [3], [-1], [0, -3], range(4), range(-1, 2)):

@@ -61,6 +61,7 @@ def test_cli_import_loads_no_numpy():
 # the block proof hands to the full products to refuse with their message
 OPTIMIZE_PROBE = """
 import sys, tempfile
+from dataclasses import replace
 from pathlib import Path
 from qsticker.cli import main
 from qsticker.codes import SubsystemCode
@@ -76,9 +77,9 @@ with tempfile.TemporaryDirectory() as out:
 pasted = SubsystemCode._pasted.__func__
 
 def s_bit_dropped(cls, blocks, name):
-    first, *rest = blocks.s.bits
-    s = Gf2Matrix([first & first - 1, *rest], blocks.s.cols)
-    return pasted(cls, blocks._replace(s=s), name)
+    first, *rest = blocks.glue.s.bits
+    s = Gf2Matrix([first & first - 1, *rest], blocks.glue.s.cols)
+    return pasted(cls, blocks._replace(glue=replace(blocks.glue, s=s)), name)
 
 SubsystemCode._pasted = classmethod(s_bit_dropped)
 c = desk_code(7)

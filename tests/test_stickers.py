@@ -14,6 +14,7 @@ from qsticker.codes import (
     OperatorSet,
     SubsystemCode,
     _PasteBlocks,
+    build_sticker,
     complete_gauge,
     contained_logical_count,
     direct_sum,
@@ -29,6 +30,7 @@ from qsticker.codes import (
 from qsticker.gf2 import Gf2Matrix, RowReducer, rank, solve_left
 from qsticker.glue import (
     GlueError,
+    LogicalSplit,
     finely_devised_glue,
     naked_glue,
     split_logicals,
@@ -36,7 +38,6 @@ from qsticker.glue import (
 from qsticker.stickers import (
     DeformedCode,
     _same_logical_classes,
-    build_sticker,
     deform,
     paste_branch,
     paste_measurement,
@@ -848,8 +849,16 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
             # the joins build no transpose
             assert code.hx._t is None and code.hz._t is None
             report = verify_surgery(dc).to_report()
-        # the paste proves J_X J_Z^T = E once and its verify reads the proof
-        assert len(pairings) == 1
+            # the split's pairings prove J_X J_Z^T = E for the paste, and
+            # its verify reads the proof
+            assert dc.split.proven and pairings == []
+            # a `replace`d split proves nothing, so its paste checks the
+            # pairing once, and builds the same code
+            paste = paste_measurement if kind == "measurement" else paste_branch
+            again = paste(c, replace(dc.split), dc.glue, d_r).code
+            assert len(pairings) == 1
+            assert ((again.hx, again.hz, again.jx, again.jz)
+                    == (code.hx, code.hz, code.jx, code.jz))
         # a transpose the verify read is the flipped matrix
         for m in (code.hx, code.hz):
             assert m._t is None or m._t == m._flip()
@@ -879,29 +888,50 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
 # -- the block proof against the full products -----------------------------
 
 
+def kron_sticker(hg, d_r, kind):
+    """The sticker's (H_X, H_Z) by the Kronecker formula:
+    (E ⊗ H_G | λ ⊗ E) and (λ^T ⊗ E | E ⊗ H_G^T)."""
+    lam = repetition_check(d_r, truncated=kind == "branch")
+    eye = Gf2Matrix.identity
+    return (eye(d_r - 1).kron(hg).hstack(lam.kron(eye(hg.rows))),
+            lam.transpose().kron(eye(hg.cols)).hstack(eye(lam.cols).kron(hg.transpose())))
+
+
 def _pasted_blocks(dc):
-    """The blocks `_paste` joined, read back off its deformed code."""
-    code, m = dc.code, dc.memory
-    n, rx, rz = m.n, m.hx.rows, m.hz.rows
-    mask = (1 << n) - 1
-
-    def left(rows):
-        return Gf2Matrix([r & mask for r in rows], n)
-
-    def right(rows):
-        return Gf2Matrix([r >> n for r in rows], code.n - n)
-
-    return _PasteBlocks(m, right(code.hx.bits[:rx]), left(code.hz.bits[rz:]),
-                        right(code.hx.bits[rx:]), right(code.hz.bits[rz:]),
-                        left(code.jx.bits), right(code.jx.bits), left(code.jz.bits))
+    """The factors `_paste` pasted, read back off its deformed code: J_X
+    and J_Z on the memory's columns, and γ off the last v block."""
+    code, m, g = dc.code, dc.memory, dc.glue
+    mask = (1 << m.n) - 1
+    gamma = None
+    if dc.kind == "measurement":
+        shift = m.n + (dc.d_r - 1) * (g.n_g + g.r_g)
+        gamma = Gf2Matrix([r >> shift for r in code.jx.bits], g.r_g)
+    return _PasteBlocks(m, g, dc.d_r, dc.kind,
+                        Gf2Matrix([r & mask for r in code.jx.bits], m.n),
+                        Gf2Matrix([r & mask for r in code.jz.bits], m.n),
+                        gamma, dc.split.proven)
 
 
 def _joined(b):
-    """(H_X, H_Z, J_X, J_Z) joined from a paste's blocks."""
-    m, wide = b.memory, b.hx_st.cols
-    return (m.hx.hstack(b.t).vstack(Gf2Matrix.zeros(b.hx_st.rows, m.n).hstack(b.hx_st)),
-            m.hz.hstack(Gf2Matrix.zeros(m.hz.rows, wide)).vstack(b.s.hstack(b.hz_st)),
-            b.jx_mem.hstack(b.jx_st),
+    """(H_X, H_Z, J_X, J_Z) of a paste's factors, joined by Kronecker
+    products: the sticker by `kron_sticker`, J_X,st = (J_X,M S^T (1^T ⊗ E)
+    | γ (e_last^T ⊗ E))."""
+    m, g, d_r = b.memory, b.glue, b.d_r
+    hx_st, hz_st = kron_sticker(g.hg, d_r, b.kind)
+    wide, u = hx_st.cols, (d_r - 1) * g.n_g
+    t = Gf2Matrix.zeros(m.hx.rows, u).hstack(g.t).hstack(
+        Gf2Matrix.zeros(m.hx.rows, wide - u - g.r_g))
+    s = g.s.vstack(Gf2Matrix.zeros(hz_st.rows - g.n_g, m.n))
+    ones = Gf2Matrix([(1 << (d_r - 1)) - 1], d_r - 1)
+    jx_u = b.jx_mem.mul(g.s.transpose()).mul(ones.kron(Gf2Matrix.identity(g.n_g)))
+    if b.gamma is None:
+        jx_v = Gf2Matrix.zeros(b.jx_mem.rows, wide - u)
+    else:
+        last = Gf2Matrix([1 << (d_r - 1)], d_r)
+        jx_v = b.gamma.mul(last.kron(Gf2Matrix.identity(g.r_g)))
+    return (m.hx.hstack(t).vstack(Gf2Matrix.zeros(hx_st.rows, m.n).hstack(hx_st)),
+            m.hz.hstack(Gf2Matrix.zeros(m.hz.rows, wide)).vstack(s.hstack(hz_st)),
+            b.jx_mem.hstack(jx_u.hstack(jx_v)),
             b.jz_mem.hstack(Gf2Matrix.zeros(b.jz_mem.rows, wide)))
 
 
@@ -913,14 +943,24 @@ def _flip_bit(data, m, cells):
     return _rows(m, lambda b: b[:i] + [b[i] ^ 1 << j] + b[i + 1:])
 
 
-def _mutant_blocks(data, dc, b, part):
-    """The blocks with the `part` one edited: a nonzero T row moved, an S
-    bit dropped, a bit flipped in one H_G copy of the sticker, a J_X
-    sticker bit flipped, or a bit flipped in the memory's H_X or H_Z."""
-    n_g, r_g, d_r = dc.glue.n_g, dc.glue.r_g, dc.d_r
+def _every_cell(m):
+    return [(i, j) for i in range(m.rows) for j in range(m.cols)]
+
+
+def _mutant_blocks(data, b, part):
+    """The factors with the `part` one edited: a nonzero T row moved, an
+    S bit dropped, an H_G bit flipped, a γ bit flipped, or a bit flipped
+    in the memory's H_X or H_Z.
+
+    Two mutants of the sticker-wide blocks have no factored form: a bit
+    flipped in one H_G copy of the sticker (every copy is the glue's one
+    H_G), and a J_X,st bit flipped on a u block (every u block is
+    J_X,M S^T).  A branch sticker carries no γ, so its γ mutant is the
+    unedited paste."""
+    g = b.glue
     if part == "t":
-        moves = [(i, j) for i, r in enumerate(b.t.bits) if r
-                 for j in range(b.t.rows) if b.t.bits[j] != r]
+        moves = [(i, j) for i, r in enumerate(g.t.bits) if r
+                 for j in range(g.t.rows) if g.t.bits[j] != r]
         if not moves:
             return b
         i, j = moves[data.draw(st.integers(0, len(moves) - 1))]
@@ -928,29 +968,22 @@ def _mutant_blocks(data, dc, b, part):
         def move(rows):
             rows[i], rows[j] = rows[j], rows[i]
             return rows
-        return b._replace(t=_rows(b.t, move))
+        return b._replace(glue=replace(g, t=_rows(g.t, move)))
     if part == "s":
-        cells = [(i, j) for i, r in enumerate(b.s.bits) for j in range(b.s.cols)
+        cells = [(i, j) for i, r in enumerate(g.s.bits) for j in range(g.s.cols)
                  if r >> j & 1]
-        return b._replace(s=_flip_bit(data, b.s, cells))
+        return b._replace(glue=replace(g, s=_flip_bit(data, g.s, cells)))
     if part == "hg":
-        # H_X,st = (E ⊗ H_G | λ ⊗ E), H_Z,st = (λ^T ⊗ E | E ⊗ H_G^T)
-        if data.draw(st.booleans()):
-            cells = [(c * r_g + g, c * n_g + j) for c in range(d_r - 1)
-                     for g in range(r_g) for j in range(n_g)]
-            return b._replace(hx_st=_flip_bit(data, b.hx_st, cells))
-        copies = d_r if dc.kind == "measurement" else d_r - 1
-        cells = [(c * n_g + j, (d_r - 1) * n_g + c * r_g + g) for c in range(copies)
-                 for g in range(r_g) for j in range(n_g)]
-        return b._replace(hz_st=_flip_bit(data, b.hz_st, cells))
-    if part == "jx_st":
-        cells = [(i, j) for i in range(b.jx_st.rows) for j in range(b.jx_st.cols)]
-        return b._replace(jx_st=_flip_bit(data, b.jx_st, cells))
+        return b._replace(glue=replace(g, hg=_flip_bit(data, g.hg, _every_cell(g.hg))))
+    if part == "gamma":
+        if b.gamma is None:
+            return b
+        return b._replace(gamma=_flip_bit(data, b.gamma, _every_cell(b.gamma)))
     m = b.memory
     field_name = data.draw(st.sampled_from(["hx", "hz"]))
     matrix = getattr(m, field_name)
-    cells = [(i, j) for i in range(matrix.rows) for j in range(matrix.cols)]
-    return b._replace(memory=replace(m, **{field_name: _flip_bit(data, matrix, cells)}))
+    return b._replace(memory=replace(
+        m, **{field_name: _flip_bit(data, matrix, _every_cell(matrix))}))
 
 
 def _built(build):
@@ -969,17 +1002,33 @@ def _built(build):
        st.sampled_from(["measurement", "branch"]), st.data())
 def test_block_proof_refuses_exactly_what_the_full_products_refuse(case, d_r,
                                                                    kind, data):
-    # each block of a paste edited in turn, then joined and proven two
-    # ways: by the paste constructor and by `subsystem_code`
+    # each factor of a paste edited in turn, then joined by Kronecker
+    # products and proven by `subsystem_code`, and built and proven by the
+    # paste constructor
     c, sigma = case
     dc = deform(c, sigma, kind, d_r)
     blocks = _pasted_blocks(dc)
     assert _joined(blocks) == (dc.code.hx, dc.code.hz, dc.code.jx, dc.code.jz)
-    for part in ("t", "s", "hg", "jx_st", "memory"):
-        mutant = _mutant_blocks(data, dc, blocks, part)
+    for part in ("t", "s", "hg", "gamma", "memory"):
+        mutant = _mutant_blocks(data, blocks, part)
         matrices = _joined(mutant)
         full = _built(lambda: subsystem_code(*matrices))
         assert _built(lambda: SubsystemCode._pasted(mutant, "mutant")) == full
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(2, 4),
+       st.sampled_from(["measurement", "branch"]), st.data())
+def test_build_sticker_is_the_kronecker_formula(r_g, n_g, d_r, kind, data):
+    # the rows written block by block are the Kronecker products, bit for bit
+    from qsticker.glue import GlueSpec
+
+    rows = data.draw(st.lists(st.integers(0, (1 << n_g) - 1),
+                              min_size=r_g, max_size=r_g))
+    hg = Gf2Matrix(rows, n_g)
+    glue = GlueSpec(hg=hg, s=Gf2Matrix.zeros(n_g, 1), t=Gf2Matrix.zeros(1, r_g),
+                    devisedness="coarse", b_n=(), c_n=())
+    assert build_sticker(glue, d_r, kind) == kron_sticker(hg, d_r, kind)
 
 
 def test_a_broken_logical_pairing_refuses_both_pastes():
@@ -1000,6 +1049,107 @@ def test_a_broken_logical_pairing_refuses_both_pastes():
         with pytest.raises(GlueError) as info:
             paste(c, swapped, glue, 2)
         assert str(info.value) == "deformed logical pairing is not the identity"
+
+
+def test_only_split_logicals_proves_a_split():
+    # `proven` is set where the four pairings were checked, and nowhere else
+    c = surface13()
+    split = split_logicals(c, sigma_from_indices(c, (0,)))
+    assert split.proven
+    assert not replace(split).proven and replace(split) == split
+    assert not LogicalSplit(split.jza, split.jzc, split.jxa, split.jxc).proven
+    # a failed check leaves the split unproven
+    c = two_blocks()
+    split = split_logicals(c, sigma_from_indices(c, (0,)))
+    broken = replace(split, jzc=split.jza)
+    with pytest.raises(GlueError, match=r"^split pairing jxc @ jzc\^T != E_\{k-q\}$"):
+        broken._prove(c.k)
+    assert not broken.proven
+
+
+def test_a_paste_of_a_proven_split_reproves_nothing_sticker_wide(monkeypatch):
+    # both kinds pasted and verified from a proven split on the [[400,16]]
+    # desk code: the split proves J_X J_Z^T = E, the sticker is written
+    # without Kronecker products, and no matrix wider than the memory is
+    # transposed
+    from qsticker.io import desk_code
+    from qsticker.sampling import SigmaSampler
+
+    c = replace(desk_code(7))
+    s = SigmaSampler(c, l_max=5, thickness=4, max_q=4, seed=3).sample(4, 0)
+    split = split_logicals(c, s)
+    naked, fine = naked_glue(c, s), finely_devised_glue(c, s, split=split)
+    assert max(naked.n_g, naked.r_g, fine.n_g, fine.r_g) < c.n
+    pairings, krons, flips = [], [], []
+    real_kron, real_flip = Gf2Matrix.kron, Gf2Matrix._flip
+
+    def pairing(*args):
+        pairings.append(args)
+        return pairing_witness(*args)
+
+    def kron(self, other):
+        krons.append((self.shape, other.shape))
+        return real_kron(self, other)
+
+    def flip(self):
+        flips.append(self.shape)
+        return real_flip(self)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "qsticker"
+                and vars(mod).get("pairing_witness") is pairing_witness):
+            monkeypatch.setattr(mod, "pairing_witness", pairing)
+    monkeypatch.setattr(Gf2Matrix, "kron", kron)
+    monkeypatch.setattr(Gf2Matrix, "_flip", flip)
+    dcb = paste_branch(c, split, naked, 2)
+    dcm = paste_measurement(c, split, fine, 4)
+    assert verify_surgery(dcb).ok and verify_surgery(dcm).ok
+    assert pairings == [] and krons == []
+    assert flips and max(cols for _, cols in flips) <= c.n
+    # the counters are live: an unproven split is paired, the Kronecker
+    # oracle multiplies, and a deformed matrix is flipped when read
+    paste_branch(c, replace(split), naked, 2)
+    kron_sticker(naked.hg, 2, "branch")
+    dcb.code.hx.transpose()
+    assert len(pairings) == 1 and krons
+    assert flips[-1] == dcb.code.hx.shape
+
+
+def test_iv_prime_reads_the_memory_only_where_the_code_leads_with_it():
+    # statement iv' of a branch paste reads its memory's H_X and J_X
+    # columns, flipping no deformed matrix; a memory of the same n that the
+    # deformed H_X does not lead with takes the full-width path, with its
+    # verdict
+    from qsticker.codes import css_code
+
+    c = surface13()
+    sigma = sigma_from_indices(c, (0,))
+    dc = deform(c, sigma, "branch", 2)
+    assert _same_logical_classes(dc.code, dc.pad_memory_rows(c.jz), c) == ""
+    assert dc.code.hx._t is None
+    permuted = replace(c, hx=Gf2Matrix(c.hx.bits[::-1], c.n))
+    bare = css_code(Gf2Matrix.zeros(0, c.n), Gf2Matrix.zeros(0, c.n))
+    verdicts = []
+    for other in (permuted, bare):
+        dc = replace(deform(c, sigma, "branch", 2), memory=other)
+        rows = dc.pad_memory_rows(other.jz)
+        got = _same_logical_classes(dc.code, rows, other)
+        assert dc.code.hx._t is not None
+        assert got == _same_logical_classes(dc.code, rows)
+        verdicts.append(got)
+        iv = verify_surgery(dc).statements[3]
+        assert iv.name.startswith("iv'") and iv.detail == got
+    assert verdicts[0] == "" and verdicts[1] == "row 0 is outside the span"
+
+
+def test_pad_memory_rows_widens_the_memory_rows_only():
+    c = surface13()
+    dc = deform(c, sigma_from_indices(c, (0,)), "branch", 2)
+    padded = dc.pad_memory_rows(c.hz)
+    assert (padded.bits, padded.cols) == (c.hz.bits, dc.n)
+    assert padded == c.hz.hstack(Gf2Matrix.zeros(c.hz.rows, dc.n - c.n))
+    with pytest.raises(ValueError, match="^memory rows must be 13 wide, got 12$"):
+        dc.pad_memory_rows(Gf2Matrix.zeros(1, 12))
 
 
 # -- statement vi's verdicts ----------------------------------------------
