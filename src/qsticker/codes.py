@@ -25,13 +25,14 @@ computed on first read, and `proven` says that the identities
 `subsystem_code` checks hold on them.  A code is frozen, so these memory
 facts are computed once per memory.  A sticker paste has its code built
 by a second private constructor, `SubsystemCode._pasted`, from the
-paste's factors (`_PasteBlocks`): the memory, the glue, d_R, the kind,
-the memory's part of the logicals and γ.  It builds the sticker by
-`build_sticker`, the one definition of the sticker, and joins the
-deformed matrices itself, so the code has the hypergraph-product form by
-construction.  Its proof then checks the memory block on the memory's
-facts and every block the sticker adds on glue-sized matrices, each
-identity derived from that form in `_prove_pasted`.
+paste's factors: the memory, the logical split, the glue, d_R and the
+kind.  It picks the memory's part of the logicals by kind, solves γ of
+a measurement sticker, builds the sticker by `build_sticker`, the one
+definition of the sticker, and joins the deformed matrices itself, so
+the code has the hypergraph-product form by construction.  Its proof
+then checks the memory block on the memory's facts and every block the
+sticker adds on glue-sized matrices, each identity derived from that
+form in `_prove_pasted`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import GlueError, InternalError
 from .gf2 import (
@@ -54,12 +55,12 @@ from .gf2 import (
     rank,
     rref,
     set_bits,
-    solve_left,  # unused here; perfbench's tracer test patches this binding
+    solve_left,
 )
 from .tanner import induced_subgraph
 
 if TYPE_CHECKING:  # glue imports this module; an annotation needs no import
-    from .glue import GlueSpec
+    from .glue import GlueSpec, LogicalSplit
 
 
 def repetition_check(n: int, truncated: bool = False) -> Gf2Matrix:
@@ -134,11 +135,11 @@ class SubsystemCode:
     `subsystem_code`, checks the commutation products hx (hz; jz)^T = 0
     and hz jx^T = 0 with the messages of `complete_gauge`, then refuses
     J_X J_Z^T ≠ E, naming the row as `validate_code` does.  `_pasted`, for
-    a sticker paste, builds the sticker from the paste's factors
-    (`_PasteBlocks`), joins the code and proves the same from the
-    memory's facts and glue-sized products (`_prove_pasted`), with the
-    same verdicts and messages, but refuses J_X J_Z^T ≠ E with a
-    `GlueError`.
+    a sticker paste, solves γ and builds the sticker from the paste's
+    factors, joins the code and proves the same from the memory's facts
+    and glue-sized products (`_prove_pasted`), with the same verdicts
+    and messages, but refuses J_X J_Z^T ≠ E, and a measurement glue
+    without γ, with a `GlueError`.
 
     Once J_X J_Z^T = E, both gauge spaces have n − rank H_X − rank H_Z − k
     generators (see `_prove_pasted`) and `complete_gauge` cannot fail: the
@@ -177,34 +178,46 @@ class SubsystemCode:
         return code
 
     @classmethod
-    def _pasted(cls, b: _PasteBlocks, name: str) -> SubsystemCode:
+    def _pasted(cls, m: SubsystemCode, split: LogicalSplit, g: GlueSpec,
+                d_r: int, kind: str, name: str) -> SubsystemCode:
         """The deformed code of a paste, built from its factors and proven
-        from them and the memory's facts.  With the sticker (H_X,st,
-        H_Z,st) of `build_sticker`, T′ = T on the v_1 block, S′ = (S; 0)
-        and J_X,st = J_X,M S^T on every u block plus γ on the last v block
-        of a measurement sticker: H_X = (H_X,M T′; 0 H_X,st), H_Z =
+        from them and the memory's facts.  The memory's part of the
+        logicals is J_X,M = J_{X,C} and J_Z,M = J_{Z,C} for a measurement
+        sticker, (J_{X,A}; J_{X,C}) and (J_{Z,A}; J_{Z,C}) for a branch
+        one; a measurement sticker's γ solves J_X,M S^T = γ H_G, refused
+        with a `GlueError` before any block is built.  With the sticker
+        (H_X,st, H_Z,st) of `build_sticker`, T′ = T on the v_1 block, S′ =
+        (S; 0) and J_X,st = J_X,M S^T on every u block plus γ on the last
+        v block of a measurement sticker: H_X = (H_X,M T′; 0 H_X,st), H_Z =
         (H_Z,M 0; S′ H_Z,st), J_X = (J_X,M J_X,st) and J_Z = (J_Z,M 0)."""
-        m, g, d_r = b.memory, b.glue, b.d_r
-        hx_st, hz_st = build_sticker(g, d_r, b.kind)
+        if kind == "measurement":
+            jx_mem, jz_mem = split.jxc, split.jzc
+        else:
+            jx_mem, jz_mem = split.jxa.vstack(split.jxc), split.jza.vstack(split.jzc)
+        js = jx_mem.mul(g.s.transpose())
+        gamma = solve_left(g.hg, js) if kind == "measurement" else None
+        if kind == "measurement" and gamma is None:
+            raise GlueError("glue is labelled fine but gamma has no solution: "
+                            "J_{X,C} S^T is not in the row space of H_G")
+        hx_st, hz_st = build_sticker(g, d_r, kind)
         n, n_g, wide = m.n, g.n_g, hx_st.cols
         t = Gf2Matrix([r << (d_r - 1) * n_g for r in g.t.bits], wide)
         s = g.s.vstack(Gf2Matrix.zeros(hz_st.rows - g.s.rows, n))
-        js = b.jx_mem.mul(g.s.transpose())
         jx_st = []
         for i, row in enumerate(js.bits):
             acc = 0
             for j in range(d_r - 1):
                 acc |= row << j * n_g
-            if b.gamma is not None:
-                acc |= b.gamma.bits[i] << (d_r - 1) * (n_g + g.r_g)
+            if gamma is not None:
+                acc |= gamma.bits[i] << (d_r - 1) * (n_g + g.r_g)
             jx_st.append(acc)
         hx = m.hx.hstack(t).vstack(Gf2Matrix.zeros(hx_st.rows, n).hstack(hx_st))
         hz = m.hz.widen(n + wide).vstack(s.hstack(hz_st))
-        jx = b.jx_mem.hstack(Gf2Matrix(jx_st, wide))
-        jz = b.jz_mem.widen(n + wide)
+        jx = jx_mem.hstack(Gf2Matrix(jx_st, wide))
+        jz = jz_mem.widen(n + wide)
         empty = Gf2Matrix.zeros(0, hx.cols)
         code = cls(hx, hz, jx, jz, empty, empty, name=name)
-        code._settle(code._prove_pasted(b, t, hx_st, js))
+        code._settle(code._prove_pasted(m, split, g, jx_mem, jz_mem, t, hx_st))
         return code
 
     def _settle(self, proof: tuple[int, RowReducer]) -> None:
@@ -227,11 +240,12 @@ class SubsystemCode:
             raise ValueError(f"logical pairing is not the identity: {wit}")
         return len(RowReducer(hx.bits).pivots), RowReducer(hz.bits)
 
-    def _prove_pasted(self, b: _PasteBlocks, t: Gf2Matrix, hx_st: Gf2Matrix,
-                      js: Gf2Matrix) -> tuple[int, RowReducer]:
-        """`_prove`'s result for the code `_pasted` built from the factors
-        `b`, given its T′, H_X,st and J_X,M S^T; a `GlueError` where
-        J_X J_Z^T ≠ E.
+    def _prove_pasted(self, m: SubsystemCode, split: LogicalSplit,
+                      g: GlueSpec, jx_mem: Gf2Matrix, jz_mem: Gf2Matrix,
+                      t: Gf2Matrix, hx_st: Gf2Matrix) -> tuple[int, RowReducer]:
+        """`_prove`'s result for the code `_pasted` built on the memory `m`
+        from the split, the glue and the memory's part of the logicals,
+        given its T′ and H_X,st; a `GlueError` where J_X J_Z^T ≠ E.
 
         Blocks.  With M the memory, every product `_prove` checks is zero
         exactly when
@@ -254,12 +268,14 @@ class SubsystemCode:
           blocks cancel.  J_X,M S′^T is J_X,M S^T on the first block and
           zero after it.  So a branch sticker (no γ) meets the identity
           by form, and a measurement sticker exactly when
-          γ H_G = J_X,M S^T.
+          γ H_G = J_X,M S^T, which holds because `solve_left` returns γ
+          only once its residual test has found every row of J_X,M S^T
+          in rs H_G.
         If a check fails, the full products raise with the row they name.
 
         Pairing.  J_Z is zero on the sticker, so J_X J_Z^T = J_X,M J_Z,M^T.
-        The four pairings of a proven split prove it (`b.paired`: for a
-        measurement J_{X,C} J_{Z,C}^T = E, for a branch all four blocks);
+        The four pairings of a proven split prove it (`split.proven`: for
+        a measurement J_{X,C} J_{Z,C}^T = E, for a branch all four blocks);
         otherwise it is checked here on the memory's columns.
 
         Ranks.  H_Z's echelon is M's with the sticker rows added: a fresh
@@ -271,17 +287,15 @@ class SubsystemCode:
         J_X^T = y H_Z J_X^T = 0, and J_X modulo rs H_X likewise, so both
         dimension counts add k and the gauge dimensions match.
         """
-        m, g = b.memory, b.glue
         if not (m.checks_commute
                 and g.s.mul(m.hx.transpose()) == g.hg.transpose().mul(g.t.transpose())
-                and b.jz_mem.mul_transpose(m.hx).is_zero()
-                and b.jx_mem.mul_transpose(m.hz).is_zero()
-                and (b.gamma is None or b.gamma.mul(g.hg) == js)):
+                and jz_mem.mul_transpose(m.hx).is_zero()
+                and jx_mem.mul_transpose(m.hz).is_zero()):
             # the full path raises, naming the row of the failing product
             subsystem_code(self.hx, self.hz, self.jx, self.jz)
             raise InternalError("a paste's blocks fail a commutation check "
                                 "that its full products pass")
-        if not b.paired and pairing_witness(b.jx_mem, b.jz_mem):
+        if not split.proven and pairing_witness(jx_mem, jz_mem):
             raise GlueError("deformed logical pairing is not the identity")
         z_echelon = m.hz_echelon.copy()
         for row in self.hz.bits[m.hz.rows:]:
@@ -347,21 +361,6 @@ class SubsystemCode:
     def z_stabilizer_span(self) -> Gf2Matrix:
         """Stacked (H_Z; F_Z): the Z operators acting trivially on logicals."""
         return self.hz.vstack(self.fz)
-
-
-class _PasteBlocks(NamedTuple):
-    """The factors `SubsystemCode._pasted` builds and proves a paste from
-    (module-private: `stickers._paste` alone builds one).  The sticker
-    occupies the columns after the memory's n."""
-
-    memory: SubsystemCode
-    glue: GlueSpec  # H_G, S (n_G × n) and T (r_X × r_G)
-    d_r: int
-    kind: str  # "measurement" or "branch"
-    jx_mem: Gf2Matrix  # J_X,M: the deformed J_X on the memory's columns
-    jz_mem: Gf2Matrix  # J_Z,M: the deformed J_Z, zero on the sticker
-    gamma: Gf2Matrix | None  # on the last v block; measurement only
-    paired: bool  # J_X,M J_Z,M^T = E is proven: the rows of a proven split
 
 
 @dataclass(frozen=True)

