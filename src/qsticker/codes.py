@@ -32,7 +32,8 @@ definition of the sticker, and joins the deformed matrices itself, so
 the code has the hypergraph-product form by construction.  Its proof
 then checks the memory block on the memory's facts and every block the
 sticker adds on glue-sized matrices, each identity derived from that
-form in `_prove_pasted`.
+form in `_prove_pasted`, and takes the logical pairing from the split,
+which pairs or is refused when it is built.
 """
 
 from __future__ import annotations
@@ -63,18 +64,11 @@ if TYPE_CHECKING:  # glue imports this module; an annotation needs no import
     from .glue import GlueSpec, LogicalSplit
 
 
-def repetition_check(n: int, truncated: bool = False) -> Gf2Matrix:
-    """Staircase check matrix λ_n of the length-n repetition code.
-
-    The truncated variant drops the last column, giving the
-    (n−1)×(n−1) upper-bidiagonal matrix.
-    """
+def repetition_check(n: int) -> Gf2Matrix:
+    """Staircase check matrix λ_n of the length-n repetition code."""
     if n < 2:
         raise ValueError("repetition code needs n >= 2")
-    full = Gf2Matrix([(1 << i) | (1 << (i + 1)) for i in range(n - 1)], n)
-    if not truncated:
-        return full
-    return full.take_cols(range(n - 1))
+    return Gf2Matrix([(1 << i) | (1 << (i + 1)) for i in range(n - 1)], n)
 
 
 def _check_kind(kind: str) -> None:
@@ -136,10 +130,10 @@ class SubsystemCode:
     and hz jx^T = 0 with the messages of `complete_gauge`, then refuses
     J_X J_Z^T ≠ E, naming the row as `validate_code` does.  `_pasted`, for
     a sticker paste, solves γ and builds the sticker from the paste's
-    factors, joins the code and proves the same from the memory's facts
-    and glue-sized products (`_prove_pasted`), with the same verdicts
-    and messages, but refuses J_X J_Z^T ≠ E, and a measurement glue
-    without γ, with a `GlueError`.
+    factors, joins the code and proves the same from the memory's facts,
+    the split's pairing and glue-sized products (`_prove_pasted`), with
+    the same verdicts and messages, but refuses a measurement glue
+    without γ with a `GlueError`.
 
     Once J_X J_Z^T = E, both gauge spaces have n − rank H_X − rank H_Z − k
     generators (see `_prove_pasted`) and `complete_gauge` cannot fail: the
@@ -181,11 +175,12 @@ class SubsystemCode:
     def _pasted(cls, m: SubsystemCode, split: LogicalSplit, g: GlueSpec,
                 d_r: int, kind: str, name: str) -> SubsystemCode:
         """The deformed code of a paste, built from its factors and proven
-        from them and the memory's facts.  The memory's part of the
-        logicals is J_X,M = J_{X,C} and J_Z,M = J_{Z,C} for a measurement
-        sticker, (J_{X,A}; J_{X,C}) and (J_{Z,A}; J_{Z,C}) for a branch
-        one; a measurement sticker's γ solves J_X,M S^T = γ H_G, refused
-        with a `GlueError` before any block is built.  With the sticker
+        from them, the memory's facts and the split's pairing.  The
+        memory's part of the logicals is J_X,M = J_{X,C} and J_Z,M =
+        J_{Z,C} for a measurement sticker, (J_{X,A}; J_{X,C}) and
+        (J_{Z,A}; J_{Z,C}) for a branch one; a measurement sticker's γ
+        solves J_X,M S^T = γ H_G, refused with a `GlueError` before any
+        block is built.  With the sticker
         (H_X,st, H_Z,st) of `build_sticker`, T′ = T on the v_1 block, S′ =
         (S; 0) and J_X,st = J_X,M S^T on every u block plus γ on the last
         v block of a measurement sticker: H_X = (H_X,M T′; 0 H_X,st), H_Z =
@@ -217,7 +212,7 @@ class SubsystemCode:
         jz = jz_mem.widen(n + wide)
         empty = Gf2Matrix.zeros(0, hx.cols)
         code = cls(hx, hz, jx, jz, empty, empty, name=name)
-        code._settle(code._prove_pasted(m, split, g, jx_mem, jz_mem, t, hx_st))
+        code._settle(code._prove_pasted(m, g, jx_mem, jz_mem, t, hx_st))
         return code
 
     def _settle(self, proof: tuple[int, RowReducer]) -> None:
@@ -240,12 +235,12 @@ class SubsystemCode:
             raise ValueError(f"logical pairing is not the identity: {wit}")
         return len(RowReducer(hx.bits).pivots), RowReducer(hz.bits)
 
-    def _prove_pasted(self, m: SubsystemCode, split: LogicalSplit,
-                      g: GlueSpec, jx_mem: Gf2Matrix, jz_mem: Gf2Matrix,
-                      t: Gf2Matrix, hx_st: Gf2Matrix) -> tuple[int, RowReducer]:
+    def _prove_pasted(self, m: SubsystemCode, g: GlueSpec, jx_mem: Gf2Matrix,
+                      jz_mem: Gf2Matrix, t: Gf2Matrix,
+                      hx_st: Gf2Matrix) -> tuple[int, RowReducer]:
         """`_prove`'s result for the code `_pasted` built on the memory `m`
-        from the split, the glue and the memory's part of the logicals,
-        given its T′ and H_X,st; a `GlueError` where J_X J_Z^T ≠ E.
+        from the glue and the memory's part of the logicals, given its T′
+        and H_X,st.
 
         Blocks.  With M the memory, every product `_prove` checks is zero
         exactly when
@@ -274,9 +269,10 @@ class SubsystemCode:
         If a check fails, the full products raise with the row they name.
 
         Pairing.  J_Z is zero on the sticker, so J_X J_Z^T = J_X,M J_Z,M^T.
-        The four pairings of a proven split prove it (`split.proven`: for
-        a measurement J_{X,C} J_{Z,C}^T = E, for a branch all four blocks);
-        otherwise it is checked here on the memory's columns.
+        A `LogicalSplit` is refused when it is built unless its four
+        pairings hold, so this is E_{k−q} = J_{X,C} J_{Z,C}^T for a
+        measurement and the split's whole pairing for a branch: no product
+        is needed.
 
         Ranks.  H_Z's echelon is M's with the sticker rows added: a fresh
         one adds M's rows first, which are H_Z's leading rows, so its
@@ -295,8 +291,6 @@ class SubsystemCode:
             subsystem_code(self.hx, self.hz, self.jx, self.jz)
             raise InternalError("a paste's blocks fail a commutation check "
                                 "that its full products pass")
-        if not split.proven and pairing_witness(jx_mem, jz_mem):
-            raise GlueError("deformed logical pairing is not the identity")
         z_echelon = m.hz_echelon.copy()
         for row in self.hz.bits[m.hz.rows:]:
             z_echelon.add(row)
@@ -459,12 +453,11 @@ def _check_commutation(hx: Gf2Matrix, hz: Gf2Matrix, jx: Gf2Matrix,
 
 
 def pairing_witness(jx: Gf2Matrix, jz: Gf2Matrix) -> str:
-    """Empty when J_X J_Z^T = E, else the first J_X row that pairs wrongly;
-    one k-bit row of the product per J_X row."""
+    """Empty when J_X J_Z^T = E, else the first J_X row that pairs wrongly,
+    read off the one product J_X J_Z^T."""
     if jx.rows != jz.rows:
         return f"row counts: jx {jx.rows}, jz {jz.rows}"
-    for i, r in enumerate(jx.bits):
-        pairs = jz.mul_vec(r)
+    for i, pairs in enumerate(jx.mul_transpose(jz).bits):
         if pairs != 1 << i:
             return f"jx row {i} pairs as {[pairs >> j & 1 for j in range(jz.rows)]}"
     return ""

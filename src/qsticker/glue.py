@@ -24,6 +24,8 @@ Three constructions are provided:
 
 The logical class of a Z operator v ∈ ker H_X is read off its J_X
 signature v J_X^T, never by eliminating the stack (J_Z; H_Z; F_Z).
+The Σ-adapted split of the logicals pairs or is refused when it is
+built, so a paste reads its logical pairing off the split.
 
 All choices (pivoting, duplication order) are deterministic, so reruns
 are bit-identical.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .codes import OperatorSet, SubsystemCode, z_signature
+from .codes import OperatorSet, SubsystemCode, pairing_witness, z_signature
 from .errors import GlueError, InternalError
 from .gf2 import (
     Gf2Matrix,
@@ -54,35 +56,28 @@ class LogicalSplit:
     jxa/jxc are the dual X generators.  Pairings: jxa jza^T = E_q,
     jxc jzc^T = E_{k−q}, cross products vanish.
 
-    `proven` says `split_logicals` checked these four pairings on its
-    rows.  It is not an init field, so any other construction,
-    `dataclasses.replace` included, leaves it false, as for
-    `SubsystemCode.proven`; a paste of an unproven split checks the
-    pairing itself.
+    A split pairs or is refused: every construction, `dataclasses.replace`
+    included, checks the four pairings as one product, the stacked
+    (jxa; jxc)(jza; jzc)^T = E with jxa and jza of one row count, and
+    raises a `GlueError` with `pairing_witness`'s witness otherwise.  So
+    a paste of any split reads J_X,M J_Z,M^T = E off it.
     """
 
     jza: Gf2Matrix
     jzc: Gf2Matrix
     jxa: Gf2Matrix
     jxc: Gf2Matrix
-    proven: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        wit = (pairing_witness(self.jxa.vstack(self.jxc), self.jza.vstack(self.jzc))
+               if self.jxa.rows == self.jza.rows
+               else f"row counts: jxa {self.jxa.rows}, jza {self.jza.rows}")
+        if wit:
+            raise GlueError(f"split pairing is not the identity: {wit}")
 
     @property
     def q(self) -> int:
         return self.jza.rows
-
-    def _prove(self, k: int) -> None:
-        """Check the four pairings, naming the first that fails in a
-        `GlueError`, and mark the split `proven`."""
-        q = self.q
-        if self.jxa.mul_transpose(self.jza) != Gf2Matrix.identity(q):
-            raise GlueError("split pairing jxa @ jza^T != E_q")
-        if self.jxc.mul_transpose(self.jzc) != Gf2Matrix.identity(k - q):
-            raise GlueError("split pairing jxc @ jzc^T != E_{k-q}")
-        if (not self.jxa.mul_transpose(self.jzc).is_zero()
-                or not self.jxc.mul_transpose(self.jza).is_zero()):
-            raise GlueError("split cross pairings are nonzero")
-        object.__setattr__(self, "proven", True)
 
 
 def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
@@ -108,9 +103,7 @@ def split_logicals(c: SubsystemCode, sigma: OperatorSet) -> LogicalSplit:
     jzc = c.jz.take_rows(pi2[q:])
     jxa = c.jx.take_rows(pi2[:q])
     jxc = c.jx.take_rows(pi2[q:]).add(p_block.transpose().mul(jxa))
-    split = LogicalSplit(jza, jzc, jxa, jxc)
-    split._prove(k)
-    return split
+    return LogicalSplit(jza, jzc, jxa, jxc)
 
 
 @dataclass(frozen=True)

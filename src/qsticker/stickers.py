@@ -85,10 +85,11 @@ def _paste(c: SubsystemCode, split: LogicalSplit, glue: GlueSpec, d_r: int,
 
     `SubsystemCode._pasted` takes the paste's factors, solves γ, builds
     the sticker and the deformed matrices and proves the code from them,
-    the memory's facts and the split's pairings, so no product runs over
-    a whole deformed matrix or sticker and no echelon over a whole
-    deformed matrix.  No transpose is joined: the proof reads the
-    memory's and the glue's, and statement iv′ reads the memory's.
+    the memory's facts and the split's pairing, which the split checked
+    when it was built, so no product runs over a whole deformed matrix
+    or sticker and no echelon over a whole deformed matrix.  No transpose
+    is joined: the proof reads the memory's and the glue's, and statement
+    iv′ reads the memory's.
     """
     code = SubsystemCode._pasted(
         c, split, glue, d_r, kind,
@@ -224,28 +225,22 @@ def _same_logical_classes(code: SubsystemCode, rows: Gf2Matrix,
     coefficient block C, and the two agree whenever J_Z is independent
     modulo S, as it is for a valid code.
 
-    On a `proven` code the test reads J_X signatures instead, with the
-    same verdict and witness.  There ker H_X = rs J_Z ⊕ S, since F_Z
-    completes rs(H_Z; J_Z) in ker H_X, so a row lies in the span exactly
-    when H_X annihilates it; and v J_X^T = C for v = C J_Z + s, because
-    J_X H_Z^T = 0 and J_X J_Z^T = E were proven, and then J_X F_Z^T = 0
-    holds for the completed F_Z, so r = rank of the signatures.  F is
-    never read on this path.
-
-    Given the `memory` M whose qubits lead the code's, both products are
-    read on M's columns when the rows vanish off them and H_X there is
-    H_X,M over zero rows, as a paste builds it (O(rows) compares): then
-    v H_X^T is v H_X,M^T over zeros, read through M's transpose, and
-    v J_X^T = v J_X[:, M]^T, so no deformed matrix is flipped.
+    On a `proven` code led by the `memory` M, as a paste builds it (the
+    rows vanish off M's columns and H_X there is H_X,M over zero rows,
+    O(rows) compares), the test reads J_X signatures on M's columns
+    instead, with the same verdict and witness.  There ker H_X = rs J_Z
+    ⊕ S, since F_Z completes rs(H_Z; J_Z) in ker H_X, so a row lies in
+    the span exactly when H_X annihilates it; and v J_X^T = C for v =
+    C J_Z + s, because J_X H_Z^T = 0 and J_X J_Z^T = E were proven, and
+    then J_X F_Z^T = 0 holds for the completed F_Z, so r = rank of the
+    signatures.  v H_X^T is v H_X,M^T over zeros, read through M's
+    transpose, and v J_X^T = v J_X[:, M]^T, so no deformed matrix is
+    flipped and F is never read.  Any other code takes the span test.
     """
-    if code.proven:
-        if memory is not None and _memory_leads(code, memory, rows):
-            on_memory = Gf2Matrix(rows.bits, memory.n)
-            syndromes = on_memory.mul_transpose(memory.hx).bits
-            classes = on_memory.mul_transpose(code.jx.take_cols(range(memory.n))).bits
-        else:
-            syndromes = rows.mul_transpose(code.hx).bits
-            classes = [code.jx.mul_vec(row) for row in rows.bits]
+    if code.proven and memory is not None and _memory_leads(code, memory, rows):
+        on_memory = Gf2Matrix(rows.bits, memory.n)
+        syndromes = on_memory.mul_transpose(memory.hx).bits
+        classes = on_memory.mul_transpose(code.jx.take_cols(range(memory.n))).bits
         outside = [i for i, syndrome in enumerate(syndromes) if syndrome]
         wit = f"row {outside[0]} is outside the span" if outside else ""
         modulo = RowReducer()
@@ -293,7 +288,7 @@ def verify_surgery(dc: DeformedCode, distance_qubit_cap: int = 36) -> GlsReport:
     iv' reads J_X signatures on the memory's columns, through the
     memory's transpose, wherever the deformed H_X there is the memory's
     over zero rows (see `_same_logical_classes`); any other code, such
-    as a `replace`d mutant, is multiplied out here.
+    as a `replace`d mutant, is multiplied out or reduced here.
     """
     c = dc.memory
     code = dc.code

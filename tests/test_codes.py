@@ -111,7 +111,7 @@ def test_repetition_check_matches_printed_forms():
         [0, 0, 1, 1, 0],
         [0, 0, 0, 1, 1],
     ]
-    lam5t = repetition_check(5, truncated=True)
+    lam5t = repetition_check(5).take_cols(range(4))
     assert lam5t.to_lists() == [
         [1, 1, 0, 0],
         [0, 1, 1, 0],
@@ -228,7 +228,7 @@ def test_standard_logicals_match_per_pivot_loops():
     rng = random.Random(12)
     codes = [random_css(rng, 12, 4, 4) for _ in range(10)]
     codes += [hgp(repetition_check(3), repetition_check(4)),
-              hgp(repetition_check(4, truncated=True), repetition_check(3))]
+              hgp(repetition_check(4).take_cols(range(3)), repetition_check(3))]
     gauged = 0
     for c in codes:
         hz_likes = [c.hz]
@@ -337,6 +337,41 @@ def test_validate_flags_logical_row_count_mismatch(jx_rows):
     jx = Gf2Matrix((c.jx.bits + (0,))[:jx_rows], c.n)
     checks = {f.name: f.witness for f in validate_code(replace(c, jx=jx)).failures()}
     assert checks["jx @ jz^T = E_k"] == f"row counts: jx {jx_rows}, jz 2"
+
+
+def pairing_witness_by_rows(jx, jz):
+    """`pairing_witness` as one `mul_vec` per J_X row."""
+    if jx.rows != jz.rows:
+        return f"row counts: jx {jx.rows}, jz {jz.rows}"
+    for i, r in enumerate(jx.bits):
+        pairs = jz.mul_vec(r)
+        if pairs != 1 << i:
+            return f"jx row {i} pairs as {[pairs >> j & 1 for j in range(jz.rows)]}"
+    return ""
+
+
+@st.composite
+def logical_pairs(draw):
+    """(J_X, J_Z) of one width: random rows, often of unequal counts, or
+    rows that pair, J_X = (E | 0) and J_Z = (E | ·), with bits flipped."""
+    n = draw(st.integers(1, 8))
+    kx = draw(st.integers(0, min(n, 4)))
+    if draw(st.booleans()):
+        kz = draw(st.integers(0, 4))
+        rows = st.integers(0, (1 << n) - 1)
+        return (Gf2Matrix(draw(st.lists(rows, min_size=kx, max_size=kx)), n),
+                Gf2Matrix(draw(st.lists(rows, min_size=kz, max_size=kz)), n))
+    jx = [1 << i for i in range(kx)]
+    jz = [1 << i | draw(st.integers(0, (1 << n) - 1)) >> kx << kx for i in range(kx)]
+    for rows in draw(st.lists(st.sampled_from([jx, jz]), max_size=2)) if kx else ():
+        rows[draw(st.integers(0, kx - 1))] ^= 1 << draw(st.integers(0, n - 1))
+    return Gf2Matrix(jx, n), Gf2Matrix(jz, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(logical_pairs())
+def test_pairing_witness_reads_the_row_by_row_witness_off_one_product(pair):
+    assert codes.pairing_witness(*pair) == pairing_witness_by_rows(*pair)
 
 
 def test_validate_flags_noncommuting_checks():

@@ -1,8 +1,11 @@
 """Glue-code synthesis checks: splits, naked/dressed/LDPC glue, classifier."""
 
 import random
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_signatures import classical_checks
 
 from qsticker.codes import (
     OperatorSet,
@@ -17,6 +20,7 @@ from qsticker.errors import InternalError
 from qsticker.gf2 import Gf2Matrix, kernel_basis, rank, solve_left
 from qsticker.glue import (
     GlueError,
+    LogicalSplit,
     check_compatibility,
     classify_devisedness,
     dressing_matrix,
@@ -24,6 +28,8 @@ from qsticker.glue import (
     naked_glue,
     split_logicals,
 )
+from qsticker.io import desk_code
+from qsticker.sampling import SigmaSampler
 from qsticker.stickers import paste_branch
 
 
@@ -101,6 +107,86 @@ def test_split_accepts_stabilizer_dressed_rows():
     s = OperatorSet("Z", Gf2Matrix([dressed], c.n))
     split = split_logicals(c, s)
     assert split.jxa.mul_transpose(split.jza) == Gf2Matrix.identity(1)
+
+
+def four_pairings(k, jza, jzc, jxa, jxc):
+    """The split's pairing as its four products, each multiplied out:
+    empty when all hold, else the first that fails."""
+    q = jza.rows
+    if jxa.mul_transpose(jza) != Gf2Matrix.identity(q):
+        return "split pairing jxa @ jza^T != E_q"
+    if jxc.mul_transpose(jzc) != Gf2Matrix.identity(k - q):
+        return "split pairing jxc @ jzc^T != E_{k-q}"
+    if not jxa.mul_transpose(jzc).is_zero() or not jxc.mul_transpose(jza).is_zero():
+        return "split cross pairings are nonzero"
+    return ""
+
+
+def flipped_splits(c, split, flips):
+    """(the four blocks, the split's verdict) with one bit of one block
+    flipped, for each (block name, row, column) in `flips`; the verdict
+    is the `GlueError` message, or empty where the split was built."""
+    for name, i, j in flips:
+        blocks = {f.name: getattr(split, f.name) for f in fields(split)}
+        bits = list(blocks[name].bits)
+        bits[i] ^= 1 << j
+        blocks[name] = Gf2Matrix(bits, c.n)
+        try:
+            replace(split, **blocks)
+        except GlueError as exc:
+            yield blocks, str(exc)
+        else:
+            yield blocks, ""
+
+
+@st.composite
+def sampled_sigmas(draw):
+    """(memory, Σ): a small HGP code, `two_blocks()` or `desk_code(3, 8)`,
+    and Σ from `SigmaSampler`."""
+    c = draw(st.one_of(st.builds(hgp, classical_checks(), classical_checks()),
+                       st.builds(two_blocks),
+                       st.builds(desk_code, st.just(3), st.just(8))))
+    max_q = draw(st.integers(1, min(c.k, 4)))
+    thickness = draw(st.sampled_from(
+        [t for t in range(1, max_q + 1) if c.k // -(-max_q // t) >= t]))
+    sampler = SigmaSampler(c, l_max=draw(st.integers(1, 3)), thickness=thickness,
+                           max_q=max_q, seed=draw(st.integers(0, 99)))
+    return c, sampler.sample(draw(st.integers(1, max_q)), draw(st.integers(0, 9)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(sampled_sigmas(), st.data())
+def test_a_split_is_refused_exactly_when_its_four_pairings_fail(case, data):
+    # oracle: the four products of the split's pairing against the one
+    # stacked product its construction checks, on sampled splits and on
+    # splits with one bit of one block flipped
+    c, sigma = case
+    split = split_logicals(c, sigma)
+    blocks = {f.name: getattr(split, f.name) for f in fields(split)}
+    assert four_pairings(c.k, **blocks) == ""
+    name = data.draw(st.sampled_from(
+        [f.name for f in fields(split) if getattr(split, f.name).rows]))
+    # half the flips land where the other species' rows have support
+    other = (split.jxa, split.jxc) if name.startswith("jz") else (split.jza, split.jzc)
+    met = [j for j in range(c.n) if any(r >> j & 1 for m in other for r in m.bits)]
+    flip = (name, data.draw(st.integers(0, getattr(split, name).rows - 1)),
+            data.draw(st.sampled_from(met) | st.integers(0, c.n - 1)))
+    for blocks, refused in flipped_splits(c, split, [flip]):
+        assert bool(refused) == bool(four_pairings(c.k, **blocks))
+        assert not refused or refused.startswith(
+            "split pairing is not the identity: jx row ")
+
+
+def test_one_bit_flips_of_a_split_meet_both_verdicts():
+    # every one-bit flip of a [[10,2,2]] split: a flip on a column the
+    # other species' rows miss keeps every pairing, any other breaks one
+    c = two_blocks()
+    split = split_logicals(c, sigma_from_indices(c, (0, 1)))
+    flips = [(f.name, i, j) for f in fields(split)
+             for i in range(getattr(split, f.name).rows) for j in range(c.n)]
+    verdicts = {(bool(refused), bool(four_pairings(c.k, **blocks)))
+                for blocks, refused in flipped_splits(c, split, flips)}
+    assert verdicts == {(True, True), (False, False)}
 
 
 # -- naked glue ----------------------------------------------------------

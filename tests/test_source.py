@@ -5,7 +5,10 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from qsticker.glue import LogicalSplit
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qsticker"
@@ -234,11 +237,9 @@ def test_only_the_paste_requests_a_block_proof():
     assert callers == {"stickers:_paste"}
 
 
-def test_solve_left_callers_are_pinned():
-    # a solve is read only where its coefficients are the output: γ of a
-    # measurement paste, the product of generators a determined
-    # measurement equals, and an inverse; a span test goes through a
-    # `RowReducer`, which records no coefficients
+def _callers(name):
+    """module:function, or module:Class.method, of every definition in
+    the package that calls `name`."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -246,9 +247,28 @@ def test_solve_left_callers_are_pinned():
                 d for d in top.body if isinstance(d, ast.FunctionDef)]
             callers |= {f"{path.stem}:{getattr(top, 'name', '<module>')}"
                         + ("" if d is top else f".{d.name}")
-                        for d in defs if "solve_left" in _called_names(d)}
-    assert callers == {"codes:SubsystemCode._pasted",
-                       "tableau:StabilizerState.measure", "gf2:inverse"}
+                        for d in defs if name in _called_names(d)}
+    return callers
+
+
+def test_solve_left_callers_are_pinned():
+    # a solve is read only where its coefficients are the output: γ of a
+    # measurement paste, the product of generators a determined
+    # measurement equals, and an inverse; a span test goes through a
+    # `RowReducer`, which records no coefficients
+    assert _callers("solve_left") == {"codes:SubsystemCode._pasted",
+                                      "tableau:StabilizerState.measure",
+                                      "gf2:inverse"}
+
+
+def test_logical_pairings_are_checked_where_they_are_built():
+    # J_X J_Z^T = E is multiplied out where a split is built, where a code
+    # is proven by its full products, and by `validate_code`; a paste
+    # reads it off its split, which holds no flag beside its four blocks
+    assert _callers("pairing_witness") == {"glue:LogicalSplit.__post_init__",
+                                           "codes:SubsystemCode._prove",
+                                           "codes:validate_code"}
+    assert [f.name for f in fields(LogicalSplit)] == ["jza", "jzc", "jxa", "jxc"]
 
 
 def test_only_codes_stores_a_proof():

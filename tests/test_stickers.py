@@ -848,14 +848,14 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
             # the joins build no transpose
             assert code.hx._t is None and code.hz._t is None
             report = verify_surgery(dc).to_report()
-            # the split's pairings prove J_X J_Z^T = E for the paste, and
-            # its verify reads the proof
-            assert dc.split.proven and pairings == []
-            # a `replace`d split proves nothing, so its paste checks the
-            # pairing once, and builds the same code
+            # the split is paired once, when it is built, which proves
+            # J_X J_Z^T = E for the paste, and its verify reads the proof
+            assert len(pairings) == 1
+            # a `replace`d split is paired again when it is built, and its
+            # paste builds the same code
             paste = paste_measurement if kind == "measurement" else paste_branch
             again = paste(c, replace(dc.split), dc.glue, d_r).code
-            assert len(pairings) == 1
+            assert len(pairings) == 2
             assert ((again.hx, again.hz, again.jx, again.jz)
                     == (code.hx, code.hz, code.jx, code.jz))
         # a transpose the verify read is the flipped matrix
@@ -865,8 +865,8 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
         assert code.proven and not pairing_witness(code.jx, code.jz)
         assert not replace(code).proven
         for rows in (dc.pad_memory_rows(c.jz), code.jz):
-            assert (_same_logical_classes(code, rows)
-                    == _same_logical_classes(replace(code), rows))
+            assert (_same_logical_classes(code, rows, c)
+                    == _same_logical_classes(replace(code), rows, c))
         # `replace` before F is read copies the F of the original matrices,
         # and F read lazily is the eager completion, bit for bit
         eager = complete_gauge(code.hx, code.hz, code.jx, code.jz)
@@ -890,7 +890,8 @@ def test_pastes_defer_the_gauge_and_keep_every_output(case, d_r):
 def kron_sticker(hg, d_r, kind):
     """The sticker's (H_X, H_Z) by the Kronecker formula:
     (E ⊗ H_G | λ ⊗ E) and (λ^T ⊗ E | E ⊗ H_G^T)."""
-    lam = repetition_check(d_r, truncated=kind == "branch")
+    blocks = d_r if kind == "measurement" else d_r - 1
+    lam = repetition_check(d_r).take_cols(range(blocks))
     eye = Gf2Matrix.identity
     return (eye(d_r - 1).kron(hg).hstack(lam.kron(eye(hg.rows))),
             lam.transpose().kron(eye(hg.cols)).hstack(eye(lam.cols).kron(hg.transpose())))
@@ -1027,10 +1028,10 @@ def test_build_sticker_is_the_kronecker_formula(r_g, n_g, d_r, kind, data):
     assert build_sticker(glue, d_r, kind) == kron_sticker(hg, d_r, kind)
 
 
-def test_a_broken_logical_pairing_refuses_both_pastes():
+def test_a_broken_logical_pairing_is_refused_before_any_paste():
     # J_{Z,C} with two rows swapped leaves every commutation product zero
-    # but J_X J_Z^T ≠ E: the block proof of each paste refuses the code
-    # itself, before any gauge is completed
+    # but J_X J_Z^T ≠ E: the split is refused when it is built, naming the
+    # row, so no paste of either kind is ever handed it
     from qsticker.io import desk_code
     from qsticker.sampling import SigmaSampler
 
@@ -1038,13 +1039,11 @@ def test_a_broken_logical_pairing_refuses_both_pastes():
     sigma = SigmaSampler(c, l_max=2, thickness=2, max_q=2, seed=5).sample(2, 0)
     split = split_logicals(c, sigma)
     rows = split.jzc.bits
-    swapped = replace(split, jzc=Gf2Matrix([rows[1], rows[0], *rows[2:]],
-                                           split.jzc.cols))
-    for paste, glue in ((paste_measurement, finely_devised_glue(c, sigma, split=split)),
-                        (paste_branch, naked_glue(c, sigma))):
-        with pytest.raises(GlueError) as info:
-            paste(c, swapped, glue, 2)
-        assert str(info.value) == "deformed logical pairing is not the identity"
+    with pytest.raises(GlueError) as info:
+        replace(split, jzc=Gf2Matrix([rows[1], rows[0], *rows[2:]], split.jzc.cols))
+    pairs = [int(j == 3) for j in range(c.k)]
+    assert str(info.value) == ("split pairing is not the identity: "
+                               f"jx row 2 pairs as {pairs}")
 
 
 def test_a_measurement_paste_multiplies_jxc_st_once(monkeypatch):
@@ -1080,20 +1079,26 @@ def test_a_measurement_paste_multiplies_jxc_st_once(monkeypatch):
     assert validate_code(dc.code).ok
 
 
-def test_only_split_logicals_proves_a_split():
-    # `proven` is set where the four pairings were checked, and nowhere else
+def test_every_split_pairs_or_is_refused_when_built():
+    # the four pairings are one product wherever a split is built,
+    # `replace` included, with one message
     c = surface13()
     split = split_logicals(c, sigma_from_indices(c, (0,)))
-    assert split.proven
-    assert not replace(split).proven and replace(split) == split
-    assert not LogicalSplit(split.jza, split.jzc, split.jxa, split.jxc).proven
-    # a failed check leaves the split unproven
+    assert replace(split) == split
+    assert LogicalSplit(split.jza, split.jzc, split.jxa, split.jxc) == split
     c = two_blocks()
     split = split_logicals(c, sigma_from_indices(c, (0,)))
-    broken = replace(split, jzc=split.jza)
-    with pytest.raises(GlueError, match=r"^split pairing jxc @ jzc\^T != E_\{k-q\}$"):
-        broken._prove(c.k)
-    assert not broken.proven
+    with pytest.raises(GlueError, match=r"^split pairing is not the identity: "
+                       r"jx row 0 pairs as \[1, 1\]$"):
+        replace(split, jzc=split.jza)
+    with pytest.raises(GlueError, match=r"^split pairing is not the identity: "
+                       r"row counts: jx 2, jz 1$"):
+        replace(split, jzc=Gf2Matrix.zeros(0, c.n))
+    # blocks that do not line up are refused, though their stack pairs
+    stacked = split.jxa.vstack(split.jxc)
+    with pytest.raises(GlueError, match=r"^split pairing is not the identity: "
+                       r"row counts: jxa 0, jza 1$"):
+        replace(split, jxa=Gf2Matrix.zeros(0, c.n), jxc=stacked)
 
 
 def test_a_paste_of_a_proven_split_reproves_nothing_sticker_wide(monkeypatch):
@@ -1135,8 +1140,9 @@ def test_a_paste_of_a_proven_split_reproves_nothing_sticker_wide(monkeypatch):
     assert verify_surgery(dcb).ok and verify_surgery(dcm).ok
     assert pairings == [] and krons == []
     assert flips and max(cols for _, cols in flips) <= c.n
-    # the counters are live: an unproven split is paired, the Kronecker
-    # oracle multiplies, and a deformed matrix is flipped when read
+    # the counters are live: a rebuilt split is paired when it is built,
+    # the Kronecker oracle multiplies, and a deformed matrix is flipped
+    # when read
     paste_branch(c, replace(split), naked, 2)
     kron_sticker(naked.hg, 2, "branch")
     dcb.code.hx.transpose()
@@ -1147,8 +1153,7 @@ def test_a_paste_of_a_proven_split_reproves_nothing_sticker_wide(monkeypatch):
 def test_iv_prime_reads_the_memory_only_where_the_code_leads_with_it():
     # statement iv' of a branch paste reads its memory's H_X and J_X
     # columns, flipping no deformed matrix; a memory of the same n that the
-    # deformed H_X does not lead with takes the full-width path, with its
-    # verdict
+    # deformed H_X does not lead with takes the span test, with its verdict
     from qsticker.codes import css_code
 
     c = surface13()
@@ -1163,7 +1168,6 @@ def test_iv_prime_reads_the_memory_only_where_the_code_leads_with_it():
         dc = replace(deform(c, sigma, "branch", 2), memory=other)
         rows = dc.pad_memory_rows(other.jz)
         got = _same_logical_classes(dc.code, rows, other)
-        assert dc.code.hx._t is not None
         assert got == _same_logical_classes(dc.code, rows)
         verdicts.append(got)
         iv = verify_surgery(dc).statements[3]
