@@ -44,12 +44,25 @@ class PauliOp:
             raise ValueError("operator touches qubits outside range")
         object.__setattr__(self, "phase", self.phase % 4)
 
+    @classmethod
+    def _trusted(cls, n: int, phase: int, x: int, z: int) -> "PauliOp":
+        """PauliOp(n, phase, x, z) without the range check, for x and z
+        derived from operators on n qubits (products, signs, padding)."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "n", n)
+        object.__setattr__(op, "phase", phase % 4)
+        object.__setattr__(op, "x", x)
+        object.__setattr__(op, "z", z)
+        return op
+
     @staticmethod
     def identity(n: int) -> "PauliOp":
         return PauliOp(n, 0, 0, 0)
 
     @staticmethod
     def single(n: int, kind: str, qubit: int) -> "PauliOp":
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit {qubit} out of range for {n} qubits")
         if kind == "X":
             return PauliOp(n, 0, 1 << qubit, 0)
         if kind == "Z":
@@ -69,11 +82,11 @@ class PauliOp:
         if self.n != other.n:
             raise ValueError("operator length mismatch")
         extra = 2 * ((self.z & other.x).bit_count() & 1)
-        return PauliOp(self.n, self.phase + other.phase + extra,
-                       self.x ^ other.x, self.z ^ other.z)
+        return PauliOp._trusted(self.n, self.phase + other.phase + extra,
+                                self.x ^ other.x, self.z ^ other.z)
 
     def negate(self) -> "PauliOp":
-        return PauliOp(self.n, self.phase + 2, self.x, self.z)
+        return PauliOp._trusted(self.n, self.phase + 2, self.x, self.z)
 
     def commutes_with(self, other: "PauliOp") -> bool:
         if self.n != other.n:

@@ -16,6 +16,25 @@ generator's symplectic row x | z << n to one `RowReducer`.  A failure
 names the first anticommuting pair (j, i), j < i, in the order i then j,
 or the first generator dependent on the ones before it.
 
+A state derived from a checked one is valid without those checks, so
+`StabilizerState._trusted` skips them.  `plan_initial_state` pads the
+memory's generators with zeros on the ancillas and adds one single-qubit
+X or Y per ancilla; each commutes with everything else and is independent
+of it, because no other generator touches its qubit.  `memory_factor`
+keeps the products of an independent set of generator combinations, and
+products of independent, commuting, Hermitian generators selected by
+independent combinations are again independent, commuting and Hermitian;
+it still checks that their number is the memory's size.  Likewise
+`PauliOp._trusted` skips the range check for products, signs and padding
+of operators already in range.
+
+Beside `gens` a state keeps `rows`, generator i's symplectic row
+x | z << n.  An operator anticommutes with generator i exactly when
+rows[i] & (z_op | x_op << n) has odd weight: one AND and one bit count
+per generator.  A random outcome XORs the pivot's row into the rows of the
+other anticommuting generators as it multiplies them, and a determined
+one hands the rows to `solve_left` as they are.
+
 The oracle works on dense state vectors (budgeted at 12 qubits) and
 applies projectors (1 + μP)/2 branch by branch.  A vector is a list of
 Python `complex`, which is exact here: all amplitudes stay in Z[i]
@@ -65,7 +84,16 @@ class StabilizerState:
                 raise ValueError(f"generator {i} is dependent on the "
                                  "generators before it")
         self.n = n
-        self.gens = list(gens)
+        self._set_gens(list(gens))
+
+    @classmethod
+    def _trusted(cls, gens: list[PauliOp]) -> "StabilizerState":
+        """StabilizerState(gens) without its checks, for generators derived
+        from a checked state (see the module docstring)."""
+        state = object.__new__(cls)
+        state.n = gens[0].n
+        state._set_gens(gens)
+        return state
 
     @staticmethod
     def zero_state(n: int) -> "StabilizerState":
@@ -97,18 +125,25 @@ class StabilizerState:
         clone = object.__new__(StabilizerState)
         clone.n = self.n
         clone.gens = list(self.gens)
+        clone.rows = list(self.rows)
         return clone
 
     # -- Clifford gates (state preparation for tests and the CLI) ------
 
     def apply_h(self, t: int) -> None:
-        self.gens = [self._h(g, t) for g in self.gens]
+        self._set_gens([self._h(g, t) for g in self.gens])
 
     def apply_s(self, t: int) -> None:
-        self.gens = [self._s(g, t) for g in self.gens]
+        self._set_gens([self._s(g, t) for g in self.gens])
 
     def apply_cnot(self, c: int, t: int) -> None:
-        self.gens = [self._cnot(g, c, t) for g in self.gens]
+        self._set_gens([self._cnot(g, c, t) for g in self.gens])
+
+    def _set_gens(self, gens: list[PauliOp]) -> None:
+        """Take gens as the generators, with their symplectic rows."""
+        n = self.n
+        self.gens = gens
+        self.rows = [g.x | (g.z << n) for g in gens]
 
     @staticmethod
     def _h(g: PauliOp, t: int) -> PauliOp:
@@ -139,9 +174,10 @@ class StabilizerState:
         """Indices of the generators that anticommute with op."""
         if op.n != self.n:
             raise ValueError("operator length mismatch")
-        x, z = op.x, op.z
-        return [i for i, g in enumerate(self.gens)
-                if ((g.x & z).bit_count() ^ (g.z & x).bit_count()) & 1]
+        # row & swapped holds x_g ∧ z_op and z_g ∧ x_op side by side
+        swapped = op.z | (op.x << self.n)
+        return [i for i, row in enumerate(self.rows)
+                if (row & swapped).bit_count() & 1]
 
     # -- measurement ----------------------------------------------------
 
@@ -158,25 +194,28 @@ class StabilizerState:
         if forced not in (None, 1, -1):
             raise ValueError(f"forced outcome must be 1 or -1, got {forced!r}")
         anti = self._anticommuting(op)
+        gens, rows = self.gens, self.rows
+        row = op.x | (op.z << self.n)
         if anti:
             pivot = anti[0]
-            gp = self.gens[pivot]
+            gp, rp = gens[pivot], rows[pivot]
             for i in anti[1:]:
-                self.gens[i] = self.gens[i].mul(gp)
+                gens[i] = gens[i].mul(gp)
+                rows[i] ^= rp
             if forced is not None:
                 outcome = forced
             elif rng is not None:
                 outcome = 1 if rng.random() < 0.5 else -1
             else:
                 raise ValueError("random outcome needed but no source given")
-            self.gens[pivot] = op if outcome == 1 else op.negate()
+            gens[pivot] = op if outcome == 1 else op.negate()
+            rows[pivot] = row
             return outcome, True
-        rows = [g.x | (g.z << self.n) for g in self.gens]
-        target = Gf2Matrix([op.x | (op.z << self.n)], 2 * self.n)
-        combo = solve_left(Gf2Matrix(rows, 2 * self.n), target)
+        combo = solve_left(Gf2Matrix(rows, 2 * self.n),
+                           Gf2Matrix([row], 2 * self.n))
         if combo is None:
             raise InternalError("determined operator outside the group (bug)")
-        phase, _, _ = _product(self.gens, combo.bits[0])
+        phase, _, _ = _product(gens, combo.bits[0])
         diff = (op.phase - phase) % 4
         if diff not in (0, 2):
             raise InternalError("phase mismatch by ±i (bug)")
@@ -277,11 +316,13 @@ def plan_initial_state(plan: MeasurementPlan,
     if memory.n != plan.memory_qubits:
         raise ValueError("memory state size does not match the plan")
     total = plan.total_qubits
-    gens = [PauliOp(total, g.phase, g.x, g.z) for g in memory.gens]
+    if plan.ancilla != tuple(range(memory.n, total)):
+        raise ValueError("plan ancillas are not the qubits after the memory")
+    gens = [PauliOp._trusted(total, g.phase, g.x, g.z) for g in memory.gens]
     for j, anc in enumerate(plan.ancilla):
         kind = "X" if plan.blocks[j] == "A0" else "Y"
         gens.append(PauliOp.single(total, kind, anc))
-    return StabilizerState(gens)
+    return StabilizerState._trusted(gens)
 
 
 @dataclass
@@ -306,6 +347,8 @@ def memory_factor(state: StabilizerState, mem_qubits: int) -> StabilizerState:
     if it does not determine a pure memory state (i.e. the state is
     entangled with the ancillas).
     """
+    if mem_qubits < 1:
+        raise ValueError("need at least one generator")
     n = state.n
     anc = n - mem_qubits
     rows = [(g.x >> mem_qubits) | ((g.z >> mem_qubits) << anc)
@@ -318,8 +361,8 @@ def memory_factor(state: StabilizerState, mem_qubits: int) -> StabilizerState:
     gens = []
     for sel in combos.bits:
         phase, x, z = _product(state.gens, sel)
-        gens.append(PauliOp(mem_qubits, phase, x & mask, z & mask))
-    return StabilizerState(gens)
+        gens.append(PauliOp._trusted(mem_qubits, phase, x & mask, z & mask))
+    return StabilizerState._trusted(gens)
 
 
 def _product(gens: list[PauliOp], sel: int) -> tuple[int, int, int]:

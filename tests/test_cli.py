@@ -196,6 +196,34 @@ def test_simulate_command_deterministic(tmp_path):
     assert rep["regular"] is False and len(rep["rounds"]) >= 1
 
 
+# two sets that need regularising and three regular ones, on zero, product
+# and Y-basis memories; the digest pins every plan, outcome and final memory
+SIMULATE_GOLDEN_CASES = [
+    ["--theta", "+X1Z2,-X2Z1", "--n", "2", "--memory", "0+", "--seed", "9"],
+    ["--theta", "+Z1Z2,+X1X2", "--n", "2", "--memory", "++", "--seed", "3"],
+    ["--theta=-Y1Y2,+X1X2X3X4,+Z3Z4", "--n", "4", "--memory", "0+y-",
+     "--seed", "5"],
+    ["--theta", "+X1Z2Z3,+Z1X2Z3,+Z1Z2X3", "--n", "3", "--seed", "11"],
+    ["--theta", "+Y1,-Z2Z3", "--n", "3", "--memory", "Y1+", "--seed", "0"],
+]
+
+
+def test_simulate_golden_digest(tmp_path):
+    import hashlib
+
+    digest = hashlib.sha256()
+    regular = []
+    for i, case in enumerate(SIMULATE_GOLDEN_CASES):
+        out = tmp_path / str(i)
+        assert run_cli(["simulate", *case, "--out", str(out)]) == 0
+        data = read(out / "simulate.json")
+        regular.append(json.loads(data)["regular"])
+        digest.update(data)
+    assert regular == [False, True, True, False, True]
+    assert digest.hexdigest() == (
+        "3cf9e0301feb67acc3a025253a97a9ef4188d37e5731f9680a898f1deff09406")
+
+
 def test_bench_outputs_byte_identical(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

@@ -62,6 +62,14 @@ def test_commutes_matches_dense():
         assert a.commutes_with(b) == np.allclose(da @ db, db @ da)
 
 
+@pytest.mark.parametrize("qubit", [-1, 3, 7])
+def test_single_rejects_a_qubit_outside_the_operator(qubit):
+    # both ends of the range get one message, not a shift error at -1
+    with pytest.raises(ValueError) as exc:
+        PauliOp.single(3, "X", qubit)
+    assert str(exc.value) == f"qubit {qubit} out of range for 3 qubits"
+
+
 def test_commutation_examples():
     x1 = parse_pauli("X1", 2)
     z1 = parse_pauli("Z1", 2)

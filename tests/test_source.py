@@ -145,6 +145,21 @@ def test_unchecked_constructor_stays_inside_gf2():
     assert not calls, "Gf2Matrix._of used outside gf2.py: " + ", ".join(calls)
 
 
+def test_trusted_constructors_stay_inside_pauli_and_tableau():
+    # PauliOp._trusted skips the range check and StabilizerState._trusted
+    # every validity check, so they are called only where the result is a
+    # product, sign or padding of operators and states already checked
+    outside = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py"))
+               if path.name not in ("pauli.py", "tableau.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "_trusted"]
+    assert not outside, "trusted constructors used outside: " + ", ".join(outside)
+    assert _callers("_trusted") == {"pauli:PauliOp.mul", "pauli:PauliOp.negate",
+                                    "tableau:plan_initial_state",
+                                    "tableau:memory_factor"}
+
+
 def test_transpose_cache_stays_inside_gf2():
     # Gf2Matrix._t is read back as the transpose unchecked, so only gf2,
     # which builds it, may read or write it
@@ -163,10 +178,30 @@ def _is_object_write(node):
             and node.func.value.id == "object")
 
 
+def _writable_names(method):
+    """The first argument (`self`), and in a classmethod every name bound
+    to `object.__new__(cls)`: the object the constructor itself made."""
+    first = method.args.args[0].arg
+    if not any(isinstance(d, ast.Name) and d.id == "classmethod"
+               for d in method.decorator_list):
+        return {first}
+    return {first} | {
+        target.id for node in ast.walk(method)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "__new__"
+        and isinstance(node.value.func.value, ast.Name)
+        and node.value.func.value.id == "object"
+        and len(node.value.args) == 1 and isinstance(node.value.args[0], ast.Name)
+        and node.value.args[0].id == first
+        for target in node.targets if isinstance(target, ast.Name)}
+
+
 def test_frozen_objects_are_written_only_by_their_own_methods():
     # a frozen object holds facts about itself, so outside gf2.py, which
     # fills matrices field by field, every object.__setattr__ and
-    # object.__delattr__ writes `self` inside a method of its own class
+    # object.__delattr__ writes `self` inside a method of its own class,
+    # or the object a classmethod of that class made by object.__new__(cls)
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "gf2.py":
@@ -179,7 +214,7 @@ def test_frozen_objects_are_written_only_by_their_own_methods():
                for node in ast.walk(method)
                if _is_object_write(node) and node.args
                and isinstance(node.args[0], ast.Name)
-               and node.args[0].id == method.args.args[0].arg}
+               and node.args[0].id in _writable_names(method)}
         found += [f"{path.name}:{line}" for line in sorted(
             node.lineno for node in ast.walk(tree)
             if _is_object_write(node) and id(node) not in own)]

@@ -7,6 +7,7 @@ conditions are compared with exact float equality.
 
 import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -439,3 +440,100 @@ def test_state_and_memory_factor_make_no_gauss_jordan_calls(monkeypatch):
     memory = memory_factor(final, plan.memory_qubits)
     assert memory.n == 3
     assert calls == []
+
+
+# -- derived states and their packed rows ---------------------------------
+
+
+def assert_tableau_invariants(state):
+    """The packed rows are the generators' symplectic rows, the checked
+    constructor accepts the state, and every generator, however built, is
+    the operator the checked PauliOp constructor gives for its parts."""
+    n = state.n
+    assert state.rows == [g.x | (g.z << n) for g in state.gens]
+    assert StabilizerState(list(state.gens)).gens == state.gens
+    assert all(g == PauliOp(n, g.phase, g.x, g.z) for g in state.gens)
+
+
+def random_hermitian(rng, n):
+    x, z = rng.getrandbits(n), rng.getrandbits(n)
+    if not x | z:
+        x = 1 << rng.randrange(n)
+    return PauliOp(n, (x & z).bit_count() + 2 * rng.randrange(2), x, z)
+
+
+TABLEAU_STEPS = ["h", "s", "cnot", "pauli", "random", "forced", "determined",
+                 "copy", "round"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(TABLEAU_STEPS), max_size=20))
+def test_every_update_keeps_the_tableau_invariants(n, seed, steps):
+    rng = random.Random(seed)
+    state = StabilizerState.zero_state(n)
+    assert_tableau_invariants(state)
+    copies = []
+    for step in steps:
+        if step == "h":
+            state.apply_h(rng.randrange(n))
+        elif step == "s":
+            state.apply_s(rng.randrange(n))
+        elif step == "cnot" and n > 1:
+            state.apply_cnot(*rng.sample(range(n), 2))
+        elif step == "pauli":
+            state.apply_pauli(random_hermitian(rng, n))
+        elif step == "random":
+            state.measure(random_hermitian(rng, n), rng=rng)
+        elif step == "forced":
+            op = random_hermitian(rng, n)
+            forced = rng.choice((1, -1)) if state._anticommuting(op) else None
+            assert state.measure(op, forced=forced)[0] in (1, -1)
+        elif step == "determined":
+            op = PauliOp.identity(n)
+            for g in rng.sample(state.gens, rng.randint(1, n)):
+                op = op.mul(g)
+            assert state.measure(op) == (1, False)
+        elif step == "copy":
+            copies.append((state, list(state.gens)))
+            state = state.copy()
+        elif step == "round":
+            plan = build_measurement_plan([random_hermitian(rng, n)])
+            initial = plan_initial_state(plan, state)
+            assert_tableau_invariants(initial)
+            final = simulate_plan(plan, initial, rng.randrange(2 ** 31)).final
+            assert_tableau_invariants(final)
+            state = memory_factor(final, n)
+        assert_tableau_invariants(state)
+    for original, gens in copies:
+        # a copy's updates never reach the state it was copied from
+        assert original.gens == gens
+        assert_tableau_invariants(original)
+
+
+@pytest.mark.parametrize("method", ["measure", "apply_pauli"])
+def test_operator_of_another_length_is_refused(method):
+    # a packed row is x | z << n, so an operator on other qubits would
+    # meet the generators' bits misaligned instead of failing
+    state = StabilizerState.product_state("0+")
+    before = (list(state.gens), list(state.rows))
+    for other in (parse_pauli("Z1", 1), parse_pauli("X3", 3)):
+        with pytest.raises(ValueError, match="^operator length mismatch$"):
+            getattr(state, method)(other)
+        assert (state.gens, state.rows) == before
+
+
+def test_initial_state_needs_the_ancillas_after_the_memory():
+    # the initial state is built unchecked, so a plan whose ancilla sits
+    # on a memory qubit is refused before it can make an invalid state
+    plan = build_measurement_plan([parse_pauli("X1", 2)])
+    with pytest.raises(ValueError,
+                       match="^plan ancillas are not the qubits after the memory$"):
+        plan_initial_state(replace(plan, ancilla=(0,)),
+                           StabilizerState.zero_state(2))
+
+
+def test_memory_factor_of_no_qubits_is_refused():
+    # the factor is built unchecked, so an empty memory is refused up front
+    with pytest.raises(ValueError, match="^need at least one generator$"):
+        memory_factor(StabilizerState.product_state("0+"), 0)
