@@ -7,14 +7,17 @@ immutable and caches its transpose for its lifetime; equality ignores
 the cache.  `mul_transpose` walks the cheaper operand.  Three routines
 eliminate; each caller takes the cheapest whose output it reads.
 
-* Gauss–Jordan (`_eliminate`), where an RREF or coefficients are read.
-  Ties go to the leftmost pivot column, lowest row index, and bases
-  come out in RREF, so identical inputs give bit-identical outputs.
+* The lowest-pivot echelon: its pivots are the RREF pivots.  `rref`
+  back-reduces it to the RREF, which is unique, so `rank`, `row_basis`
+  and `kernel_basis` read canonical bases; `codes.standard_logicals`
+  back-substitutes on it.
 * `RowReducer`'s highest-pivot echelon, for span membership and
   `kernel_complement`: the RREF pivots of ker h are the free columns of
   h's highest-pivot echelon.
-* The lowest-pivot echelon, for `codes.standard_logicals`: its pivots
-  are the RREF pivots, which the golden digests pin for H_X.
+* Gauss–Jordan (`_eliminate`), only where coefficients ride along:
+  `solve_left`, `standard_form` and `subspace_intersect`.  Ties go to
+  the leftmost pivot column, lowest row index, so identical inputs give
+  bit-identical outputs.
 
 Both echelons share one back-substitution, visiting their pivots in
 opposite orders.
@@ -293,7 +296,7 @@ def _eliminate(rows: list[int], ncols: int) -> list[int]:
     first in pivot order and rows that vanish on the columns < ncols
     sink to the bottom.  Bits at or above ncols ride along, so a caller
     that appends an identity there reads off each row's combination of
-    the input rows.
+    the input rows; a caller that reads no such bits takes `rref`.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -321,10 +324,27 @@ def rref(m: Gf2Matrix) -> tuple[Gf2Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns.
 
     Zero rows sink to the bottom and are kept (the shape is preserved).
+    The lowest-pivot echelon has the RREF pivots, so back-reduction
+    finishes it: in descending pivot order, each row XORs in the reduced
+    row of every other pivot it holds.  A reduced row holds no bit below
+    its pivot and no other pivot, so each XOR clears one pivot bit and
+    sets none: the cost follows the pivot bits, not rows × columns.
     """
-    work = list(m.bits)
-    pivots = _eliminate(work, m.cols)
-    return Gf2Matrix._of(work, m.cols), pivots
+    echelon = _lowest_pivot_echelon(m.bits)
+    pivots = sorted(echelon)
+    pivot_mask = sum(1 << p for p in pivots)
+    reduced: dict[int, int] = {}
+    for p in reversed(pivots):
+        row = echelon[p]
+        others = (row & pivot_mask) ^ (1 << p)
+        while others:
+            low = others & -others
+            row ^= reduced[low.bit_length() - 1]
+            others ^= low
+        reduced[p] = row
+    out = [reduced[p] for p in pivots]
+    out += [0] * (m.rows - len(pivots))
+    return Gf2Matrix._of(out, m.cols), pivots
 
 
 def rank(m: Gf2Matrix) -> int:
@@ -343,7 +363,8 @@ def kernel_basis(m: Gf2Matrix) -> Gf2Matrix:
 
     The row count is always cols - rank(m) (rank-nullity).  The vector
     of each free column is read by walking the set bits of the reduced
-    rows, then the basis is reduced to RREF.
+    rows, then the basis is reduced to RREF.  Both reductions are
+    `rref`, so neither runs Gauss–Jordan.
     """
     red, pivots = rref(m)
     vec = {f: 1 << f for f in sorted(set(range(m.cols)).difference(pivots))}

@@ -31,7 +31,14 @@ from qsticker.codes import (
     support_union,
     validate_code,
 )
-from qsticker.gf2 import Gf2Matrix, kernel_basis, rank, row_basis, rref
+from qsticker.gf2 import (
+    Gf2Matrix,
+    kernel_basis,
+    rank,
+    row_basis,
+    rref,
+    solve_left,
+)
 
 
 # -- oracles -----------------------------------------------------------
@@ -308,7 +315,7 @@ def test_building_a_code_makes_no_gauss_jordan_elimination(monkeypatch):
     desk_code(7)
     assert css_code(c.hx, c.hz) == c
     assert calls == []
-    rref(c.hx)  # the counter is live
+    solve_left(c.hx, c.hx)  # the counter is live
     assert len(calls) == 1
 
 
@@ -454,6 +461,48 @@ def test_validate_report_golden_digest():
     assert failing == 18
     assert digest.hexdigest() == (
         "02d85219296af7f9e5544e39a214cd0cc27b7e98925b71a1f1ef388b9c888f5c")
+
+
+def test_rank_and_rref_consumers_golden_digest():
+    """SHA-256 of the `validate_code` checks on valid codes and on mutants
+    whose witnesses print ranks (the k_g accounting, a ker decomposition,
+    the pairing), and of `exact_distance` results that fall back to the
+    reduced generators of Leon's estimate.
+
+    Recorded while `rref` ran Gauss–Jordan.
+    """
+    import hashlib
+    from dataclasses import replace
+
+    from qsticker.io import desk_code, load_code
+
+    def rows(m, edit):
+        return Gf2Matrix(edit(list(m.bits)), m.cols)
+
+    h33, d78 = load_code("hgp:3,3"), load_code("desk:7,8")
+    codes_ = (
+        h33, d78, desk_code(7),
+        replace(h33, hz=rows(h33.hz, lambda b: b[1:])),
+        replace(d78, hz=rows(d78.hz, lambda b: b + [d78.jz.bits[0]])),
+        replace(d78, jz=rows(d78.jz, lambda b: [b[0] ^ b[1]] + b[1:])),
+        replace(d78, jx=rows(d78.jx, lambda b: [b[1], b[0]] + b[2:])),
+        replace(h33, jz=Gf2Matrix([h33.hz.bits[0]], h33.n)),
+    )
+    digest = hashlib.sha256()
+    failed = set()
+    for c in codes_:
+        checks = [(a.name, a.passed, a.witness) for a in validate_code(c).checks]
+        failed |= {name for name, passed, _ in checks if not passed}
+        digest.update(repr(checks).encode())
+    assert failed == {"k_g accounting", "ker decomposition (Z side)",
+                      "ker decomposition (X side)", "jx @ jz^T = E_k"}
+    for spec, cap in (("hgp:5,5", 2), ("hgp:4,4", 2), ("desk:7,8", 1),
+                      ("desk", 1)):
+        res = exact_distance(load_code(spec), cap=cap)
+        assert not res.exact and res.upper_bound is not None
+        digest.update(repr(res).encode())
+    assert digest.hexdigest() == (
+        "1725483877c41a26b3517efb7b0d6efbd753e13b6ba22fa2830ae94c8f86ff92")
 
 
 def test_validate_builds_no_kernel_basis(monkeypatch):

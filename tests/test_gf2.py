@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from qsticker import gf2
 from qsticker.gf2 import (
     Gf2Matrix,
     RowReducer,
@@ -283,6 +284,79 @@ def test_rank_and_rref_match_sympy(m):
     assert red.to_lists() == want_rows
     assert pivots == want_pivots
     assert rank(m) == len(want_pivots)
+
+
+def gauss_jordan_forms(m):
+    """(RREF and pivots, rank, row basis, kernel basis) of m, each read off
+    Gauss–Jordan (`gf2._eliminate`) on a copy of the rows: the oracle for
+    the echelon-built `rref` and what reads it."""
+    def gauss_jordan(bits):
+        work = list(bits)
+        return work, gf2._eliminate(work, m.cols)
+
+    red, pivots = gauss_jordan(m.bits)
+    vectors = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = 1 << f
+        for row, p in zip(red, pivots):
+            if row >> f & 1:
+                v |= 1 << p
+        vectors.append(v)
+    kern, kernel_pivots = gauss_jordan(vectors)
+    return ((Gf2Matrix(red, m.cols), pivots), len(pivots),
+            Gf2Matrix(red[:len(pivots)], m.cols),
+            Gf2Matrix(kern[:len(kernel_pivots)], m.cols))
+
+
+def _ldpc_checks():
+    from qsticker.codes import hgp, repetition_check
+    from qsticker.io import desk_code
+
+    return (hgp(repetition_check(3), repetition_check(4)).hx,
+            desk_code(7, 8).hx, desk_code(3, 8).hz)
+
+
+_LDPC_CHECKS = _ldpc_checks()
+
+
+@st.composite
+def ldpc_like(draw):
+    """A row-shuffled check matrix of a hypergraph-product or desk code,
+    with repeated rows appended, or a random subset of its columns."""
+    h = draw(st.sampled_from(_LDPC_CHECKS))
+    rows = draw(st.permutations(h.bits))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    m = Gf2Matrix(rows, h.cols)
+    if draw(st.booleans()):
+        keep = draw(st.integers(0, (1 << h.cols) - 1))
+        m = m.take_cols([c for c in range(h.cols) if keep >> c & 1])
+    return m
+
+
+@st.composite
+def with_zero_and_repeated_rows(draw):
+    """A random matrix with zero rows and copies of its rows shuffled in."""
+    m = draw(st.one_of(matrices(max_cols=20), sparse_matrices()))
+    rows = list(m.bits)
+    rows += [0] * draw(st.integers(0, 2))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    return Gf2Matrix(draw(st.permutations(rows)), m.cols)
+
+
+@PROPERTY
+@given(st.one_of(with_zero_and_repeated_rows(), ldpc_like()))
+@example(Gf2Matrix.zeros(0, 4))
+@example(Gf2Matrix.zeros(3, 0))
+@example(Gf2Matrix.zeros(0, 0))
+@example(Gf2Matrix.zeros(3, 4))
+@example(Gf2Matrix.identity(5))
+@example(Gf2Matrix([0, 0b0110, 0b0110, 0, 0b0011, 0b0101], 4))
+def test_rref_rank_and_bases_match_gauss_jordan(m):
+    want_rref, want_rank, want_rows, want_kernel = gauss_jordan_forms(m)
+    assert rref(m) == want_rref
+    assert rank(m) == want_rank
+    assert row_basis(m) == want_rows
+    assert kernel_basis(m) == want_kernel
 
 
 @PROPERTY

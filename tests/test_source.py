@@ -296,6 +296,14 @@ def test_solve_left_callers_are_pinned():
                                       "gf2:inverse"}
 
 
+def test_gauss_jordan_callers_are_pinned():
+    # Gauss–Jordan runs only where coefficient bits ride along; `rref`,
+    # and with it `rank`, `row_basis` and `kernel_basis`, back-reduces the
+    # lowest-pivot echelon instead
+    assert _callers("_eliminate") == {"gf2:solve_left", "gf2:standard_form",
+                                      "gf2:subspace_intersect"}
+
+
 def test_logical_pairings_are_checked_where_they_are_built():
     # J_X J_Z^T = E is multiplied out where a split is built, where a code
     # is proven by its full products, and by `validate_code`; a paste
